@@ -46,7 +46,6 @@ class BlockSystem:
     Btilde: np.ndarray             # (n_b, n_b): B4
     dims: tuple[int, int, int]
     eig_A0: np.ndarray = field(repr=False, default=None)
-    _caches: dict = field(default_factory=dict, repr=False)
 
     @property
     def n(self) -> int:

@@ -1,10 +1,10 @@
 """Time evolution of the coupled system and its energy diagnostics.
 
-The default propagator is the dense matrix exponential through an
-eigendecomposition of the generator; when the eigenvector basis is too ill
-conditioned (the frozen-boundary generator is genuinely defective) a
-scaling-and-squaring Taylor exponential of order 16 takes over.  A classical
-RK4 integrator exists purely to demonstrate method independence.
+Every propagator is a scaling-and-squaring Taylor exponential of order 16:
+the coupled generator always carries a defective rigid-drift pair at zero, so
+an eigenbasis route would be ill conditioned exactly where it matters.  A
+classical RK4 integrator (and, in the tests, scipy's expm) serve only as
+independent cross-checks.
 
 The discrete energy uses the weighted-space form
 
@@ -29,14 +29,8 @@ from ._linalg import opnorm
 from .blockops import BlockSystem
 from .errors import ConfigurationError, ModelError, NumericalError
 from .mesh import Mesh
-from .model import gradient_operators
+from .model import gradient_operators, stiffness_matrix
 
-# Diagonalizability gate for the eigen route to exist at all; the coupled
-# wave generator carries a defective rigid-drift pair at zero, so the
-# eigenbasis error (~ cond * eps) breaks 1e-8 group invariants well below
-# that: the auto route trusts the eigenbasis only under the tighter limit.
-DIAGONALIZABLE_LIMIT = 1e10
-EIG_COND_LIMIT = 1e6
 TAYLOR_ORDER = 16
 
 
@@ -58,20 +52,6 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 # Matrix exponentials
 # ---------------------------------------------------------------------------
-def _eig_propagator_data(sys: BlockSystem):
-    cache = sys._caches.get("eig_acal")
-    if cache is None:
-        try:
-            w, V = np.linalg.eig(sys.Acal)
-            cond = float(np.linalg.cond(V))
-            Vinv = np.linalg.inv(V) if cond < DIAGONALIZABLE_LIMIT else None
-        except np.linalg.LinAlgError:
-            w, V, Vinv, cond = None, None, None, np.inf
-        cache = (w, V, Vinv, cond)
-        sys._caches["eig_acal"] = cache
-    return cache
-
-
 def taylor_expm(mat: np.ndarray, order: int = TAYLOR_ORDER) -> np.ndarray:
     """Scaling-and-squaring matrix exponential with a plain Taylor kernel."""
     n = mat.shape[0]
@@ -88,36 +68,36 @@ def taylor_expm(mat: np.ndarray, order: int = TAYLOR_ORDER) -> np.ndarray:
     return E
 
 
-def propagator(sys: BlockSystem, t: float, method: str = "auto") -> np.ndarray:
-    """Dense e^{t Acal}: eigendecomposition route with Taylor fallback.
-
-    ``method`` forces one route ("eig" / "taylor") for cross-validation; the
-    default engages the fallback whenever the eigenvector basis is too ill
-    conditioned to deliver group-accuracy results.
-    """
-    if method not in ("auto", "eig", "taylor"):
-        raise ConfigurationError(f"unknown propagator method {method!r}")
-    if method != "taylor":
-        w, V, Vinv, cond = _eig_propagator_data(sys)
-        if method == "eig" and Vinv is None:
-            raise NumericalError(
-                f"eigenvector basis too ill conditioned (cond={cond:.3e})")
-        if Vinv is not None and (method == "eig" or cond < EIG_COND_LIMIT):
-            P = (V * np.exp(w * t)[None, :]) @ Vinv
-            if not np.iscomplexobj(sys.Acal):
-                P = np.real(P)
-            if np.all(np.isfinite(P)):
-                return P
-            if method == "eig":
-                raise NumericalError("eigendecomposition propagator overflowed")
+def propagator(sys: BlockSystem, t: float) -> np.ndarray:
+    """Dense e^{t Acal}."""
     return taylor_expm(sys.Acal * t)
 
 
-def propagator_frozen(sys: BlockSystem, t: float) -> np.ndarray:
-    """e^{t A1cal} for the decoupled (frozen boundary-datum) part.
+def _flow(mat: np.ndarray, s: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
+    """States e^{t mat} s at each t of an increasing grid, starting from t = 0.
 
-    A1cal carries nilpotent blocks, so this always uses the Taylor route.
+    Steps between consecutive output times, with one exponential per distinct
+    gap; grid points at or before t = 0 return s itself.
     """
+    states = np.empty((t_grid.size, s.size), dtype=s.dtype)
+    step_cache: dict[float, np.ndarray] = {}
+    t_prev = 0.0
+    for i, t in enumerate(t_grid):
+        gap = t - t_prev
+        if gap > 0:
+            key = round(gap, 15)
+            P = step_cache.get(key)
+            if P is None:
+                P = taylor_expm(mat * gap)
+                step_cache[key] = P
+            s = P @ s
+            t_prev = t
+        states[i] = s
+    return states
+
+
+def propagator_frozen(sys: BlockSystem, t: float) -> np.ndarray:
+    """e^{t A1cal} for the decoupled (frozen boundary-datum) part."""
     return taylor_expm(sys.A1cal * t)
 
 
@@ -148,45 +128,36 @@ def energy_defined(sys: BlockSystem) -> tuple[bool, str]:
     return True, ""
 
 
-def _energy_workspace(sys: BlockSystem, mesh: Mesh):
-    ws = sys._caches.get("energy")
-    if ws is None:
-        grads = gradient_operators(mesh)
-        nb = sys.n_b
-        if sys.ops.neutral and sys.ops.M is not None:
-            mweight = np.diag(sys.ops.bnd_weights) @ (np.eye(nb) - sys.ops.M)
-        else:
-            mweight = None
-        ws = (grads, mweight)
-        sys._caches["energy"] = ws
-    return ws
+def energy(state: np.ndarray, sys: BlockSystem, mesh: Mesh) -> float | np.ndarray:
+    """Weighted energy of a reduced state; boundary velocity recovered as Lu.
 
-
-def energy(state: np.ndarray, sys: BlockSystem, mesh: Mesh) -> float:
-    """Weighted energy of one reduced state; boundary velocity recovered as Lu."""
+    ``state`` is one state (the energy is returned as a float) or a stack of
+    states, one per row (an array with one energy per row is returned).
+    """
     ok, why = energy_defined(sys)
     if not ok:
         raise ModelError(f"energy undefined: {why}")
     ops = sys.ops
     co = ops.coeffs
     rho0 = float(np.real(co.rho[0]))
-    u, v, x, y = sys.split(state)
-    grads, mweight = _energy_workspace(sys, mesh)
+    u, v, x, y = sys.split(np.atleast_2d(state).T)
 
-    grad_sq = 0.0
-    for D, wc in grads:
-        du = D @ u
-        grad_sq += float(np.sum(wc * np.real(np.conjugate(du) * du)))
-    v_sq = float(np.sum(sys.ops.state_weights * np.real(np.conjugate(v) * v)))
+    def sq(z):
+        return np.real(np.conjugate(z) * z)
+
+    grad_sq = sum(wc @ sq(D @ u) for D, wc in gradient_operators(mesh))
+    v_sq = ops.state_weights @ sq(v)
     wb = ops.bnd_weights
-    k_sq = float(np.sum(np.real(co.k) * wb * np.real(np.conjugate(x) * x)))
+    k_sq = (np.real(co.k) * wb) @ sq(x)
     ldot = ops.B2 @ u + y
-    if mweight is None:
-        m_sq = float(np.sum(np.real(co.m) * wb * np.real(np.conjugate(ldot) * ldot)))
-    else:
+    if ops.neutral and ops.M is not None:
         m0 = float(np.real(co.m[0]))
-        m_sq = m0 * float(np.real(np.conjugate(ldot) @ (mweight @ ldot)))
-    return 0.5 * (rho0 * grad_sq + (rho0 / co.c ** 2) * v_sq + k_sq + m_sq)
+        mweight = wb[:, None] * (np.eye(sys.n_b) - ops.M)
+        m_sq = m0 * np.real(np.sum(np.conjugate(ldot) * (mweight @ ldot), axis=0))
+    else:
+        m_sq = (np.real(co.m) * wb) @ sq(ldot)
+    e = 0.5 * (rho0 * grad_sq + (rho0 / co.c ** 2) * v_sq + k_sq + m_sq)
+    return float(e[0]) if np.ndim(state) == 1 else e
 
 
 def boundary_dissipation(state: np.ndarray, sys: BlockSystem) -> float:
@@ -212,11 +183,11 @@ def simulate(sys: BlockSystem, u0: np.ndarray, t_grid, method: str = "exact",
              mesh: Mesh | None = None) -> Trajectory:
     """Evolve a reduced state over t_grid.
 
-    ``exact`` evaluates the matrix exponential per output time; ``rk4`` steps
-    classically with fixed substeps below the stability bound (a warning is
-    emitted when the requested grid is coarser than the bound).  Energies are
-    attached whenever the model's energy weights are well defined and a mesh
-    is supplied.
+    ``exact`` steps between output times with one matrix exponential per
+    distinct gap; ``rk4`` steps classically with fixed substeps below the
+    stability bound (a warning is emitted when the requested grid is coarser
+    than the bound).  Energies are attached whenever the model's energy
+    weights are well defined and a mesh is supplied.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0:
@@ -226,34 +197,10 @@ def simulate(sys: BlockSystem, u0: np.ndarray, t_grid, method: str = "exact",
     if u0.shape != (sys.state_dim,):
         raise ConfigurationError(f"state must have length {sys.state_dim}")
 
-    real_system = not (np.iscomplexobj(sys.Acal) or np.iscomplexobj(u0))
-    dtype = float if real_system else complex
-
-    def store(buf, i, s):
-        buf[i] = np.real(s) if real_system else s
+    dtype = complex if np.iscomplexobj(sys.Acal) or np.iscomplexobj(u0) else float
 
     if method == "exact":
-        w, V, Vinv, cond = _eig_propagator_data(sys)
-        states = np.empty((t_grid.size, sys.state_dim), dtype=dtype)
-        if Vinv is not None and cond < EIG_COND_LIMIT:
-            coeff = Vinv @ u0.astype(complex)
-            for i, t in enumerate(t_grid):
-                store(states, i, V @ (np.exp(w * t) * coeff))
-        else:
-            step_cache: dict[float, np.ndarray] = {}
-            t_prev = 0.0
-            s = u0.astype(dtype).copy()
-            for i, t in enumerate(t_grid):
-                gap = t - t_prev
-                if gap > 0:
-                    key = round(gap, 15)
-                    P = step_cache.get(key)
-                    if P is None:
-                        P = taylor_expm(sys.Acal * gap)
-                        step_cache[key] = P
-                    s = P @ s
-                    t_prev = t
-                store(states, i, s)
+        states = _flow(sys.Acal, u0.astype(dtype), t_grid)
     elif method == "rk4":
         if mesh is None:
             raise ConfigurationError("rk4 needs the mesh for its stability bound")
@@ -286,7 +233,7 @@ def simulate(sys: BlockSystem, u0: np.ndarray, t_grid, method: str = "exact",
 
     energies = None
     if mesh is not None and energy_defined(sys)[0]:
-        energies = np.array([energy(states[i], sys, mesh) for i in range(t_grid.size)])
+        energies = energy(states, sys, mesh)
     traj = Trajectory(times=t_grid, states=states, energies=energies, method=method)
     if t_grid.size >= 2:
         traj.consistency = trajectory_consistency(traj, sys)
@@ -363,14 +310,7 @@ def robin_comparison(sys: BlockSystem, u0: np.ndarray, t_grid) -> tuple[Trajecto
         raise ConfigurationError("comparison bound is stated for t in (0, 1] only")
     phi = simulate(sys, u0, t_grid, method="exact")
     n = sys.n
-    psi_states = np.empty_like(phi.states)
-    s = u0.astype(phi.states.dtype).copy()
-    t_prev = 0.0
-    for i, t in enumerate(t_grid):
-        if t != t_prev:
-            s = taylor_expm(sys.A1cal * (t - t_prev)) @ s
-            t_prev = t
-        psi_states[i] = s
+    psi_states = _flow(sys.A1cal, u0.astype(phi.states.dtype), t_grid)
     psi = Trajectory(times=t_grid, states=psi_states, energies=None,
                      method="frozen-boundary")
 
@@ -414,8 +354,6 @@ def propagator_norms(sys: BlockSystem, mesh: Mesh, t: float) -> dict:
     n, nb = sys.n, sys.n_b
     co = sys.ops.coeffs
     rho0 = float(np.real(co.rho[0]))
-    from .model import stiffness_matrix
-
     K = stiffness_matrix(mesh)
     if sys.ops.state_node_idx.size != mesh.n_nodes:
         K = K[np.ix_(sys.ops.state_node_idx, sys.ops.state_node_idx)]

@@ -76,10 +76,11 @@ class Mesh:
         return self.node_coords.shape[1]
 
     def gamma1_arclength(self) -> np.ndarray:
-        """Arclength coordinate z of each Gamma1 node along its boundary part."""
-        if self.kind == "interval":
-            return self.node_coords[self.gamma1, 0].copy()
-        # top edge of the unit square, parametrised by x
+        """Arclength coordinate z of each Gamma1 node along its boundary part.
+
+        The interval's end points and the strip's top edge are both
+        parametrised by x.
+        """
         return self.node_coords[self.gamma1, 0].copy()
 
 

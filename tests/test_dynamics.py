@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -39,13 +40,15 @@ def test_propagator_time_reversal(abc1d):
     assert np.linalg.norm(Pm @ P - np.eye(sys.state_dim), 2) < 1e-8
 
 
-def test_propagator_dual_routes_agree(abc1d_cfg):
+def test_propagator_matches_scipy(abc1d_cfg, special):
+    # special-case has the only well-conditioned eigenbasis (cond 91) among
+    # the shipped scenarios; abc-1d's is ill conditioned (cond 1.7e7)
     cfg = dataclasses.replace(abc1d_cfg,
                               geometry={**abc1d_cfg.geometry, "n_cells": 16})
-    _, sys = ab.build_system(cfg)
-    Pe = propagator(sys, 0.1, method="eig")
-    Pt = propagator(sys, 0.1, method="taylor")
-    assert np.linalg.norm(Pe - Pt, 2) / np.linalg.norm(Pt, 2) < 1e-8
+    for _, sys in (ab.build_system(cfg), special):
+        P = propagator(sys, 0.1)
+        ref = scipy.linalg.expm(sys.Acal * 0.1)
+        assert np.linalg.norm(P - ref, 2) / np.linalg.norm(ref, 2) < 1e-8
 
 
 def test_taylor_expm_against_scipy(abc1d):
@@ -72,14 +75,28 @@ def test_zero_state_stays_zero(abc1d):
     assert traj.energies[0] == 0.0
 
 
-def test_exact_vs_rk4(abc1d_cfg):
-    cfg = smooth_cfg(abc1d_cfg)
-    mesh, sys = ab.build_system(cfg)
-    u0 = ab.initial_state_from_config(cfg, mesh, sys)
+def test_exact_vs_rk4(abc1d_cfg, special_cfg):
     t = np.linspace(0, 1, 1001)
-    te = ab.simulate(sys, u0, t)
-    tr = ab.simulate(sys, u0, t, method="rk4", mesh=mesh)
-    assert np.max(np.abs(te.states - tr.states)) < 1e-6
+    for cfg in (smooth_cfg(abc1d_cfg), smooth_cfg(special_cfg)):
+        mesh, sys = ab.build_system(cfg)
+        u0 = ab.initial_state_from_config(cfg, mesh, sys)
+        te = ab.simulate(sys, u0, t)
+        tr = ab.simulate(sys, u0, t, method="rk4", mesh=mesh)
+        assert np.max(np.abs(te.states - tr.states)) < 1e-6
+
+
+def test_operations_leave_system_unchanged(special_cfg):
+    mesh, sys = ab.build_system(special_cfg)
+    fields = dict(vars(sys))
+    snapshot = pickle.dumps(sys)
+    u0 = ab.initial_state_from_config(special_cfg, mesh, sys)
+    for method in ("exact", "rk4"):
+        ab.simulate(sys, u0, np.linspace(0, 0.5, 101), method=method, mesh=mesh)
+    ab.energy(u0, sys, mesh)
+    ab.robin_comparison(sys, u0, np.geomspace(1e-3, 1.0, 7))
+    assert vars(sys).keys() == fields.keys()
+    assert all(vars(sys)[k] is v for k, v in fields.items())
+    assert pickle.dumps(sys) == snapshot
 
 
 def test_rk4_warns_above_stability_bound(abc1d_cfg):
@@ -106,6 +123,14 @@ def test_energy_zero_and_quadratic_scaling(abc1d, abc1d_cfg):
     e1 = ab.energy(u0, sys, mesh)
     e2 = ab.energy(2 * u0, sys, mesh)
     assert e2 == pytest.approx(4 * e1, rel=1e-12)
+
+
+@pytest.mark.parametrize("system", ["abc1d", "neutral_strip"])
+def test_energy_of_stack_matches_rows(system, request):
+    mesh, sys = request.getfixturevalue(system)
+    states = np.random.default_rng(3).standard_normal((5, sys.state_dim))
+    rows = np.array([ab.energy(s, sys, mesh) for s in states])
+    assert np.allclose(ab.energy(states, sys, mesh), rows, rtol=1e-13, atol=0)
 
 
 def test_energy_conserved_without_resistivity(abc1d_cfg):
