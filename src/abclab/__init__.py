@@ -19,14 +19,14 @@ from .model import (CoefficientSet, ModelOperators, apply_neutral_transform,
 from .reporting import VerificationReport
 from .resolvent import (PencilEvaluator, block_dirichlet, dirichlet_operator,
                         factorization_check, gamma_membership, identity_LD,
-                        pencil, pencil_via_blocks, resolvent_A0_block,
-                        resolvent_Acal)
+                        pencil, pencil_derivative, pencil_via_blocks,
+                        resolvent_A0_block, resolvent_Acal)
 from .scenario import (ScenarioConfig, build_system, initial_state_from_config,
                        load_config, parse_config, serialize_config)
 from .spectral import (SpectrumReport, characteristic_value,
                        compact_resolvent_diagnostic, count_roots_in_box,
                        direct_spectrum, essential_range,
-                       essential_spectrum_proxy, pencil_roots,
-                       special_case_spectrum)
+                       essential_spectrum_proxy, log_derivative,
+                       pencil_roots, special_case_spectrum)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

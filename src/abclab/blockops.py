@@ -13,6 +13,11 @@ Assembled objects:
     Acal  : the full coupled generator on (u, v, x, y)
     A1cal : the decoupled part (interior dynamics, zero y-row)
     A2cal : the boundary feedback, nonzero only in the y-row (rank <= n_b)
+
+A0 must be self-adjoint in the state quadrature weights W; then one eigh of
+W^{1/2} A0 W^{-1/2} = Q diag(a) Q^T gives A0 = V diag(a) V^-1 with
+V = W^{-1/2} Q, V^-1 = Q^T W^{1/2}, and the modal pencil factors X1, X2, Y
+(see resolvent.pencil).
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import numpy as np
 
 from ._linalg import checked_solve
 from .errors import AssumptionError, ConfigurationError, DimensionError
-from .model import ModelOperators
+from .model import SYMMETRY_TOL, ModelOperators, weighted_asymmetry
 
 
 @dataclass
@@ -45,7 +50,10 @@ class BlockSystem:
     Bfrak: np.ndarray              # (n_b, 2n+n_b): [B1+B4 B2, 0, B3]
     Btilde: np.ndarray             # (n_b, n_b): B4
     dims: tuple[int, int, int]
-    eig_A0: np.ndarray = field(repr=False, default=None)
+    eig_A0: np.ndarray = field(repr=False)   # (n,) real, ascending: a
+    X1: np.ndarray = field(repr=False)       # (n_b, n): (B1 + B4 B2) V
+    X2: np.ndarray = field(repr=False)       # (n_b, n): B3 B2 V
+    Y: np.ndarray = field(repr=False)        # (n, n_b): V^-1 S_A
 
     @property
     def n(self) -> int:
@@ -128,12 +136,26 @@ def assemble_block_generator(ops: ModelOperators) -> BlockSystem:
     Bfrak[:, :n] = ops.B1 + ops.B4 @ ops.B2
     Bfrak[:, 2 * n:] = ops.B3
 
+    W = ops.state_weights
+    asym = weighted_asymmetry(A0, W)
+    if not asym <= SYMMETRY_TOL:
+        raise AssumptionError(
+            "restricted-symmetry",
+            f"restricted operator is not self-adjoint in the quadrature weights "
+            f"(weighted asymmetry {asym:.3e} > {SYMMETRY_TOL:.0e}); the modal "
+            "pencil needs a symmetric eigendecomposition of A0")
+    sq = np.sqrt(W)
+    H = sq[:, None] * A0 / sq[None, :]
+    a, Q = np.linalg.eigh(0.5 * (H + H.T.conj()))
+    V = Q / sq[:, None]
+
     return BlockSystem(
         ops=ops, A0=A0, E0=E0, E1=E1, S_A=S_A,
         Abb0=Abb0, Acal=Acal, A1cal=A1cal, A2cal=A2cal,
         Bfrak=Bfrak, Btilde=ops.B4.copy(),
         dims=(n, g, nb),
-        eig_A0=np.linalg.eigvals(A0),
+        eig_A0=a, X1=Bfrak[:, :n] @ V, X2=ops.B3 @ ops.B2 @ V,
+        Y=Q.T.conj() @ (sq[:, None] * S_A),
     )
 
 

@@ -6,14 +6,24 @@ unique extended field solving the bordered system
 
     (mu - A_max) u_ext = 0,    R u_ext = data.
 
-Everything else is assembled from it: the lifted block Dirichlet operator on
-(u, v, x) states, the boundary pencil
+The boundary pencil, whose singularity at lam characterizes the spectrum of
+the coupled generator off the restricted spectrum, is
 
-    P(lam) = B1 D_{lam^2} + (B3/lam + B4) L D_{lam^2},
+    P(lam) = B1 D_{lam^2} + (B3/lam + B4) L D_{lam^2}.
 
-whose singularity at lam characterizes the spectrum of the coupled generator
-off the restricted spectrum, the explicit block resolvents, and the
-triangular factorization of (lam - Acal) that proves it.
+It is evaluated modally: ghost elimination gives D_mu = (mu - A0)^-1 S_A on
+the nodes and L D_mu = I + B2 D_mu, and A0 is self-adjoint in the quadrature
+weights, so the eigendecomposition A0 = V diag(a) V^-1 taken once at assembly
+(see blockops) turns each evaluation into a diagonal scaling,
+
+    P(lam) = (X1 + X2/lam) diag(1/(lam^2 - a)) Y + B3/lam + B4,
+
+at O(n n_b^2) cost, with a closed-form derivative P'(lam).  Systems whose A0
+is not weighted-symmetric are refused at assembly.  The bordered solve for
+D_mu is the independent cross-check: the lifted block Dirichlet operator on
+(u, v, x) states gives the second construction pencil_via_blocks, and the
+explicit block resolvents and the triangular factorization of (lam - Acal)
+are assembled from it.
 """
 
 from __future__ import annotations
@@ -139,12 +149,20 @@ def block_dirichlet(sys: BlockSystem, lam: complex,
 # Pencil
 # ---------------------------------------------------------------------------
 def pencil(evaluator: PencilEvaluator, lam: complex) -> np.ndarray:
-    """Boundary pencil via the representation B1 D + (B3/lam + B4) L D."""
+    """Boundary pencil from the modal data of the restricted operator."""
     evaluator.check(lam)
     sys = evaluator.sys
-    D = dirichlet_operator(sys, lam * lam, exclusion_radius=evaluator.exclusion_radius)
-    LD = sys.ops.L @ D
-    return sys.ops.B1 @ D[:sys.n] + (sys.ops.B3 / lam + sys.ops.B4) @ LD
+    r = 1.0 / (lam * lam - sys.eig_A0)
+    return ((sys.X1 + sys.X2 / lam) * r) @ sys.Y + sys.ops.B3 / lam + sys.ops.B4
+
+
+def pencil_derivative(evaluator: PencilEvaluator, lam: complex) -> np.ndarray:
+    """d/dlam P(lam) in closed form from the same modal data as ``pencil``."""
+    evaluator.check(lam)
+    sys = evaluator.sys
+    r = 1.0 / (lam * lam - sys.eig_A0)
+    coef = -(sys.X2 / (lam * lam)) * r - (sys.X1 + sys.X2 / lam) * (2.0 * lam * r * r)
+    return coef @ sys.Y - sys.ops.B3 / (lam * lam)
 
 
 def pencil_via_blocks(evaluator: PencilEvaluator, lam: complex) -> np.ndarray:

@@ -18,7 +18,8 @@ import numpy as np
 from ._linalg import checked_solve, rel_residual
 from .blockops import BlockSystem, reduced_generator
 from .errors import AssumptionError, ConfigurationError, NumericalError, SpectralParameterError
-from .resolvent import PencilEvaluator, default_zero_radius, dirichlet_operator, pencil
+from .resolvent import (PencilEvaluator, default_zero_radius, dirichlet_operator, pencil,
+                        pencil_derivative)
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2.0 fallback
 
@@ -83,10 +84,18 @@ def characteristic_value(evaluator: PencilEvaluator, lam: complex) -> complex:
     return complex(np.linalg.det(lam * np.eye(evaluator.sys.n_b) - Blam))
 
 
-def _char_derivative(evaluator: PencilEvaluator, lam: complex) -> complex:
-    step = 1e-7 * (1.0 + abs(lam))
-    return (characteristic_value(evaluator, lam + step)
-            - characteristic_value(evaluator, lam - step)) / (2.0 * step)
+def log_derivative(evaluator: PencilEvaluator, lam: complex) -> complex:
+    """chi'(lam)/chi(lam) = tr((lam - P(lam))^-1 (I - P'(lam))), in closed form.
+
+    Infinite where lam - P(lam) is exactly singular, i.e. at a root.
+    """
+    eye = np.eye(evaluator.sys.n_b)
+    try:
+        quotient = np.linalg.solve(lam * eye - pencil(evaluator, lam),
+                                   eye - pencil_derivative(evaluator, lam))
+    except np.linalg.LinAlgError:
+        return complex(np.inf)
+    return complex(np.trace(quotient))
 
 
 def pencil_roots(evaluator: PencilEvaluator, seeds, tol: float | None = None,
@@ -94,6 +103,7 @@ def pencil_roots(evaluator: PencilEvaluator, seeds, tol: float | None = None,
                  newton_tol: float = 1e-10) -> SpectrumReport:
     """Newton iteration on the characteristic function from the given seeds.
 
+    The Newton step chi/chi' is the reciprocal of ``log_derivative``.
     Converged roots are deduplicated at distance ``tol`` (default
     1e-8*(1+|lam|)) and certified by the characteristic-value threshold
     cert_tol * max(1, |lam|)^n_b.  Inadmissible seeds are listed in
@@ -115,15 +125,14 @@ def pencil_roots(evaluator: PencilEvaluator, seeds, tol: float | None = None,
         converged = False
         for _ in range(max_iter):
             try:
-                chi = characteristic_value(evaluator, lam)
-                dchi = _char_derivative(evaluator, lam)
+                logd = log_derivative(evaluator, lam)
             except SpectralParameterError:
                 failures.append(f"seed {seed:.6g}: iterate left the admissible set")
                 break
-            if dchi == 0:
+            if logd == 0:
                 failures.append(f"seed {seed:.6g}: stationary characteristic value")
                 break
-            step = chi / dchi
+            step = 1.0 / logd
             lam_new = lam - step
             if not evaluator.is_admissible(lam_new):
                 failures.append(f"seed {seed:.6g}: step into the exclusion zone")
@@ -165,10 +174,11 @@ def pencil_roots(evaluator: PencilEvaluator, seeds, tol: float | None = None,
 def count_roots_in_box(evaluator: PencilEvaluator, box, n_quad: int) -> int:
     """Winding number of the characteristic function around a rectangle.
 
-    ``box`` is (re_min, re_max, im_min, im_max); the boundary is sampled with
-    ``n_quad`` trapezoid panels per edge.  The rounded winding estimate must
-    sit within 0.2 of an integer, otherwise the count is inconclusive and a
-    finer n_quad is required.  The contour must stay admissible.
+    ``box`` is (re_min, re_max, im_min, im_max); ``log_derivative`` is
+    integrated along the boundary with ``n_quad`` trapezoid panels per edge.
+    The rounded winding estimate must sit within 0.2 of an integer, otherwise
+    the count is inconclusive and a finer n_quad is required.  The contour
+    must stay admissible and must not pass through a root.
     """
     re0, re1, im0, im1 = box
     if not (re1 > re0 and im1 > im0):
@@ -179,13 +189,12 @@ def count_roots_in_box(evaluator: PencilEvaluator, box, n_quad: int) -> int:
         ts = np.linspace(0.0, 1.0, n_quad + 1)
         pts = a + (b - a) * ts
         try:
-            vals = np.array([
-                _char_derivative(evaluator, z) / characteristic_value(evaluator, z)
-                for z in pts
-            ])
+            vals = np.array([log_derivative(evaluator, z) for z in pts])
         except SpectralParameterError as exc:
             raise SpectralParameterError(
                 exc.reason, f"box boundary intersects the exclusion zone: {exc}")
+        if not np.all(np.isfinite(vals)):
+            raise NumericalError("box boundary passes through a root")
         total += _trapezoid(vals, dx=1.0 / n_quad) * (b - a)
     winding = total / (2.0j * np.pi)
     estimate = float(np.real(winding))

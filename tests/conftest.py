@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 from pathlib import Path
 
 import numpy as np
@@ -68,3 +69,12 @@ def biharmonic_sys():
         p=np.array([-1.0, -1.0]), q=np.array([-0.5, -0.5]))
     ops = ab.assemble_biharmonic_operator(mesh, coeffs)
     return mesh, ab.assemble_block_generator(ops)
+
+
+@pytest.fixture(scope="session")
+def divergence_sys():
+    cfg = ab.parse_config(json.dumps({
+        "geometry": {"kind": "interval", "n_cells": 32, "length": 1.0},
+        "model": "divergence",
+        "coefficients": {"a": "1 + 0.5*x", "rho": "0.7", "m": "1", "d": "0.3", "k": "1"}}))
+    return ab.build_system(cfg)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from abclab.cli import main
 
 from conftest import CONFIG_DIR
@@ -44,11 +46,13 @@ def test_verify_unknown_check_is_usage_error(tmp_path):
     assert code == 2
 
 
-def test_spectrum_both_matches(tmp_path, capsys):
+@pytest.mark.parametrize("name", ["abc-1d", "timoshenko-strip"])
+def test_spectrum_both_matches(tmp_path, capsys, name):
     out = tmp_path / "spec.csv"
-    code = main(["spectrum", "--config", cfg_path("abc-1d"), "--method", "both",
+    code = main(["spectrum", "--config", cfg_path(name), "--method", "both",
                  "--out", str(out)])
     assert code == 0
+    assert "unmatched 0" in capsys.readouterr().out
     assert out.exists() and (tmp_path / "spec.csv.pairs.csv").exists()
     header = out.read_text().splitlines()[0]
     assert header == "re,im,classification,residual,gamma_member"

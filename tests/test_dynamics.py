@@ -94,6 +94,9 @@ def test_operations_leave_system_unchanged(special_cfg):
         ab.simulate(sys, u0, np.linspace(0, 0.5, 101), method=method, mesh=mesh)
     ab.energy(u0, sys, mesh)
     ab.robin_comparison(sys, u0, np.geomspace(1e-3, 1.0, 7))
+    ev = ab.PencilEvaluator(sys)
+    ab.pencil_roots(ev, [0.5 + 1.5j])
+    ab.count_roots_in_box(ev, (-1.5, 0.5, -0.5, 0.5), 8)
     assert vars(sys).keys() == fields.keys()
     assert all(vars(sys)[k] is v for k, v in fields.items())
     assert pickle.dumps(sys) == snapshot

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import abclab as ab
-from abclab.errors import SpectralParameterError
+from abclab.errors import AssumptionError, SpectralParameterError
 from abclab.resolvent import default_zero_radius
 
 from conftest import wave_system
@@ -100,11 +102,49 @@ def test_pencil_b3_zero_form(special):
     assert np.allclose(ab.pencil(ev, lam), expected, atol=1e-11)
 
 
-def test_pencil_dual_construction(abc1d, neutral_strip):
-    for _, sys in (abc1d, neutral_strip):
+MODAL_LAMBDAS = (0.8 + 0.9j, 1.5 + 0.3j, 2.0 + 1.1j, 2.5 + 0.1j, -0.4 + 1.3j)
+
+
+def test_pencil_dual_construction(abc1d, special, neutral_strip, biharmonic_sys,
+                                  divergence_sys):
+    # the modal formula and the bordered block construction are independent
+    for _, sys in (abc1d, special, neutral_strip, biharmonic_sys, divergence_sys):
         ev = ab.PencilEvaluator(sys)
-        for lam in (0.8 + 0.9j, 2.5 + 0.1j):
+        for lam in MODAL_LAMBDAS:
+            ev.check(lam)
             assert np.max(np.abs(ab.pencil(ev, lam) - ab.pencil_via_blocks(ev, lam))) < 1e-10
+
+
+@pytest.fixture(params=["abc1d", "special", "neutral_strip", "biharmonic_sys",
+                        "divergence_sys"])
+def any_sys(request):
+    return request.getfixturevalue(request.param)[1]
+
+
+def test_pencil_derivative_matches_central_difference(any_sys):
+    ev = ab.PencilEvaluator(any_sys)
+    for lam in MODAL_LAMBDAS:
+        h = 1e-6 * (1.0 + abs(lam))
+        fd = (ab.pencil(ev, lam + h) - ab.pencil(ev, lam - h)) / (2.0 * h)
+        err = np.max(np.abs(ab.pencil_derivative(ev, lam) - fd))
+        assert err <= 1e-8 * max(1.0, float(np.max(np.abs(fd))))
+
+
+def test_eig_a0_is_the_spectrum_of_a0(any_sys):
+    vals = np.linalg.eigvals(any_sys.A0)
+    scale = float(np.max(np.abs(vals)))
+    assert np.max(np.abs(vals.imag)) <= 1e-12 * scale
+    assert np.max(np.abs(np.sort(vals.real) - any_sys.eig_A0)) <= 1e-12 * scale
+
+
+def test_nonsymmetric_restriction_refused(abc1d):
+    _, sys = abc1d
+    A_max = sys.ops.A_max.copy()
+    assert A_max[3, 4] != 0.0
+    A_max[3, 4] *= 1.0 + 1e-6
+    with pytest.raises(AssumptionError) as exc:
+        ab.assemble_block_generator(dataclasses.replace(sys.ops, A_max=A_max))
+    assert exc.value.tag == "restricted-symmetry"
 
 
 # ---------------------------------------------------------------------------

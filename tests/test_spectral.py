@@ -74,6 +74,30 @@ def test_characteristic_vanishes_at_direct_eigenvalues(abc1d):
         assert chi < 1e-6 * max(1.0, abs(lam)) ** sys.n_b
 
 
+def test_log_derivative_matches_central_difference(abc1d, special, neutral_strip):
+    for _, sys in (abc1d, special, neutral_strip):
+        ev = ab.PencilEvaluator(sys)
+        for lam in (0.8 + 0.9j, 1.5 + 0.3j, 2.0 + 1.1j, -0.4 + 1.3j):
+            step = 1e-7 * (1.0 + abs(lam))
+            chi = ab.characteristic_value(ev, lam)
+            fd = (ab.characteristic_value(ev, lam + step)
+                  - ab.characteristic_value(ev, lam - step)) / (2.0 * step) / chi
+            assert abs(ab.log_derivative(ev, lam) - fd) <= 1e-7 * abs(fd)
+
+
+def test_exact_root_stops_newton_and_blocks_contour(special):
+    # B3 = 0 and B1 = -B4 B2 make P(lam) = B4 = -I exactly, so lam = -1
+    # makes lam - P(lam) exactly singular
+    _, sys = special
+    ev = ab.PencilEvaluator(sys)
+    assert ab.log_derivative(ev, -1.0) == complex(np.inf)
+    roots = ab.pencil_roots(ev, [-1.0])
+    assert roots.eigenvalues.tolist() == [-1.0]
+    with pytest.raises(NumericalError, match="passes through a root"):
+        ab.count_roots_in_box(ev, (-1.0, 0.5, -0.5, 0.5), 8)
+    assert ab.count_roots_in_box(ev, (-1.5, 0.5, -0.5, 0.5), 8) == 2
+
+
 def test_pencil_roots_from_direct_seeds(abc1d):
     _, sys = abc1d
     ev = ab.PencilEvaluator(sys)
