@@ -4,11 +4,20 @@ import pickle
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import abclab as ab
+from abclab import dynamics
+from abclab.cli import main
 from abclab.dynamics import (boundary_dissipation, energy_defined, propagator,
                              propagator_frozen, propagator_norms, taylor_expm)
 from abclab.errors import ConfigurationError, ModelError
+
+from conftest import CONFIG_DIR
+
+# output times of `abclab compare-robin`
+ROBIN_GRID = np.concatenate([np.geomspace(1e-3, 1e-1, 21), np.linspace(0.2, 1.0, 9)])
 
 
 def smooth_cfg(base, n_cells=32, d="1"):
@@ -41,14 +50,71 @@ def test_propagator_time_reversal(abc1d):
 
 
 def test_propagator_matches_scipy(abc1d_cfg, special):
-    # special-case has the only well-conditioned eigenbasis (cond 91) among
-    # the shipped scenarios; abc-1d's is ill conditioned (cond 1.7e7)
+    # abc-1d (at 16 cells) and special-case: B1 = 0 against matched feedback
+    # B1 = -B4 B2 with B3 = 0
     cfg = dataclasses.replace(abc1d_cfg,
                               geometry={**abc1d_cfg.geometry, "n_cells": 16})
     for _, sys in (ab.build_system(cfg), special):
         P = propagator(sys, 0.1)
         ref = scipy.linalg.expm(sys.Acal * 0.1)
         assert np.linalg.norm(P - ref, 2) / np.linalg.norm(ref, 2) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# stepping: one dense step on uniform grids, the action on any other grid
+# ---------------------------------------------------------------------------
+def test_taylor_expm_calls_per_grid(monkeypatch, abc1d, tmp_path):
+    calls = []
+    real = dynamics.taylor_expm
+    monkeypatch.setattr(dynamics, "taylor_expm", lambda mat: calls.append(1) or real(mat))
+    _, sys = abc1d
+    ab.simulate(sys, np.ones(sys.state_dim), np.linspace(0, 10, 1001))
+    assert len(calls) == 1
+    calls.clear()
+    assert main(["compare-robin", "--config", str(CONFIG_DIR / "abc-1d.json"),
+                 "--out", str(tmp_path / "robin.csv")]) == 0
+    assert len(calls) == 0
+
+
+def test_theta_table_matches_published_values():
+    # Al-Mohy and Higham 2011, Table 3.1 (double precision), m = 5, 10, ..., 55
+    table = [2.4e-3, 1.4e-1, 6.4e-1, 1.4, 2.4, 3.5, 4.7, 6.0, 7.2, 8.5, 9.9]
+    assert np.allclose(dynamics.THETA[4::5], table, rtol=0.05, atol=0)
+    # leading order for small m: theta_m^m / (m+1)! = 2^-53
+    u = 2.0 ** -53
+    assert np.allclose(dynamics.THETA[:3], [2 * u, np.sqrt(6 * u), np.cbrt(24 * u)],
+                       rtol=1e-5, atol=0)
+
+
+def _relative_errors(states, refs):
+    return np.linalg.norm(states - refs, axis=1) / np.linalg.norm(refs, axis=1)
+
+
+@pytest.mark.parametrize("generator", ["Acal", "A1cal"])
+@pytest.mark.parametrize("system", ["abc1d", "special", "neutral_strip", "complex_sys"])
+def test_action_flow_matches_dense_exponentials(system, generator, request):
+    _, sys = request.getfixturevalue(system)
+    mat = getattr(sys, generator)
+    s = np.random.default_rng(7).standard_normal(sys.state_dim).astype(mat.dtype)
+    states = dynamics._flow(mat, s, ROBIN_GRID)
+    # the strip's dense references are checked at the ends of the grid only
+    idx = [0, 10, 20, 29] if system == "neutral_strip" else range(ROBIN_GRID.size)
+    taylor = np.array([taylor_expm(mat * ROBIN_GRID[i]) @ s for i in idx])
+    ref = np.array([scipy.linalg.expm(mat * ROBIN_GRID[i]) @ s for i in idx])
+    assert np.max(_relative_errors(states[idx], taylor)) < 1e-10
+    assert np.max(_relative_errors(states[idx], ref)) < 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(-1.0, 0.0), min_size=1, max_size=3, unique=True),
+       st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=6, unique=True))
+def test_stepped_states_match_taylor_on_any_grid(abc1d, nonpositive, positive):
+    _, sys = abc1d
+    t_grid = np.array(sorted(nonpositive) + sorted(positive))
+    s = np.linspace(-1.0, 1.0, sys.state_dim)
+    states = dynamics._flow(sys.Acal, s, t_grid)
+    refs = np.array([taylor_expm(sys.Acal * max(t, 0.0)) @ s for t in t_grid])
+    assert np.max(_relative_errors(states, refs)) < 1e-10
 
 
 def test_taylor_expm_against_scipy(abc1d):
@@ -204,6 +270,26 @@ def test_consistency_residuals(abc1d_cfg):
     assert traj2.consistency["second_order_max"] < 0.35 * cons["second_order_max"]
 
 
+def test_consistency_matches_per_time_loop(abc1d_cfg):
+    cfg = smooth_cfg(abc1d_cfg)
+    mesh, sys = ab.build_system(cfg)
+    u0 = ab.initial_state_from_config(cfg, mesh, sys)
+    traj = ab.simulate(sys, u0, np.linspace(0, 1, 101), mesh=mesh)
+    n, dt = sys.n, traj.times[1] - traj.times[0]
+    us, ys = traj.states[:, :n], traj.states[:, 2 * n + sys.n_b:]
+    con, second = [], []
+    for i in range(traj.times.size):
+        ext = sys.extend(us[i], ys[i])
+        con.append(np.max(np.abs(sys.ops.R @ ext - ys[i])))
+        if 0 < i < traj.times.size - 1:
+            udd = (us[i + 1] - 2 * us[i] + us[i - 1]) / dt ** 2
+            rhs = sys.ops.A_max @ ext
+            second.append(np.linalg.norm(udd - rhs) / max(1.0, np.linalg.norm(rhs)))
+    # matrix products sum in another order than matvecs: agree to rounding
+    assert np.allclose(traj.consistency["constraint"], con, rtol=0, atol=1e-13)
+    assert traj.consistency["second_order_max"] == pytest.approx(max(second), rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # frozen-boundary comparison
 # ---------------------------------------------------------------------------
@@ -240,14 +326,19 @@ def test_frozen_propagator_matches_scipy(abc1d):
     assert np.linalg.norm(P - ref, 2) / np.linalg.norm(ref, 2) < 1e-12
 
 
-def test_complex_resistivity_simulation():
-    # d, k are complex-capable: the coupled generator and its trajectories
-    # become complex; energies are gated off
+@pytest.fixture(scope="module")
+def complex_sys():
+    # d, k are complex-capable: the coupled generator becomes complex
     mesh = ab.build_interval_mesh(16, 1.0)
     co = ab.CoefficientSet(c=1.0, rho=np.ones(2), m=np.ones(2),
                            d=np.array([1.0 + 0.5j, 1.0 - 0.5j]),
                            k=np.array([1.0 + 0j, 1.0 + 0j]))
-    sys = ab.assemble_block_generator(ab.assemble_wave_operator(mesh, co))
+    return mesh, ab.assemble_block_generator(ab.assemble_wave_operator(mesh, co))
+
+
+def test_complex_resistivity_simulation(complex_sys):
+    # complex generators give complex trajectories; energies are gated off
+    mesh, sys = complex_sys
     assert np.iscomplexobj(sys.Acal)
     assert not energy_defined(sys)[0]
     rng = np.random.default_rng(0)
