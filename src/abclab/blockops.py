@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linalg import checked_solve
-from .errors import AssumptionError, ConfigurationError, DimensionError
+from .errors import AssumptionError, ConfigurationError, DimensionError, NumericalError
 from .model import SYMMETRY_TOL, ModelOperators, weighted_asymmetry
 
 
@@ -48,7 +48,6 @@ class BlockSystem:
     A1cal: np.ndarray
     A2cal: np.ndarray
     Bfrak: np.ndarray              # (n_b, 2n+n_b): [B1+B4 B2, 0, B3]
-    Btilde: np.ndarray             # (n_b, n_b): B4
     dims: tuple[int, int, int]
     eig_A0: np.ndarray = field(repr=False)   # (n,) real, ascending: a
     X1: np.ndarray = field(repr=False)       # (n_b, n): (B1 + B4 B2) V
@@ -84,12 +83,11 @@ class BlockSystem:
 def _ghost_maps(ops: ModelOperators):
     n = ops.n
     Rn, Rg = ops.R[:, :n], ops.R[:, n:]
-    cond = np.linalg.cond(Rg)
-    if not np.isfinite(cond) or cond > 1e12:
+    try:
+        E1 = checked_solve(Rg, np.eye(Rg.shape[0]), what="ghost block of R")
+    except NumericalError as exc:
         raise AssumptionError(
-            "A3", f"ghost block of R is numerically singular (cond={cond:.3e}); "
-                  "cannot eliminate ghosts against the boundary row")
-    E1 = checked_solve(Rg, np.eye(Rg.shape[0]), what="ghost block of R")
+            "A3", f"{exc}; cannot eliminate ghosts against the boundary row") from exc
     E0 = -E1 @ Rn
     return E0, E1
 
@@ -152,7 +150,7 @@ def assemble_block_generator(ops: ModelOperators) -> BlockSystem:
     return BlockSystem(
         ops=ops, A0=A0, E0=E0, E1=E1, S_A=S_A,
         Abb0=Abb0, Acal=Acal, A1cal=A1cal, A2cal=A2cal,
-        Bfrak=Bfrak, Btilde=ops.B4.copy(),
+        Bfrak=Bfrak,
         dims=(n, g, nb),
         eig_A0=a, X1=Bfrak[:, :n] @ V, X2=ops.B3 @ ops.B2 @ V,
         Y=Q.T.conj() @ (sq[:, None] * S_A),

@@ -28,7 +28,8 @@ from .resolvent import (PencilEvaluator, block_dirichlet, dirichlet_operator,
                         factorization_check, identity_LD, pencil,
                         pencil_via_blocks, resolvent_A0_block, resolvent_Acal)
 from .scenario import (ScenarioConfig, build_system, initial_state_from_config,
-                       load_config, override_interval_cells, serialize_config)
+                       load_config, override_interval_cells, override_strip_nx,
+                       serialize_config)
 from .spectral import (compact_resolvent_diagnostic, direct_spectrum,
                        essential_spectrum_proxy, pencil_roots,
                        special_case_spectrum)
@@ -325,7 +326,7 @@ def _verify_registry(config: ScenarioConfig):
             rep.add("neutral-form-symmetry", resid, 1e-10)
 
         def chk_ladder(mesh, sys, rep):
-            sub = check_assumptions(sys.ops, mesh)
+            sub = check_assumptions(sys, mesh)
             for name in ("ladder-lambda0", "ladder-contraction", "ladder-monotone"):
                 item = sub.items[name]
                 rep.add(name, item.value, item.tol, passed=item.passed, note=item.note)
@@ -389,13 +390,15 @@ def cmd_essential_proxy(config: ScenarioConfig, resolutions, epsilon: float,
     result = {"metadata": _config_metadata(config, seed)}
     if config.geometry["kind"] == "strip":
         res = resolutions or [8, 16, 32]
-        result["essential_proxy"] = essential_spectrum_proxy(config, res, epsilon)
+        # built one at a time: the proxy refuses B3 != 0 after the first build
+        systems = (build_system(override_strip_nx(config, nx)) for nx in res)
+        result["essential_proxy"] = essential_spectrum_proxy(systems, epsilon)
         ok = result["essential_proxy"]["nondecreasing"]
     else:
         res = resolutions or [64, 128, 256]
-        configs = [override_interval_cells(config, r) for r in res]
-        result["essential_proxy"] = essential_spectrum_proxy(config, res, epsilon)
-        result["compact_resolvent"] = compact_resolvent_diagnostic(configs)
+        systems = [build_system(override_interval_cells(config, r)) for r in res]
+        result["essential_proxy"] = essential_spectrum_proxy(systems, epsilon)
+        result["compact_resolvent"] = compact_resolvent_diagnostic(systems)
         changes = [max(e["relative_change"]) for e in result["compact_resolvent"]["per_k"]]
         ok = max(changes) < 0.05 if changes else False
     _write_json(out, result)

@@ -197,8 +197,3 @@ def eval_coeff_expr(expr, point: Mapping[str, float]) -> float:
         raise ExpressionError(f"expression evaluated to non-finite value {val!r}")
     return val
 
-
-def sample_expr(expr, points: list[Mapping[str, float]]):
-    """Evaluate once-parsed expression at many points; returns a list."""
-    node = parse_expr(expr) if isinstance(expr, str) else expr
-    return [eval_coeff_expr(node, p) for p in points]

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 
@@ -43,9 +42,6 @@ class VerificationReport:
             "passed": self.passed,
             "metadata": self.metadata,
         }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
     def summary_lines(self) -> list[str]:
         lines = []

@@ -24,6 +24,11 @@ D_mu is the independent cross-check: the lifted block Dirichlet operator on
 (u, v, x) states gives the second construction pencil_via_blocks, and the
 explicit block resolvents and the triangular factorization of (lam - Acal)
 are assembled from it.
+
+Every public entry point checks admissibility once: lam != 0 and lam^2 (or
+mu) off the restricted spectrum, within the radius of the PencilEvaluator it
+is given or, for the functions taking a system, the default radius.  The
+constructions they share are unchecked internals.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ def default_zero_radius(sys: BlockSystem) -> float:
     return 1e-6 * max(1.0, np.sqrt(scale))
 
 
-def _check_mu_admissible(sys: BlockSystem, mu: complex, radius: float | None) -> None:
+def _check_mu_admissible(sys: BlockSystem, mu: complex, radius: float | None = None) -> None:
     r = default_exclusion_radius(sys) if radius is None else radius
     dist = float(np.min(np.abs(mu - sys.eig_A0)))
     if dist < r:
@@ -65,7 +70,8 @@ def _check_mu_admissible(sys: BlockSystem, mu: complex, radius: float | None) ->
             f"(exclusion radius {r:.3e})")
 
 
-def _check_lambda_admissible(sys: BlockSystem, lam: complex, radius: float | None) -> None:
+def _check_lambda_admissible(sys: BlockSystem, lam: complex,
+                             radius: float | None = None) -> None:
     r0 = default_zero_radius(sys) if radius is None else radius
     if abs(lam) < r0:
         raise SpectralParameterError(
@@ -99,44 +105,10 @@ class PencilEvaluator:
 
 
 # ---------------------------------------------------------------------------
-# Dirichlet operators
+# Unchecked constructions (callers run the admissibility guard once)
 # ---------------------------------------------------------------------------
-def dirichlet_operator(sys: BlockSystem, mu: complex, boundary: str = "R",
-                       exclusion_radius: float | None = None) -> np.ndarray:
-    """Extended-dof lifting of boundary data: columns solve the bordered system.
-
-    ``boundary`` selects the boundary row operator ("R" or "L"); the (A, L)
-    variant feeds the high-frequency contraction diagnostics.
-    """
-    if boundary == "R":
-        _check_mu_admissible(sys, mu, exclusion_radius)
-        bnd = sys.ops.R
-    elif boundary == "L":
-        bnd = sys.ops.L
-    else:
-        raise ValueError(f"boundary must be 'R' or 'L', got {boundary!r}")
-    return bordered_dirichlet_solve(sys.ops.A_max, bnd, complex(mu))
-
-
-def identity_LD(sys: BlockSystem, mu: complex,
-                exclusion_radius: float | None = None) -> float:
-    """Residual of L D_mu = I + B2 D_mu (B2 acting on the node part)."""
-    D = dirichlet_operator(sys, mu, exclusion_radius=exclusion_radius)
-    n = sys.n
-    lhs = sys.ops.L @ D
-    rhs = np.eye(sys.n_b) + sys.ops.B2 @ D[:n]
-    return opnorm(lhs - rhs)
-
-
-def block_dirichlet(sys: BlockSystem, lam: complex,
-                    exclusion_radius: float | None = None) -> np.ndarray:
-    """Block Dirichlet operator on (u, v, x) states.
-
-    Rows are (D_{lam^2}, lam D_{lam^2}, (1/lam) L D_{lam^2}); the middle row
-    is lam times the first, the last one is the scaled flux of the lift.
-    """
-    _check_lambda_admissible(sys, lam, exclusion_radius)
-    D = dirichlet_operator(sys, lam * lam, exclusion_radius=exclusion_radius)
+def _block_lift(sys: BlockSystem, lam: complex) -> np.ndarray:
+    D = bordered_dirichlet_solve(sys.ops.A_max, sys.ops.R, complex(lam * lam))
     n, nb = sys.n, sys.n_b
     out = np.zeros((2 * n + nb, nb), dtype=complex)
     out[:n] = D[:n]
@@ -145,45 +117,12 @@ def block_dirichlet(sys: BlockSystem, lam: complex,
     return out
 
 
-# ---------------------------------------------------------------------------
-# Pencil
-# ---------------------------------------------------------------------------
-def pencil(evaluator: PencilEvaluator, lam: complex) -> np.ndarray:
-    """Boundary pencil from the modal data of the restricted operator."""
-    evaluator.check(lam)
-    sys = evaluator.sys
+def _modal_pencil(sys: BlockSystem, lam: complex) -> np.ndarray:
     r = 1.0 / (lam * lam - sys.eig_A0)
     return ((sys.X1 + sys.X2 / lam) * r) @ sys.Y + sys.ops.B3 / lam + sys.ops.B4
 
 
-def pencil_derivative(evaluator: PencilEvaluator, lam: complex) -> np.ndarray:
-    """d/dlam P(lam) in closed form from the same modal data as ``pencil``."""
-    evaluator.check(lam)
-    sys = evaluator.sys
-    r = 1.0 / (lam * lam - sys.eig_A0)
-    coef = -(sys.X2 / (lam * lam)) * r - (sys.X1 + sys.X2 / lam) * (2.0 * lam * r * r)
-    return coef @ sys.Y - sys.ops.B3 / (lam * lam)
-
-
-def pencil_via_blocks(evaluator: PencilEvaluator, lam: complex) -> np.ndarray:
-    """Dual construction: Btilde + Bfrak applied to the block Dirichlet lift."""
-    evaluator.check(lam)
-    sys = evaluator.sys
-    Dblk = block_dirichlet(sys, lam, exclusion_radius=evaluator.exclusion_radius)
-    return sys.Btilde + sys.Bfrak @ Dblk
-
-
-# ---------------------------------------------------------------------------
-# Block resolvents
-# ---------------------------------------------------------------------------
-def resolvent_A0_block(sys: BlockSystem, lam: complex,
-                       exclusion_radius: float | None = None) -> np.ndarray:
-    """Explicit resolvent of the restricted 3x3 block generator.
-
-    Rows: (lam R2, R2, 0 / A0 R2, lam R2, 0 / B2 R2, B2 R2 / lam, I / lam)
-    with R2 = (lam^2 - A0)^{-1}.
-    """
-    _check_lambda_admissible(sys, lam, exclusion_radius)
+def _a0_block_resolvent(sys: BlockSystem, lam: complex) -> np.ndarray:
     n, nb = sys.n, sys.n_b
     A0 = sys.A0
     R2 = checked_solve(lam * lam * np.eye(n, dtype=complex) - A0,
@@ -200,13 +139,104 @@ def resolvent_A0_block(sys: BlockSystem, lam: complex,
     return out
 
 
-def _factorization_pieces(sys: BlockSystem, lam: complex, radius: float | None):
+def _regular_pencil(evaluator: PencilEvaluator, lam: complex) -> np.ndarray:
+    """lam - P(lam) for lam in Gamma; refuses a near-singular pencil.
+
+    The pencil-singularity test uses a relative smallest-singular-value
+    threshold of 1e-8.
+    """
+    evaluator.check(lam)
+    pcl = lam * np.eye(evaluator.sys.n_b) - _modal_pencil(evaluator.sys, lam)
+    sv = np.linalg.svd(pcl, compute_uv=False)
+    if sv[-1] <= 1e-8 * max(1.0, sv[0]):
+        raise SpectralParameterError(
+            "pencil-singular",
+            f"lambda={lam:.6g} is in the pencil spectrum "
+            f"(smallest singular value {sv[-1]:.3e})")
+    return pcl
+
+
+# ---------------------------------------------------------------------------
+# Dirichlet operators
+# ---------------------------------------------------------------------------
+def dirichlet_operator(sys: BlockSystem, mu: complex) -> np.ndarray:
+    """Extended-dof lifting of boundary data: columns solve the bordered system."""
+    _check_mu_admissible(sys, mu)
+    return bordered_dirichlet_solve(sys.ops.A_max, sys.ops.R, complex(mu))
+
+
+def identity_LD(sys: BlockSystem, mu: complex) -> float:
+    """Residual of L D_mu = I + B2 D_mu (B2 acting on the node part)."""
+    D = dirichlet_operator(sys, mu)
+    n = sys.n
+    lhs = sys.ops.L @ D
+    rhs = np.eye(sys.n_b) + sys.ops.B2 @ D[:n]
+    return opnorm(lhs - rhs)
+
+
+def block_dirichlet(sys: BlockSystem, lam: complex) -> np.ndarray:
+    """Block Dirichlet operator on (u, v, x) states.
+
+    Rows are (D_{lam^2}, lam D_{lam^2}, (1/lam) L D_{lam^2}); the middle row
+    is lam times the first, the last one is the scaled flux of the lift.
+    """
+    _check_lambda_admissible(sys, lam)
+    return _block_lift(sys, lam)
+
+
+# ---------------------------------------------------------------------------
+# Pencil
+# ---------------------------------------------------------------------------
+def pencil(evaluator: PencilEvaluator, lam: complex) -> np.ndarray:
+    """Boundary pencil from the modal data of the restricted operator."""
+    evaluator.check(lam)
+    return _modal_pencil(evaluator.sys, lam)
+
+
+def pencil_derivative(evaluator: PencilEvaluator, lam: complex) -> np.ndarray:
+    """d/dlam P(lam) in closed form from the same modal data as ``pencil``."""
+    evaluator.check(lam)
+    sys = evaluator.sys
+    r = 1.0 / (lam * lam - sys.eig_A0)
+    coef = -(sys.X2 / (lam * lam)) * r - (sys.X1 + sys.X2 / lam) * (2.0 * lam * r * r)
+    return coef @ sys.Y - sys.ops.B3 / (lam * lam)
+
+
+def pencil_via_blocks(evaluator: PencilEvaluator, lam: complex) -> np.ndarray:
+    """Dual construction: B4 + Bfrak applied to the block Dirichlet lift."""
+    evaluator.check(lam)
+    sys = evaluator.sys
+    return sys.ops.B4 + sys.Bfrak @ _block_lift(sys, lam)
+
+
+# ---------------------------------------------------------------------------
+# Block resolvents
+# ---------------------------------------------------------------------------
+def resolvent_A0_block(sys: BlockSystem, lam: complex) -> np.ndarray:
+    """Explicit resolvent of the restricted 3x3 block generator.
+
+    Rows: (lam R2, R2, 0 / A0 R2, lam R2, 0 / B2 R2, B2 R2 / lam, I / lam)
+    with R2 = (lam^2 - A0)^{-1}.
+    """
+    _check_lambda_admissible(sys, lam)
+    return _a0_block_resolvent(sys, lam)
+
+
+def factorization_check(sys: BlockSystem, lam: complex, mu: complex) -> VerificationReport:
+    """Residuals of the triangular factorization of the coupled generator.
+
+    Checks, all Frobenius-relative:
+      (i)   lam - Acal = Lfac diag(lam - Abb0, lam - P(lam)) Mfac
+      (ii)  mu  - Acal = Lfac diag(mu - Abb0, mu - P(lam)) Mfac
+                         + (mu - lam)(I - Lfac Mfac)
+      (iii) Lfac Mfac equals its displayed closed form.
+    """
+    _check_lambda_admissible(sys, lam)
     n, nb = sys.n, sys.n_b
     m1 = 2 * n + nb
-    Dblk = block_dirichlet(sys, lam, exclusion_radius=radius)
-    RA0 = resolvent_A0_block(sys, lam, exclusion_radius=radius)
-    ev = PencilEvaluator(sys, radius)
-    Blam = pencil(ev, lam)
+    Dblk = _block_lift(sys, lam)
+    RA0 = _a0_block_resolvent(sys, lam)
+    Blam = _modal_pencil(sys, lam)
 
     Lfac = np.eye(m1 + nb, dtype=complex)
     Lfac[m1:, :m1] = -sys.Bfrak @ RA0
@@ -219,22 +249,6 @@ def _factorization_pieces(sys: BlockSystem, lam: complex, radius: float | None):
         mid[m1:, m1:] = omega * np.eye(nb) - Blam
         return mid
 
-    return Dblk, RA0, Blam, Lfac, Mfac, middle
-
-
-def factorization_check(sys: BlockSystem, lam: complex, mu: complex,
-                        exclusion_radius: float | None = None) -> VerificationReport:
-    """Residuals of the triangular factorization of the coupled generator.
-
-    Checks, all Frobenius-relative:
-      (i)   lam - Acal = Lfac diag(lam - Abb0, lam - P(lam)) Mfac
-      (ii)  mu  - Acal = Lfac diag(mu - Abb0, mu - P(lam)) Mfac
-                         + (mu - lam)(I - Lfac Mfac)
-      (iii) Lfac Mfac equals its displayed closed form.
-    """
-    n, nb = sys.n, sys.n_b
-    m1 = 2 * n + nb
-    Dblk, RA0, _, Lfac, Mfac, middle = _factorization_pieces(sys, lam, exclusion_radius)
     eye_full = np.eye(m1 + nb, dtype=complex)
 
     lhs = lam * eye_full - sys.Acal
@@ -263,41 +277,27 @@ def gamma_membership(evaluator: PencilEvaluator, lam: complex) -> tuple[bool, st
     """Membership of lam in the joint resolvent set Gamma.
 
     Returns (member, reason); reason is "" for members, otherwise names the
-    failed test.  The pencil-singularity test uses a relative smallest-
-    singular-value threshold of 1e-8.
+    failed test ("near-zero", "near-sigma-a0" or "pencil-singular").
     """
     try:
-        Blam = pencil(evaluator, lam)
+        _regular_pencil(evaluator, lam)
     except SpectralParameterError as exc:
         return False, exc.reason
-    sv = np.linalg.svd(lam * np.eye(evaluator.sys.n_b) - Blam, compute_uv=False)
-    if sv[-1] <= 1e-8 * max(1.0, sv[0]):
-        return False, "pencil-singular"
     return True, ""
 
 
-def resolvent_Acal(sys: BlockSystem, lam: complex,
-                   exclusion_radius: float | None = None) -> np.ndarray:
+def resolvent_Acal(sys: BlockSystem, lam: complex) -> np.ndarray:
     """Resolvent of the coupled generator assembled from the factorization.
 
     Blocks: [[RA0 + D G Bfrak RA0, D G], [G Bfrak RA0, G]] with
     G = (lam - P(lam))^{-1}; refuses lambda outside Gamma, distinguishing
     which membership test failed.
     """
-    ev = PencilEvaluator(sys, exclusion_radius)
-    ev.check(lam)
     nb = sys.n_b
-    Blam = pencil(ev, lam)
-    pcl = lam * np.eye(nb) - Blam
-    sv = np.linalg.svd(pcl, compute_uv=False)
-    if sv[-1] <= 1e-8 * max(1.0, sv[0]):
-        raise SpectralParameterError(
-            "pencil-singular",
-            f"lambda={lam:.6g} is in the pencil spectrum "
-            f"(smallest singular value {sv[-1]:.3e})")
+    pcl = _regular_pencil(PencilEvaluator(sys), lam)
     G = checked_solve(pcl, np.eye(nb, dtype=complex), what="(lam - pencil) resolvent")
-    Dblk = block_dirichlet(sys, lam, exclusion_radius=ev.exclusion_radius)
-    RA0 = resolvent_A0_block(sys, lam, exclusion_radius=ev.exclusion_radius)
+    Dblk = _block_lift(sys, lam)
+    RA0 = _a0_block_resolvent(sys, lam)
     m1 = 2 * sys.n + nb
     out = np.zeros((m1 + nb, m1 + nb), dtype=complex)
     GB = G @ (sys.Bfrak @ RA0)

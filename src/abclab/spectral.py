@@ -305,33 +305,28 @@ def essential_range(values: np.ndarray, weights: np.ndarray) -> list[tuple[float
 # ---------------------------------------------------------------------------
 # Refinement proxies
 # ---------------------------------------------------------------------------
-def essential_spectrum_proxy(config, refinements, epsilon: float) -> dict:
+def essential_spectrum_proxy(systems, epsilon: float) -> dict:
     """Eigenvalue accumulation near the essential range of -d/m on the strip.
 
-    Per refinement of the Gamma1 resolution, counts reduced-generator
+    ``systems`` yields (mesh, system) pairs, one per refinement of the Gamma1
+    resolution, and is read in order.  Per refinement, counts reduced-generator
     eigenvalues within ``epsilon`` of the essential range and reports whether
     the counts are nondecreasing.  A genuine essential spectrum does not exist
     in finite dimensions; only the trend is meaningful, and the report says so.
-    Interval models get the finite-boundary answer instead of counts.
+    Interval models get the finite-boundary answer instead of counts; strip
+    systems are always wave or divergence models (the only strip assembly).
     """
-    from .scenario import build_system, override_strip_nx
-
-    if config.geometry["kind"] == "interval":
-        return {
-            "geometry": "interval",
-            "counts": None,
-            "note": ("finite-dimensional boundary space: empty essential spectrum "
-                     "expected; the coupled generator has discrete spectrum only "
-                     "(see the compact-resolvent diagnostic)"),
-        }
-    if config.model not in ("wave", "divergence"):
-        raise ConfigurationError(
-            f"essential-spectrum proxy unsupported for model {config.model!r}")
-
     rows = []
     ess_vals = None
-    for nx in refinements:
-        mesh, sys = build_system(override_strip_nx(config, int(nx)))
+    for mesh, sys in systems:
+        if mesh.kind == "interval":
+            return {
+                "geometry": "interval",
+                "counts": None,
+                "note": ("finite-dimensional boundary space: empty essential spectrum "
+                         "expected; the coupled generator has discrete spectrum only "
+                         "(see the compact-resolvent diagnostic)"),
+            }
         if np.max(np.abs(sys.ops.B3)) > 1e-12:
             raise ConfigurationError("essential-spectrum proxy requires B3 = 0 (k = 0)")
         rng = essential_range(np.real(np.diag(sys.ops.B4)), sys.ops.bnd_weights)
@@ -339,7 +334,7 @@ def essential_spectrum_proxy(config, refinements, epsilon: float) -> dict:
         vals = np.linalg.eigvals(reduced_generator(sys))
         count = int(np.sum([
             np.min([abs(l - v) for v in ess_vals]) <= epsilon for l in vals]))
-        rows.append({"nx": int(nx), "n_b": sys.n_b, "count": count})
+        rows.append({"nx": mesh.grid_shape[0] - 1, "n_b": sys.n_b, "count": count})
     counts = [r["count"] for r in rows]
     return {
         "geometry": "strip",
@@ -352,22 +347,20 @@ def essential_spectrum_proxy(config, refinements, epsilon: float) -> dict:
     }
 
 
-def compact_resolvent_diagnostic(configs) -> dict:
+def compact_resolvent_diagnostic(systems) -> dict:
     """Eigenvalue stability under 1D refinement plus unbounded growth.
 
+    ``systems`` is a sequence of (mesh, system) pairs on refined intervals.
     For each fixed k the k-th smallest-|lam| eigenvalue must stabilize while
     the spectral radius grows like the stencil stiffness: the discrete
     signature of a compact resolvent / purely discrete spectrum.
     """
-    from .scenario import build_system
-
     spectra = []
     sizes = []
     zero_counts = []
-    for cfg in configs:
-        if cfg.geometry["kind"] != "interval":
+    for mesh, sys in systems:
+        if mesh.kind != "interval":
             raise ConfigurationError("compact-resolvent diagnostic expects 1D models")
-        mesh, sys = build_system(cfg)
         vals = np.linalg.eigvals(sys.Acal)
         # rigid drift modes sit numerically at zero and carry no convergence
         # information; track them separately
@@ -376,7 +369,7 @@ def compact_resolvent_diagnostic(configs) -> dict:
         vals = vals[np.abs(vals) > zero_tol]
         order = np.lexsort((vals.imag, vals.real, np.abs(vals)))
         spectra.append(vals[order])
-        sizes.append(cfg.geometry["n_cells"])
+        sizes.append(mesh.grid_shape[0] - 1)
 
     k_max = min(10, min(s.size for s in spectra))
     table = []

@@ -15,7 +15,7 @@ import abclab as ab
 from abclab.blockops import reduced_generator
 from abclab.dynamics import boundary_dissipation, propagator
 from abclab.model import neutral_form_matrix
-from abclab.scenario import override_interval_cells
+from abclab.scenario import override_interval_cells, override_strip_nx
 
 
 def report(name, value, tol, extra=""):
@@ -210,8 +210,8 @@ def test_criterion_7_frozen_boundary(abc1d_cfg, abc1d):
 # 8. Refinement proxies
 # ---------------------------------------------------------------------------
 def test_criterion_8_refinement_proxies(abc1d_cfg):
-    configs = [override_interval_cells(abc1d_cfg, n) for n in (128, 256)]
-    out = ab.compact_resolvent_diagnostic(configs)
+    systems = [ab.build_system(override_interval_cells(abc1d_cfg, n)) for n in (128, 256)]
+    out = ab.compact_resolvent_diagnostic(systems)
     worst = max(max(e["relative_change"]) for e in out["per_k"])
     assert worst < 0.01
 
@@ -220,7 +220,8 @@ def test_criterion_8_refinement_proxies(abc1d_cfg):
       "coefficients": {"c": 1.0, "rho": "0.2", "m": "1", "d": "1", "k": "0"},
       "flags": {"b3_zero": true}
     }""")
-    proxy = ab.essential_spectrum_proxy(strip, [8, 16, 32], 0.05)
+    proxy = ab.essential_spectrum_proxy(
+        [ab.build_system(override_strip_nx(strip, nx)) for nx in (8, 16, 32)], 0.05)
     counts = [r["count"] for r in proxy["refinements"]]
     assert proxy["nondecreasing"]
     report("criterion-8 low-mode stability under refinement", worst, 1e-2)
@@ -237,7 +238,7 @@ def test_criterion_9_neutral_model(neutral_cfg, neutral_strip):
     sym = float(np.linalg.norm(F - F.T.conj()) / max(1.0, np.linalg.norm(F)))
     assert sym < 1e-10
 
-    rep = ab.check_assumptions(sys.ops, mesh)
+    rep = ab.check_assumptions(sys, mesh)
     assert rep.items["ladder-lambda0"].passed
     contraction = rep.items["ladder-contraction"].value
     assert contraction < 1.0

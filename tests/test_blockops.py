@@ -1,11 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import abclab as ab
 from abclab.blockops import reduced_generator
-from abclab.errors import ConfigurationError
+from abclab.errors import AssumptionError, ConfigurationError
 
-from conftest import wave_system
+from conftest import load, wave_system
 
 
 def test_abb0_flux_row_collapses_to_b2(abc1d):
@@ -157,3 +159,31 @@ def test_reduced_generator_requires_b3_zero(abc1d):
     _, sys = abc1d
     with pytest.raises(ConfigurationError, match="B3"):
         reduced_generator(sys)
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-14])
+def test_singular_ghost_block_refused(scale):
+    mesh = ab.build_interval_mesh(8, 1.0)
+    coeffs = ab.CoefficientSet(c=1.0, rho=np.ones(2), m=np.ones(2),
+                               d=np.zeros(2), k=np.zeros(2))
+    ops = ab.assemble_wave_operator(mesh, coeffs)
+    R = ops.R.copy()
+    R[:, ops.n] *= scale        # exactly singular, or condition 1e14 > 1e12
+    with pytest.raises(AssumptionError) as exc:
+        ab.assemble_block_generator(dataclasses.replace(ops, R=R))
+    assert exc.value.tag == "A3"
+
+
+@pytest.mark.parametrize("name,expected", [("abc-1d", 1), ("timoshenko-strip", 2)])
+def test_build_computes_one_condition_number_per_guarded_solve(monkeypatch, name, expected):
+    # abc-1d: the ghost block of R; neutral strip: (I - M) and the ghost block
+    calls = []
+    cond = np.linalg.cond
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return cond(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cond", counting)
+    ab.build_system(load(name))
+    assert len(calls) == expected

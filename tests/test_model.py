@@ -203,15 +203,29 @@ def test_neutral_preserves_realness():
 # ---------------------------------------------------------------------------
 def test_check_assumptions_wave(abc1d):
     mesh, sys = abc1d
-    report = ab.check_assumptions(sys.ops, mesh)
+    report = ab.check_assumptions(sys, mesh)
     assert report.items["ghost-block-rank"].value == 2
     assert report.items["restricted-symmetry"].value < 1e-12
     assert report.passed
 
 
+def test_check_assumptions_reads_the_assembled_restriction(abc1d, monkeypatch):
+    # no ghost solve and no eigensolve: A0 and its spectrum come from assembly
+    mesh, sys = abc1d
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("check_assumptions repeated an assembly-time kernel")
+
+    for kernel in ("solve", "cond", "eig", "eigh", "eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, kernel, refuse)
+    report = ab.check_assumptions(sys, mesh)
+    assert report.items["semibound-shift"].value == sys.eig_A0[-1]
+    assert report.passed
+
+
 def test_check_assumptions_neutral_ladder(neutral_strip):
     mesh, sys = neutral_strip
-    report = ab.check_assumptions(sys.ops, mesh)
+    report = ab.check_assumptions(sys, mesh)
     lam0 = report.items["ladder-lambda0"]
     assert lam0.passed and lam0.value <= 2 ** 16
     assert report.items["ladder-contraction"].value < 1.0

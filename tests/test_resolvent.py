@@ -229,10 +229,10 @@ def test_gamma_membership(abc1d):
 def test_dirichlet_flux_lifting_norm_decay(abc1d):
     # high-frequency decay of the (A, L) lifting along the dyadic ladder
     _, sys = abc1d
-    from abclab._linalg import opnorm
+    from abclab._linalg import bordered_dirichlet_solve, opnorm
     norms = []
     for k in range(2, 13):
-        D = ab.dirichlet_operator(sys, float(2 ** k), boundary="L")
+        D = bordered_dirichlet_solve(sys.ops.A_max, sys.ops.L, complex(2 ** k))
         norms.append(opnorm(D[:sys.n]))
     assert all(b <= a * (1 + 1e-12) for a, b in zip(norms, norms[1:]))
 
@@ -250,3 +250,37 @@ def test_pencil_blow_up_toward_zero(abc1d):
     assert norms[2] * lams[2] == pytest.approx(norms[1] * lams[1], rel=0.2)
     with pytest.raises(SpectralParameterError):
         ab.pencil(ev, default_zero_radius(sys) / 2)
+
+
+# ---------------------------------------------------------------------------
+# One admissibility guard per entry point
+# ---------------------------------------------------------------------------
+GUARDED = {
+    "resolvent_Acal": lambda sys, lam: ab.resolvent_Acal(sys, lam),
+    "pencil_via_blocks": lambda sys, lam: ab.pencil_via_blocks(ab.PencilEvaluator(sys), lam),
+    "block_dirichlet": lambda sys, lam: ab.block_dirichlet(sys, lam),
+    "factorization_check": lambda sys, lam: ab.factorization_check(sys, lam, 2.0),
+    "identity_LD": lambda sys, lam: ab.identity_LD(sys, lam * lam),
+    "pencil": lambda sys, lam: ab.pencil(ab.PencilEvaluator(sys), lam),
+    "pencil_derivative": lambda sys, lam: ab.pencil_derivative(ab.PencilEvaluator(sys), lam),
+    "dirichlet_operator": lambda sys, lam: ab.dirichlet_operator(sys, lam * lam),
+    "resolvent_A0_block": lambda sys, lam: ab.resolvent_A0_block(sys, lam),
+    "gamma_membership": lambda sys, lam: ab.gamma_membership(ab.PencilEvaluator(sys), lam),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GUARDED))
+def test_entry_point_checks_admissibility_once(abc1d, monkeypatch, name):
+    import abclab.resolvent as rv
+
+    _, sys = abc1d
+    checked = []
+    guard = rv._check_mu_admissible
+
+    def counting(sys_, mu, radius=None):
+        checked.append(mu)
+        return guard(sys_, mu, radius)
+
+    monkeypatch.setattr(rv, "_check_mu_admissible", counting)
+    GUARDED[name](sys, 1 + 1j)
+    assert checked == [(1 + 1j) ** 2]

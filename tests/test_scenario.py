@@ -143,7 +143,7 @@ def test_shipped_configs_parse_and_pass_assumptions():
     for name in ("abc-1d", "special-case", "timoshenko-strip"):
         cfg = ab.load_config(CONFIG_DIR / f"{name}.json")
         mesh, sys = ab.build_system(cfg)
-        report = ab.check_assumptions(sys.ops, mesh)
+        report = ab.check_assumptions(sys, mesh)
         assert report.passed, f"{name}: {report.summary_lines()}"
 
 

@@ -238,31 +238,38 @@ def strip_proxy_cfg(d_expr="1", rho="0.2"):
     }))
 
 
+def strip_proxy_systems(cfg, refinements):
+    import abclab.scenario as sc
+
+    return [ab.build_system(sc.override_strip_nx(cfg, nx)) for nx in refinements]
+
+
 def test_proxy_counts_grow_with_boundary_dimension():
-    out = ab.essential_spectrum_proxy(strip_proxy_cfg(d_expr="0"), [8, 16], 0.05)
+    out = ab.essential_spectrum_proxy(
+        strip_proxy_systems(strip_proxy_cfg(d_expr="0"), [8, 16]), 0.05)
     counts = [r["count"] for r in out["refinements"]]
     assert counts[1] > counts[0]
     assert out["nondecreasing"]
 
 
-def test_proxy_interval_reports_finite_boundary(abc1d_cfg):
-    out = ab.essential_spectrum_proxy(abc1d_cfg, [8], 0.05)
+def test_proxy_interval_reports_finite_boundary(abc1d):
+    out = ab.essential_spectrum_proxy([abc1d], 0.05)
     assert out["counts"] is None
     assert "empty essential spectrum" in out["note"]
 
 
 def test_proxy_epsilon_monotonicity():
-    cfg = strip_proxy_cfg()
-    small = ab.essential_spectrum_proxy(cfg, [8], 0.05)["refinements"][0]["count"]
-    large = ab.essential_spectrum_proxy(cfg, [8], 0.10)["refinements"][0]["count"]
+    systems = strip_proxy_systems(strip_proxy_cfg(), [8])
+    small = ab.essential_spectrum_proxy(systems, 0.05)["refinements"][0]["count"]
+    large = ab.essential_spectrum_proxy(systems, 0.10)["refinements"][0]["count"]
     assert large >= small
 
 
 def test_compact_resolvent_diagnostic(abc1d_cfg):
     import abclab.scenario as sc
 
-    configs = [sc.override_interval_cells(abc1d_cfg, n) for n in (32, 64)]
-    out = ab.compact_resolvent_diagnostic(configs)
+    systems = [ab.build_system(sc.override_interval_cells(abc1d_cfg, n)) for n in (32, 64)]
+    out = ab.compact_resolvent_diagnostic(systems)
     assert out["resolutions"] == [32, 64]
     worst = max(max(e["relative_change"]) for e in out["per_k"])
     assert worst < 0.01
