@@ -17,7 +17,9 @@ Assembled objects:
 A0 must be self-adjoint in the state quadrature weights W; then one eigh of
 W^{1/2} A0 W^{-1/2} = Q diag(a) Q^T gives A0 = V diag(a) V^-1 with
 V = W^{-1/2} Q, V^-1 = Q^T W^{1/2}, and the modal pencil factors X1, X2, Y
-(see resolvent.pencil).
+(see resolvent.pencil).  The same modal data, with a few norms taken once at
+assembly, bounds the condition number of every bordered Dirichlet solve
+(BlockSystem.lift_cond_bound), so that guard needs no SVD.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import checked_solve
+from ._linalg import bordered_dirichlet_solve, checked_solve, holder_norm
 from .errors import AssumptionError, ConfigurationError, DimensionError, NumericalError
 from .model import SYMMETRY_TOL, ModelOperators, weighted_asymmetry
 
@@ -53,6 +55,15 @@ class BlockSystem:
     X1: np.ndarray = field(repr=False)       # (n_b, n): (B1 + B4 B2) V
     X2: np.ndarray = field(repr=False)       # (n_b, n): B3 B2 V
     Y: np.ndarray = field(repr=False)        # (n, n_b): V^-1 S_A
+    B2V: np.ndarray = field(repr=False)      # (n_b, n): B2 V
+    # holder_norm bounds on 2-norms, for lift_cond_bound
+    norm_T: float = field(repr=False)        # T = [[I, 0], [E0, E1]]: (u, y) -> (u, ghosts)
+    norm_S_A: float = field(repr=False)
+    norm_B2: float = field(repr=False)
+    norm_A_max: float = field(repr=False)
+    norm_R: float = field(repr=False)
+    norm_L: float = field(repr=False)
+    kappa_W: float = field(repr=False)       # cond(W^{1/2}) = sqrt(max W / min W)
 
     @property
     def n(self) -> int:
@@ -78,6 +89,43 @@ class BlockSystem:
     def extend(self, u: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Extended field (nodes + ghosts) with ghosts chosen so R u_ext = y."""
         return np.concatenate([u, self.E0 @ u + self.E1 @ y])
+
+    def lift_cond_bound(self, mu: complex, flux: bool = False) -> float:
+        """Upper bound on cond_2 of the bordered matrix M = [mu P_n - A_max; bnd].
+
+        ``bnd`` is R, or L when ``flux``.  Ghost elimination gives M T = K with
+        K = [[mu - A0, -S_A], [C, I]], C = 0 for R and B2 for L.  With
+        r = kappa(W^1/2) / dist(mu, sigma(A0)) >= ||(mu - A0)^-1|| and the
+        Schur complement Z = I + B2 (mu - A0)^-1 S_A of the flux case,
+
+            ||K^-1|| <= r (1 + ||S_A||) + 1                         (R)
+            ||K^-1|| <= r + ||Z^-1|| (1 + r ||S_A||) (1 + r ||B2||)  (L)
+
+        and ||M|| <= |mu| + ||A_max|| + ||bnd||, ||M^-1|| <= ||T|| ||K^-1||.
+        O(n) for R; O(n n_b^2) plus one n_b-sized SVD for L.
+        """
+        dist = float(np.min(np.abs(mu - self.eig_A0)))
+        if dist == 0.0:
+            return np.inf
+        r = self.kappa_W / dist
+        if flux:
+            Z = np.eye(self.n_b) + (self.B2V / (mu - self.eig_A0)) @ self.Y
+            smin = float(np.linalg.svd(Z, compute_uv=False)[-1])
+            if smin == 0.0:
+                return np.inf
+            inv_K = r + (1.0 + r * self.norm_S_A) * (1.0 + r * self.norm_B2) / smin
+            norm_bnd = self.norm_L
+        else:
+            inv_K = r * (1.0 + self.norm_S_A) + 1.0
+            norm_bnd = self.norm_R
+        return (abs(mu) + self.norm_A_max + norm_bnd) * self.norm_T * inv_K
+
+    def dirichlet_lift(self, mu: complex, flux: bool = False) -> np.ndarray:
+        """Bordered Dirichlet solve for boundary row R (or L when ``flux``),
+        guarded by ``lift_cond_bound``."""
+        bnd = self.ops.L if flux else self.ops.R
+        return bordered_dirichlet_solve(self.ops.A_max, bnd, mu,
+                                        cond_bound=self.lift_cond_bound(mu, flux))
 
 
 def _ghost_maps(ops: ModelOperators):
@@ -153,7 +201,11 @@ def assemble_block_generator(ops: ModelOperators) -> BlockSystem:
         Bfrak=Bfrak,
         dims=(n, g, nb),
         eig_A0=a, X1=Bfrak[:, :n] @ V, X2=ops.B3 @ ops.B2 @ V,
-        Y=Q.T.conj() @ (sq[:, None] * S_A),
+        Y=Q.T.conj() @ (sq[:, None] * S_A), B2V=ops.B2 @ V,
+        norm_T=holder_norm(np.block([[np.eye(n), np.zeros((n, nb))], [E0, E1]])),
+        norm_S_A=holder_norm(S_A), norm_B2=holder_norm(ops.B2),
+        norm_A_max=holder_norm(ops.A_max), norm_R=holder_norm(ops.R),
+        norm_L=holder_norm(ops.L), kappa_W=float(np.sqrt(np.max(W) / np.min(W))),
     )
 
 

@@ -123,7 +123,7 @@ def cmd_spectrum(config: ScenarioConfig, method: str, out: str, tol: float | Non
               f"resolvent display residual {worst:.3e}")
         return EXIT_OK if worst < 1e-8 else EXIT_NUMERICAL
 
-    direct = direct_spectrum(sys)
+    direct = direct_spectrum(ev)
     if method == "direct":
         adm = direct.admissible_mask(ev)
         _write_csv(out, header, _spectrum_rows(direct, adm))

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._linalg import bordered_dirichlet_solve, checked_solve, opnorm
+from ._linalg import checked_solve, opnorm
 from .errors import (AssumptionError, ConfigurationError, DimensionError, ModelError,
                      NumericalError)
 from .expressions import ExpressionError, eval_coeff_expr, parse_expr
@@ -526,7 +526,7 @@ def check_assumptions(sys: BlockSystem, mesh: Mesh) -> VerificationReport:
         worst_ratio = 0.0
         for kexp in _LADDER_EXPONENTS:
             lam = float(2 ** kexp)
-            D = bordered_dirichlet_solve(ops.A_max, ops.L, lam)
+            D = sys.dirichlet_lift(lam, flux=True)
             dnorm = opnorm(D[:n, :])
             contraction = opnorm(ops.B2 @ D[:n, :])
             if prev is not None:

@@ -37,27 +37,41 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import bordered_dirichlet_solve, checked_solve, opnorm, rel_residual
+from ._linalg import checked_solve, opnorm, rel_residual
 from .blockops import BlockSystem
 from .errors import SpectralParameterError
 from .reporting import VerificationReport
+
+
+def _spectral_scale(sys: BlockSystem) -> float:
+    return float(np.max(np.abs(sys.eig_A0))) if sys.eig_A0.size else 1.0
 
 
 def default_exclusion_radius(sys: BlockSystem) -> float:
     """1e-6 times the spectral scale of the restricted operator.
 
     This is a distance in the squared-parameter plane (where the restricted
-    spectrum lives); the zero test below uses its square-root companion since
-    eigenvalues of the first-order system scale like sqrt of the restricted
-    ones.
+    spectrum lives); the zero test uses its square-root companion (see
+    ``companion_zero_radius``) since eigenvalues of the first-order system
+    scale like sqrt of the restricted ones.
     """
-    scale = float(np.max(np.abs(sys.eig_A0))) if sys.eig_A0.size else 1.0
-    return 1e-6 * max(1.0, scale)
+    return 1e-6 * max(1.0, _spectral_scale(sys))
 
 
 def default_zero_radius(sys: BlockSystem) -> float:
-    scale = float(np.max(np.abs(sys.eig_A0))) if sys.eig_A0.size else 1.0
-    return 1e-6 * max(1.0, np.sqrt(scale))
+    return 1e-6 * max(1.0, np.sqrt(_spectral_scale(sys)))
+
+
+def companion_zero_radius(sys: BlockSystem, radius: float | None = None) -> float:
+    """Square-root companion of an exclusion radius in the mu plane.
+
+    The same fraction of the square-root spectral scale as ``radius`` is of
+    the spectral scale, so the default radius gives the default zero radius.
+    """
+    if radius is None:
+        return default_zero_radius(sys)
+    scale = _spectral_scale(sys)
+    return radius * max(1.0, np.sqrt(scale)) / max(1.0, scale)
 
 
 def _check_mu_admissible(sys: BlockSystem, mu: complex, radius: float | None = None) -> None:
@@ -72,7 +86,7 @@ def _check_mu_admissible(sys: BlockSystem, mu: complex, radius: float | None = N
 
 def _check_lambda_admissible(sys: BlockSystem, lam: complex,
                              radius: float | None = None) -> None:
-    r0 = default_zero_radius(sys) if radius is None else radius
+    r0 = companion_zero_radius(sys, radius)
     if abs(lam) < r0:
         raise SpectralParameterError(
             "near-zero", f"lambda={lam:.6g} is within {abs(lam):.3e} of zero "
@@ -82,7 +96,12 @@ def _check_lambda_admissible(sys: BlockSystem, lam: complex,
 
 @dataclass
 class PencilEvaluator:
-    """Admissibility-guarded access to the boundary pencil of one system."""
+    """Admissibility-guarded access to the boundary pencil of one system.
+
+    ``exclusion_radius`` is a distance in the mu = lam^2 plane from the
+    restricted spectrum; lam is also refused within its square-root companion
+    (``companion_zero_radius``) of zero.  None selects the default radii.
+    """
 
     sys: BlockSystem
     exclusion_radius: float | None = None
@@ -108,7 +127,7 @@ class PencilEvaluator:
 # Unchecked constructions (callers run the admissibility guard once)
 # ---------------------------------------------------------------------------
 def _block_lift(sys: BlockSystem, lam: complex) -> np.ndarray:
-    D = bordered_dirichlet_solve(sys.ops.A_max, sys.ops.R, complex(lam * lam))
+    D = sys.dirichlet_lift(complex(lam * lam))
     n, nb = sys.n, sys.n_b
     out = np.zeros((2 * n + nb, nb), dtype=complex)
     out[:n] = D[:n]
@@ -139,11 +158,11 @@ def _a0_block_resolvent(sys: BlockSystem, lam: complex) -> np.ndarray:
     return out
 
 
-def _regular_pencil(evaluator: PencilEvaluator, lam: complex) -> np.ndarray:
-    """lam - P(lam) for lam in Gamma; refuses a near-singular pencil.
+def _regular_pencil(evaluator: PencilEvaluator, lam: complex) -> tuple[np.ndarray, float]:
+    """lam - P(lam) for lam in Gamma, with its 2-norm condition number.
 
-    The pencil-singularity test uses a relative smallest-singular-value
-    threshold of 1e-8.
+    Refuses a near-singular pencil: the pencil-singularity test uses a
+    relative smallest-singular-value threshold of 1e-8.
     """
     evaluator.check(lam)
     pcl = lam * np.eye(evaluator.sys.n_b) - _modal_pencil(evaluator.sys, lam)
@@ -153,7 +172,7 @@ def _regular_pencil(evaluator: PencilEvaluator, lam: complex) -> np.ndarray:
             "pencil-singular",
             f"lambda={lam:.6g} is in the pencil spectrum "
             f"(smallest singular value {sv[-1]:.3e})")
-    return pcl
+    return pcl, float(sv[0] / sv[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +181,7 @@ def _regular_pencil(evaluator: PencilEvaluator, lam: complex) -> np.ndarray:
 def dirichlet_operator(sys: BlockSystem, mu: complex) -> np.ndarray:
     """Extended-dof lifting of boundary data: columns solve the bordered system."""
     _check_mu_admissible(sys, mu)
-    return bordered_dirichlet_solve(sys.ops.A_max, sys.ops.R, complex(mu))
+    return sys.dirichlet_lift(complex(mu))
 
 
 def identity_LD(sys: BlockSystem, mu: complex) -> float:
@@ -294,8 +313,9 @@ def resolvent_Acal(sys: BlockSystem, lam: complex) -> np.ndarray:
     which membership test failed.
     """
     nb = sys.n_b
-    pcl = _regular_pencil(PencilEvaluator(sys), lam)
-    G = checked_solve(pcl, np.eye(nb, dtype=complex), what="(lam - pencil) resolvent")
+    pcl, cond = _regular_pencil(PencilEvaluator(sys), lam)
+    G = checked_solve(pcl, np.eye(nb, dtype=complex), what="(lam - pencil) resolvent",
+                      cond_bound=cond)
     Dblk = _block_lift(sys, lam)
     RA0 = _a0_block_resolvent(sys, lam)
     m1 = 2 * sys.n + nb

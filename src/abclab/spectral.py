@@ -18,8 +18,7 @@ import numpy as np
 from ._linalg import checked_solve, rel_residual
 from .blockops import BlockSystem, reduced_generator
 from .errors import AssumptionError, ConfigurationError, NumericalError, SpectralParameterError
-from .resolvent import (PencilEvaluator, default_zero_radius, dirichlet_operator, pencil,
-                        pencil_derivative)
+from .resolvent import PencilEvaluator, dirichlet_operator, pencil, pencil_derivative
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2.0 fallback
 
@@ -39,23 +38,30 @@ class SpectrumReport:
         return np.array([evaluator.is_admissible(l) for l in self.eigenvalues])
 
 
-def _classify(sys: BlockSystem, lam: complex, radius: float,
-              eig_b4: np.ndarray) -> str:
-    if abs(lam) <= default_zero_radius(sys):
-        return "zero-mode"
-    if np.min(np.abs(lam * lam - sys.eig_A0)) <= radius:
-        return "a0-branch"
+def _classify(evaluator: PencilEvaluator, lam: complex, eig_b4: np.ndarray) -> str:
+    try:
+        evaluator.check(lam)
+    except SpectralParameterError as exc:
+        return "zero-mode" if exc.reason == "near-zero" else "a0-branch"
     if eig_b4.size and np.min(np.abs(lam - eig_b4)) <= 1e-6 * (1.0 + abs(lam)):
         return "b4-branch"
     return "pencil-root"
 
 
-def direct_spectrum(sys: BlockSystem, reduced: bool = False) -> SpectrumReport:
+def direct_spectrum(evaluator: PencilEvaluator | BlockSystem,
+                    reduced: bool = False) -> SpectrumReport:
     """Brute-force dense eigendecomposition with per-pair residuals.
 
-    ``reduced=True`` eigensolves the first-order-boundary form (B3 = 0 only),
-    which is the matrix the special-case characterizations describe.
+    Eigenvalues the evaluator refuses are classified by the failed test
+    (``zero-mode`` or ``a0-branch``), so ``pencil-root`` and ``b4-branch``
+    rows are exactly its admissible ones; a bare system gets the default
+    radii.  ``reduced=True`` eigensolves the first-order-boundary form
+    (B3 = 0 only), which is the matrix the special-case characterizations
+    describe.
     """
+    if isinstance(evaluator, BlockSystem):
+        evaluator = PencilEvaluator(evaluator)
+    sys = evaluator.sys
     mat = reduced_generator(sys) if reduced else sys.Acal
     try:
         vals, vecs = np.linalg.eig(mat)
@@ -66,9 +72,8 @@ def direct_spectrum(sys: BlockSystem, reduced: bool = False) -> SpectrumReport:
              / np.linalg.norm(vecs, axis=0))
     order = np.lexsort((vals.imag, vals.real))
     vals, resid = vals[order], resid[order]
-    ev = PencilEvaluator(sys)
     eig_b4 = np.linalg.eigvals(sys.ops.B4)
-    cls = [_classify(sys, l, ev.radius, eig_b4) for l in vals]
+    cls = [_classify(evaluator, l, eig_b4) for l in vals]
     return SpectrumReport(
         eigenvalues=vals, classification=cls, residuals=resid,
         method="direct-reduced" if reduced else "direct",

@@ -1,7 +1,9 @@
+import csv
 import json
 
 import pytest
 
+import abclab as ab
 from abclab.cli import main
 
 from conftest import CONFIG_DIR
@@ -172,3 +174,60 @@ def test_spectrum_pencil_covers_multiple_eigenvalues(tmp_path):
     code = main(["spectrum", "--config", cfg_path("special-case"),
                  "--method", "pencil", "--out", str(out)])
     assert code == 0
+
+
+# ---------------------------------------------------------------------------
+# Every subcommand on every shipped scenario, with the documented exit code
+# ---------------------------------------------------------------------------
+SUBCOMMANDS = {
+    "spectrum": ["--method", "both"],
+    "simulate": ["--t-final", "10", "--dt", "0.01"],
+    "verify": [],
+    "compare-robin": [],
+    "essential-proxy": [],
+}
+# README, "Reference scenarios": every other pair exits 0
+NONZERO_EXITS = {
+    ("special-case", "simulate"): (3, "energy increased"),
+    ("timoshenko-strip", "essential-proxy"): (2, "requires B3 = 0"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+@pytest.mark.parametrize("name", sorted(p.stem for p in CONFIG_DIR.glob("*.json")))
+def test_shipped_configs_exit_as_documented(tmp_path, capsys, name, command):
+    code = main([command, "--config", cfg_path(name), "--out", str(tmp_path / "out"),
+                 *SUBCOMMANDS[command]])
+    expected, message = NONZERO_EXITS.get((name, command), (0, ""))
+    assert code == expected
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("radius,classes", [
+    (5.0, {"zero-mode", "a0-branch"}),
+    (0.1, {"zero-mode", "a0-branch", "pencil-root"}),
+])
+def test_exclusion_radius_is_one_radius_in_the_mu_plane(tmp_path, radius, classes):
+    # gamma_member and the classification agree row by row at a set radius
+    doc = json.loads((CONFIG_DIR / "abc-1d.json").read_text())
+    doc["solver"]["exclusion_radius"] = radius
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(doc))
+    out = tmp_path / "spec.csv"
+    assert main(["spectrum", "--config", str(p), "--method", "direct",
+                 "--out", str(out)]) == 0
+    config = ab.load_config(p)
+    _, sys = ab.build_system(config)
+    ev = ab.PencilEvaluator(sys, config.solver["exclusion_radius"])
+    scale = max(1.0, float(abs(sys.eig_A0).max()))
+    assert ab.resolvent.companion_zero_radius(sys, radius) == pytest.approx(
+        radius * scale ** -0.5)
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    refused = {"zero-mode", "a0-branch"}
+    for row in rows:
+        lam = complex(float(row["re"]), float(row["im"]))
+        member = row["gamma_member"] == "true"
+        assert member == ev.is_admissible(lam)
+        assert member == (row["classification"] not in refused)
+    assert {row["classification"] for row in rows} == classes

@@ -1,0 +1,139 @@
+"""The condition guard: a certified bound first, the exact SVD only above it.
+
+The sameness audit wraps the guard's decision point and checks, for every
+guarded solve it sees, that the bound is never below the exact condition
+number and that the pass/refuse decision is the one the exact condition
+number alone makes.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+import abclab as ab
+import abclab._linalg as la
+from abclab.cli import main
+from abclab.errors import AssumptionError, NumericalError
+
+from conftest import CONFIG_DIR
+
+
+@pytest.fixture
+def audit(monkeypatch):
+    """Record (what, bound, cond, refused) for every guard decision."""
+    seen = []
+    guard, cond_of = la.condition_guard, np.linalg.cond
+
+    def audited(mat, bound, what):
+        cond = float(cond_of(mat))
+        exact_refuses = not np.isfinite(cond) or cond > la.COND_REFUSAL
+        assert bound >= cond, f"{what}: bound {bound:.6e} below cond {cond:.6e}"
+        try:
+            guard(mat, bound, what)
+        except NumericalError:
+            seen.append((what, bound, cond, True))
+            assert exact_refuses, f"{what}: refused at cond {cond:.3e}"
+            raise
+        seen.append((what, bound, cond, False))
+        assert not exact_refuses, f"{what}: passed at cond {cond:.3e}"
+
+    monkeypatch.setattr(la, "condition_guard", audited)
+    return seen
+
+
+@pytest.mark.parametrize("name", ["abc-1d", "special-case", "timoshenko-strip"])
+def test_verify_guard_decisions_match_the_svd(tmp_path, audit, name):
+    code = main(["verify", "--config", str(CONFIG_DIR / f"{name}.json"),
+                 "--out", str(tmp_path / "v.json")])
+    assert code == 0
+    whats = {what for what, *_ in audit}
+    assert "bordered Dirichlet system" in whats
+    assert "(lam - Acal)" in whats and "(lam - pencil) resolvent" in whats
+    assert not any(refused for *_, refused in audit)
+
+
+def _fixture_ops(mesh_kind):
+    if mesh_kind == "interval":
+        mesh = ab.build_interval_mesh(8, 1.0)
+        nb = 2
+    else:
+        mesh = ab.build_strip_mesh(4, 4)
+        nb = 5
+    coeffs = ab.CoefficientSet(c=1.0, rho=np.ones(nb), m=np.ones(nb),
+                               d=np.zeros(nb), k=np.zeros(nb))
+    return ab.assemble_wave_operator(mesh, coeffs)
+
+
+@pytest.mark.parametrize("scale,guarded", [(0.0, False), (1e-14, True)])
+def test_ghost_block_refusal_matches_the_svd(audit, scale, guarded):
+    ops = _fixture_ops("interval")
+    R = ops.R.copy()
+    R[:, ops.n] *= scale
+    with pytest.raises(AssumptionError, match="A3"):
+        ab.assemble_block_generator(dataclasses.replace(ops, R=R))
+    # an exactly singular block is refused by the LU before any bound
+    assert [refused for *_, refused in audit] == ([True] if guarded else [])
+
+
+@pytest.mark.parametrize("last,guarded", [(1.0, False), (1.0 - 1e-14, True)])
+def test_neutral_transform_refusal_matches_the_svd(audit, last, guarded):
+    ops = _fixture_ops("strip")
+    M = np.diag([0.0] * (ops.n_b - 1) + [last])     # I - M singular or cond 1e14
+    with pytest.raises(AssumptionError, match="A8"):
+        ab.apply_neutral_transform(ops, M)
+    assert [refused for *_, refused in audit] == ([True] if guarded else [])
+
+
+def test_strip_verify_takes_no_condition_number(tmp_path, monkeypatch):
+    calls = []
+    cond = np.linalg.cond
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return cond(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cond", counting)
+    code = main(["verify", "--config", str(CONFIG_DIR / "timoshenko-strip.json"),
+                 "--out", str(tmp_path / "v.json")])
+    assert code == 0
+    assert calls == []
+
+
+def test_inconclusive_bound_is_settled_by_the_exact_condition_number():
+    mat = np.diag([1.0, 1e-3])
+    # a bound that does not clear the threshold passes when the SVD does
+    la.condition_guard(mat, np.inf, "probe")
+    with pytest.raises(NumericalError, match=r"probe: condition estimate 1\.000e\+13"):
+        la.condition_guard(np.diag([1.0, 1e-13]), np.inf, "probe")
+
+
+def test_inverse_forming_solve_bounds_by_frobenius_norms(monkeypatch):
+    bounds = []
+    monkeypatch.setattr(la, "condition_guard", lambda mat, bound, what: bounds.append(bound))
+    mat = np.array([[2.0, 1.0], [0.0, 3.0]])
+    x = la.checked_solve(mat, np.eye(2))
+    la.checked_solve(mat, np.ones(2))
+    la.checked_solve(mat, np.ones(2), cond_bound=7.0)
+    assert bounds == [np.linalg.norm(mat) * np.linalg.norm(x), np.inf, 7.0]
+
+
+def test_holder_norm_bounds_the_two_norm():
+    rng = np.random.default_rng(3)
+    for shape in ((5, 5), (7, 3), (3, 7)):
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert la.holder_norm(a) >= np.linalg.norm(a, 2)
+
+
+@pytest.mark.parametrize("fixture", ["abc1d", "special", "neutral_strip", "biharmonic_sys",
+                                     "divergence_sys"])
+def test_lift_cond_bound_is_never_below_the_exact_condition_number(request, fixture):
+    _, sys = request.getfixturevalue(fixture)
+    a = sys.eig_A0
+    near = a[len(a) // 2] + 1e-3 * max(1.0, abs(a[len(a) // 2]))   # close to sigma(A0)
+    for mu in (near, -3.7, 1.0 + 0.5j, 25.0 + 2.0j, 4.0, 2.0 ** 10, 2.0 ** 16):
+        for flux, bnd in ((False, sys.ops.R), (True, sys.ops.L)):
+            n = sys.n
+            mat = np.vstack([np.hstack([mu * np.eye(n), np.zeros((n, sys.dims[1]))])
+                             - sys.ops.A_max, bnd])
+            assert sys.lift_cond_bound(mu, flux) >= np.linalg.cond(mat)
