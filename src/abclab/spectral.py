@@ -81,7 +81,7 @@ def direct_spectrum(evaluator: PencilEvaluator | BlockSystem,
 
 
 # ---------------------------------------------------------------------------
-# Characteristic function and Newton roots
+# Characteristic function, Newton roots and their match with direct eigenvalues
 # ---------------------------------------------------------------------------
 def characteristic_value(evaluator: PencilEvaluator, lam: complex) -> complex:
     """det(lam I - P(lam)); zero exactly at admissible coupled eigenvalues."""
@@ -174,6 +174,56 @@ def pencil_roots(evaluator: PencilEvaluator, seeds, tol: float | None = None,
         method="pencil-newton",
         extras={"failures": failures},
     )
+
+
+def gamma_members(direct: SpectrumReport) -> np.ndarray:
+    """Gamma membership of ``direct_spectrum`` rows, read off the classification
+    (the evaluator refused exactly the ``zero-mode`` and ``a0-branch`` rows)."""
+    return np.array([c not in ("zero-mode", "a0-branch") for c in direct.classification],
+                    dtype=bool)
+
+
+@dataclass(frozen=True)
+class SpectrumMatch:
+    """Nearest-neighbour matching of admissible eigenvalues and pencil roots.
+
+    Distances are relative to 1 + |own value|, inf when the other set is empty,
+    and match at most ``tol``; a multiple eigenvalue gives one shared root.
+    """
+
+    pairs: list              # (seed, nearest root, distance) per seed, if any root
+    seed_distance: np.ndarray
+    root_distance: np.ndarray
+    tol: float
+
+    @property
+    def covered(self) -> bool:
+        return bool(np.all(self.seed_distance <= self.tol))
+
+    @property
+    def unmatched(self) -> int:
+        return int(np.sum(self.seed_distance > self.tol)
+                   + np.sum(self.root_distance > self.tol))
+
+    @property
+    def worst(self) -> float:
+        return max((dist for *_, dist in self.pairs), default=0.0)
+
+
+def match_spectra(seeds: np.ndarray, roots: np.ndarray, tol: float) -> SpectrumMatch:
+    """Match admissible direct eigenvalues (``seeds``) and pencil roots both ways."""
+    pairs, seed_dist = [], []
+    for lam in seeds:
+        if not roots.size:
+            seed_dist.append(np.inf)
+            continue
+        dist = np.abs(roots - lam)
+        i = int(np.argmin(dist))
+        seed_dist.append(float(dist[i]) / (1.0 + abs(lam)))
+        pairs.append((lam, roots[i], seed_dist[-1]))
+    root_dist = [float(np.min(np.abs(seeds - root))) / (1.0 + abs(root))
+                 if seeds.size else np.inf for root in roots]
+    return SpectrumMatch(pairs, np.array(seed_dist), np.array(root_dist), tol)
 
 
 def count_roots_in_box(evaluator: PencilEvaluator, box, n_quad: int) -> int:

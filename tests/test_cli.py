@@ -4,6 +4,7 @@ import json
 import pytest
 
 import abclab as ab
+from abclab.checks import CHECKS
 from abclab.cli import main
 
 from conftest import CONFIG_DIR
@@ -13,39 +14,57 @@ def cfg_path(name):
     return str(CONFIG_DIR / f"{name}.json")
 
 
-def test_verify_abc1d(tmp_path, capsys):
+# verify's check table on each shipped config, entry -> item -> tolerance;
+# no tolerance may move
+COMMON = {
+    "abb0-b2-block": {"abb0-b2-block": 1e-10},
+    "identity-ld": {"identity-ld": 1e-10},
+    "resolvent-a0-formula": {"resolvent-a0-formula": 1e-9},
+    "block-dirichlet": {"block-dirichlet": 1e-9},
+    "pencil-two-routes": {"pencil-two-routes": 1e-10},
+    "factorization": {"factorization": 1e-8, "factorization-shifted": 1e-8, "lm-product": 1e-8},
+    "resolvent-acal-formula": {"resolvent-acal-formula": 1e-8},
+}
+TOLERANCES = {
+    "abc-1d": COMMON,
+    "special-case": {**COMMON, "special-case-resolvent": {"special-case-resolvent": 1e-8},
+                     "spectral-separation": {"spectral-separation": 1e-6}},
+    "timoshenko-strip": {**COMMON, "neutral-form-symmetry": {"neutral-form-symmetry": 1e-10},
+                         "neutral-ladder": {"ladder-lambda0": 65536.0, "ladder-contraction": 1.0,
+                                            "ladder-monotone": 1.0000000001}},
+}
+CONFIG_NAMES = sorted(p.stem for p in CONFIG_DIR.glob("*.json"))
+
+
+@pytest.mark.parametrize("check", CHECKS, ids=lambda c: c.name)
+@pytest.mark.parametrize("name", CONFIG_NAMES)
+def test_check_table(tmp_path, name, check):
+    assert {c.name for c in CHECKS} == set().union(*TOLERANCES.values())
     out = tmp_path / "verify.json"
-    code = main(["verify", "--config", cfg_path("abc-1d"), "--out", str(out)])
+    code = main(["verify", "--config", cfg_path(name), "--checks", check.name,
+                 "--out", str(out)])
+    if check.name not in TOLERANCES[name]:      # inapplicable here
+        assert code == 2
+        return
     assert code == 0
-    report = json.loads(out.read_text())
-    assert report["passed"] is True
-    assert set(report["items"]) >= {
-        "abb0-b2-block", "identity-ld", "resolvent-a0-formula", "block-dirichlet",
-        "pencil-two-routes", "factorization", "factorization-shifted",
-        "lm-product", "resolvent-acal-formula"}
+    items = json.loads(out.read_text())["items"]
+    assert {item: v["tol"] for item, v in items.items()} == TOLERANCES[name][check.name]
+    assert all(v["passed"] for v in items.values())
 
 
-def test_verify_special_includes_case_checks(tmp_path):
-    out = tmp_path / "verify.json"
-    code = main(["verify", "--config", cfg_path("special-case"), "--out", str(out)])
-    assert code == 0
-    report = json.loads(out.read_text())
-    assert "special-case-resolvent" in report["items"]
-    assert "spectral-separation" in report["items"]
+def test_verify_unknown_check_is_usage_error(capsys):
+    for check in ("nonsense", "neutral-ladder"):     # unknown; inapplicable on abc-1d
+        code = main(["verify", "--config", cfg_path("abc-1d"), "--checks", check])
+        assert code == 2
+        assert f"available here: {sorted(COMMON)}" in capsys.readouterr().err
 
 
-def test_verify_neutral_checks(tmp_path):
-    out = tmp_path / "verify.json"
-    code = main(["verify", "--config", cfg_path("timoshenko-strip"),
-                 "--out", str(out), "--checks", "neutral-form-symmetry,neutral-ladder"])
-    assert code == 0
-    report = json.loads(out.read_text())
-    assert report["items"]["neutral-form-symmetry"]["value"] < 1e-10
-
-
-def test_verify_unknown_check_is_usage_error(tmp_path):
-    code = main(["verify", "--config", cfg_path("abc-1d"), "--checks", "nonsense"])
-    assert code == 2
+def test_unread_options_are_rejected():
+    for argv in (["verify", "--config", cfg_path("abc-1d"), "--tol", "1"],
+                 ["spectrum", "--config", cfg_path("abc-1d"), "--out", "x.csv", "--seed", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("name", ["abc-1d", "timoshenko-strip"])
@@ -194,7 +213,7 @@ NONZERO_EXITS = {
 
 
 @pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
-@pytest.mark.parametrize("name", sorted(p.stem for p in CONFIG_DIR.glob("*.json")))
+@pytest.mark.parametrize("name", CONFIG_NAMES)
 def test_shipped_configs_exit_as_documented(tmp_path, capsys, name, command):
     code = main([command, "--config", cfg_path(name), "--out", str(tmp_path / "out"),
                  *SUBCOMMANDS[command]])

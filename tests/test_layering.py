@@ -2,8 +2,9 @@
 
 Every import sits at module level, so importing a module shows all that it
 depends on.  The library below ``scenario`` (mesh, model, blockops,
-resolvent, spectral, dynamics) acts on assembled objects and never reaches
-up to the scenario documents or the command line.
+resolvent, spectral, dynamics, and checks, the table of ``verify``) acts on
+assembled objects and never reaches up to the scenario documents or the
+command line.
 """
 
 import ast
@@ -13,7 +14,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "abclab"
 MODULES = sorted(PACKAGE.glob("*.py"))
-LOWER = ("mesh", "model", "blockops", "resolvent", "spectral", "dynamics")
+LOWER = ("mesh", "model", "blockops", "resolvent", "spectral", "dynamics", "checks")
 UPPER = {"scenario", "cli"}
 
 

@@ -192,8 +192,6 @@ def test_resolvent_acal_formula(abc1d):
     R = ab.resolvent_Acal(sys, lam)
     eye = np.eye(size, dtype=complex)
     assert np.linalg.norm((lam * eye - sys.Acal) @ R - eye, 2) < 1e-8
-    dense = np.linalg.solve(lam * eye - sys.Acal, eye)
-    assert np.linalg.norm(R - dense) / np.linalg.norm(dense) < 1e-8
     # lower-right block is the pencil resolvent
     ev = ab.PencilEvaluator(sys)
     G = np.linalg.solve(lam * np.eye(sys.n_b) - ab.pencil(ev, lam), np.eye(sys.n_b))

@@ -196,7 +196,6 @@ def test_special_case_separation_condition_passes(special):
     _, sys = special
     srep = ab.special_case_spectrum(sys)  # would raise on (4.4) failure
     assert srep.method == "special-case"
-    assert max(srep.extras["resolvent_display_residuals"].values()) < 1e-8
 
 
 def test_special_case_rejects_spring(abc1d):
