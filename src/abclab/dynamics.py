@@ -9,8 +9,10 @@ step chosen from the time grid alone (``_flow``):
   matvecs;
 * any other grid, such as the geometric grid of the frozen-boundary
   comparison, forms no dense exponential: each gap is crossed by the action
-  e^{tA} u of a truncated Taylor series (Al-Mohy and Higham 2011), scaled by
-  exact 1-norms of powers of A.
+  e^{tA} u of a truncated Taylor series (Al-Mohy and Higham 2011).
+
+Both kinds of step are scaled from the same certified upper bounds on
+||A^p||_1^(1/p), read off the row vector 1^T |A|^p (``_power_alphas``).
 
 The coupled generator always carries a defective rigid-drift pair at zero, so
 no eigenbasis route is used.  A classical RK4 integrator and, in the tests,
@@ -108,11 +110,14 @@ def taylor_expm(mat: np.ndarray) -> np.ndarray:
     """Scaling-and-squaring matrix exponential with a degree-16 Taylor kernel.
 
     The polynomial is evaluated by Paterson-Stockmeyer in A^4 (six matrix
-    products) after scaling ||A||_1 to at most 1/2.
+    products) after scaling A by 2^-s, with s the fewest squarings that bring
+    min(alpha_2, alpha_3, alpha_4) to at most theta_16 (Al-Mohy and Higham,
+    SIMAX 2009): p <= 4 are the powers admissible at degree 16, and the
+    alpha_p are the certified upper bounds of ``_power_alphas``.
     """
     n = mat.shape[0]
-    nrm = float(np.linalg.norm(mat, 1))
-    squarings = max(0, int(np.ceil(np.log2(max(nrm, 1e-300) / 0.5))))
+    alpha = float(np.min(_power_alphas(mat)[_ADMISSIBLE[:, TAYLOR_ORDER - 1]]))
+    squarings = max(0, int(np.ceil(np.log2(max(alpha, 1e-300) / THETA[TAYLOR_ORDER - 1]))))
     A = mat / (2.0 ** squarings)
     A2 = A @ A
     A3 = A2 @ A
@@ -147,15 +152,32 @@ def _uniform(gaps: np.ndarray) -> bool:
 
 
 def _power_alphas(mat: np.ndarray) -> np.ndarray:
-    """alpha_p = max(d_p, d_{p+1}) for p = 2..ACTION_P_MAX, d_p = ||mat^p||_1^(1/p).
+    """alpha_p = max(d_p, d_{p+1}) for p = 2..ACTION_P_MAX, d_p >= ||mat^p||_1^(1/p).
 
-    Exact 1-norms of dense powers, so the step choice is deterministic.
+    Entrywise |mat^p| <= |mat|^p, so the largest entry of the row vector
+    w_p = 1^T |mat|^p bounds ||mat^p||_1 from above: p vector-matrix products
+    and no dense power.  Every d_p is a certified upper bound, so the
+    backward-error bounds of both exponential routes hold.  After each
+    product w_p is rescaled to a largest entry in [1/2, 1) by a power of two,
+    which is exact, and the exponents are summed, so the recursion stays in
+    range at any scale of mat.  Raises NumericalError for non-finite entries.
     """
-    d = []
-    P = mat
-    for p in range(2, ACTION_P_MAX + 2):
-        P = P @ mat
-        d.append(float(np.linalg.norm(P, 1)) ** (1.0 / p))
+    if not np.all(np.isfinite(mat)):
+        raise NumericalError("matrix exponential of a matrix with non-finite entries")
+    absm = np.abs(mat)
+    w = np.ones(mat.shape[0])
+    log2_scale = 0
+    d = np.zeros(ACTION_P_MAX)
+    for p in range(1, ACTION_P_MAX + 2):
+        w = w @ absm
+        top = float(np.max(w))
+        if top == 0.0:          # |mat|^p = 0, so are all higher powers
+            break
+        mantissa, exponent = math.frexp(top)
+        w = np.ldexp(w, -exponent)
+        log2_scale += exponent
+        if p >= 2:
+            d[p - 2] = 2.0 ** ((log2_scale + math.log2(mantissa)) / p)
     return np.maximum(d[:-1], d[1:])
 
 
@@ -165,15 +187,19 @@ def _expm_action(mat: np.ndarray, b: np.ndarray, t: float, alphas: np.ndarray) -
     (m, s) minimizes the matvec count m*s subject to t alpha_p / s <= theta_m
     (Al-Mohy and Higham 2011, Alg. 3.2, without shift or balancing); each
     step stops early once the last two terms sum to at most ACTION_TOL times
-    the partial sum, in the max norm.
+    the partial sum, in the max norm.  Raises NumericalError when the plan
+    needs 2^53 matvecs or more, beyond what double precision resolves, and
+    when a partial result stops being finite.
     """
     steps = np.maximum(np.ceil(t * alphas[:, None] / THETA[None, :]), 1.0)
     cost = np.where(_ADMISSIBLE, steps * _DEGREES, np.inf).min(axis=0)
     m = int(np.argmin(cost)) + 1
+    if not cost[m - 1] < 2.0 ** 53:
+        raise NumericalError("action of the matrix exponential needs 2^53 matvecs or more")
     s = int(cost[m - 1]) // m
     f = b
+    c1 = np.max(np.abs(b))
     for _ in range(s):
-        c1 = np.max(np.abs(b))
         for k in range(1, m + 1):
             b = (t / (s * k)) * (mat @ b)
             f = f + b
@@ -182,6 +208,9 @@ def _expm_action(mat: np.ndarray, b: np.ndarray, t: float, alphas: np.ndarray) -
                 break
             c1 = c2
         b = f
+        c1 = np.max(np.abs(b))
+        if not np.isfinite(c1):
+            raise NumericalError("action of the matrix exponential overflowed")
     return f
 
 

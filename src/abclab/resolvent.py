@@ -241,6 +241,28 @@ def resolvent_A0_block(sys: BlockSystem, lam: complex) -> np.ndarray:
     return _a0_block_resolvent(sys, lam)
 
 
+def _factored(Abb0: np.ndarray, E: np.ndarray, F: np.ndarray, Blam: np.ndarray,
+              omega: complex) -> np.ndarray:
+    """Lfac diag(omega - Abb0, omega - Blam) Mfac, evaluated block by block.
+
+    With Lfac = I + [[0, 0], [E, 0]] and Mfac = I + [[0, F], [0, 0]] the
+    product is [[X, X F], [E X, omega - Blam + E X F]] for X = omega - Abb0,
+    which costs O(N^2 n_b) instead of two dense products.  The blocks are
+    written into one preallocated array, X in place, so no full-size
+    temporary is formed.
+    """
+    m1, nb = Abb0.shape[0], Blam.shape[0]
+    out = np.empty((m1 + nb, m1 + nb), dtype=complex)
+    X = out[:m1, :m1]
+    np.negative(Abb0, out=X)
+    X[np.diag_indices(m1)] += omega
+    EX = E @ X
+    out[:m1, m1:] = X @ F
+    out[m1:, :m1] = EX
+    out[m1:, m1:] = omega * np.eye(nb) - Blam + EX @ F
+    return out
+
+
 def factorization_check(sys: BlockSystem, lam: complex, mu: complex) -> VerificationReport:
     """Residuals of the triangular factorization of the coupled generator.
 
@@ -249,6 +271,10 @@ def factorization_check(sys: BlockSystem, lam: complex, mu: complex) -> Verifica
       (ii)  mu  - Acal = Lfac diag(mu - Abb0, mu - P(lam)) Mfac
                          + (mu - lam)(I - Lfac Mfac)
       (iii) Lfac Mfac equals its displayed closed form.
+
+    The triple products of (i) and (ii) are evaluated block by block
+    (``_factored``); Lfac Mfac stays one dense product, so that (iii) compares
+    it with the display formula rather than with itself.
     """
     _check_lambda_admissible(sys, lam)
     n, nb = sys.n, sys.n_b
@@ -257,32 +283,27 @@ def factorization_check(sys: BlockSystem, lam: complex, mu: complex) -> Verifica
     RA0 = _a0_block_resolvent(sys, lam)
     Blam = _modal_pencil(sys, lam)
 
+    E = -sys.Bfrak @ RA0
+    F = -Dblk
     Lfac = np.eye(m1 + nb, dtype=complex)
-    Lfac[m1:, :m1] = -sys.Bfrak @ RA0
+    Lfac[m1:, :m1] = E
     Mfac = np.eye(m1 + nb, dtype=complex)
-    Mfac[:m1, m1:] = -Dblk
-
-    def middle(omega):
-        mid = np.zeros((m1 + nb, m1 + nb), dtype=complex)
-        mid[:m1, :m1] = omega * np.eye(m1) - sys.Abb0
-        mid[m1:, m1:] = omega * np.eye(nb) - Blam
-        return mid
-
+    Mfac[:m1, m1:] = F
     eye_full = np.eye(m1 + nb, dtype=complex)
 
     lhs = lam * eye_full - sys.Acal
-    rhs = Lfac @ middle(lam) @ Mfac
+    rhs = _factored(sys.Abb0, E, F, Blam, lam)
     res_i = rel_residual(rhs, lhs, reference=lhs)
 
     lhs_mu = mu * eye_full - sys.Acal
     LM = Lfac @ Mfac
-    rhs_mu = Lfac @ middle(mu) @ Mfac + (mu - lam) * (eye_full - LM)
+    rhs_mu = _factored(sys.Abb0, E, F, Blam, mu) + (mu - lam) * (eye_full - LM)
     res_ii = rel_residual(rhs_mu, lhs_mu, reference=lhs_mu)
 
     display = np.eye(m1 + nb, dtype=complex)
-    display[:m1, m1:] = -Dblk
-    display[m1:, :m1] = -sys.Bfrak @ RA0
-    display[m1:, m1:] = np.eye(nb) + sys.Bfrak @ RA0 @ Dblk
+    display[:m1, m1:] = F
+    display[m1:, :m1] = E
+    display[m1:, m1:] = np.eye(nb) + E @ F
     res_iii = rel_residual(LM, display, reference=display)
 
     report = VerificationReport(metadata={"lambda": str(lam), "mu": str(mu)})

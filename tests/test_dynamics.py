@@ -6,13 +6,14 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import abclab as ab
 from abclab import dynamics
 from abclab.cli import main
 from abclab.dynamics import (boundary_dissipation, energy_defined, propagator,
                              propagator_frozen, propagator_norms, taylor_expm)
-from abclab.errors import ConfigurationError, ModelError
+from abclab.errors import ConfigurationError, ModelError, NumericalError
 
 from conftest import CONFIG_DIR
 
@@ -115,6 +116,82 @@ def test_stepped_states_match_taylor_on_any_grid(abc1d, nonpositive, positive):
     states = dynamics._flow(sys.Acal, s, t_grid)
     refs = np.array([taylor_expm(sys.Acal * max(t, 0.0)) @ s for t in t_grid])
     assert np.max(_relative_errors(states, refs)) < 1e-10
+
+
+def exact_power_alphas(mat):
+    """alpha_p from exact 1-norms of dense powers: the reference for the bound."""
+    d = []
+    P = mat
+    for p in range(2, dynamics.ACTION_P_MAX + 2):
+        P = P @ mat
+        d.append(float(np.linalg.norm(P, 1)) ** (1.0 / p))
+    return np.maximum(d[:-1], d[1:])
+
+
+@pytest.mark.parametrize("generator", ["Acal", "A1cal"])
+@pytest.mark.parametrize("system", ["abc1d", "special", "neutral_strip", "complex_sys",
+                                    "biharmonic_sys", "divergence_sys"])
+def test_power_alphas_bound_exact_alphas(system, generator, request):
+    _, sys = request.getfixturevalue(system)
+    mat = getattr(sys, generator)
+    bound, exact = dynamics._power_alphas(mat), exact_power_alphas(mat)
+    assert np.all(bound >= exact * (1 - 1e-12))
+    if system in ("abc1d", "special", "neutral_strip"):
+        # the shipped configs: a loose bound would silently inflate the step cost
+        assert np.all(bound <= 1.01 * exact)
+
+
+# nonzero magnitudes of at least 1e-3 keep the dense reference's ninth powers
+# out of the subnormal range, where the reference itself loses digits
+_ENTRIES = st.one_of(st.just(0.0), st.floats(1e-3, 10.0), st.floats(-10.0, -1e-3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.one_of(
+    arrays(float, (n, n), elements=_ENTRIES),
+    arrays(complex, (n, n), elements=st.builds(complex, _ENTRIES, _ENTRIES)))))
+def test_power_alphas_bound_random_matrices(mat):
+    assert np.all(dynamics._power_alphas(mat) >= exact_power_alphas(mat) * (1 - 1e-12))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_generator_is_numerical_error(bad):
+    mat = np.diag([-1.0, -2.0, -3.0, -4.0])
+    mat[1, 2] = bad
+    with pytest.raises(NumericalError, match="non-finite"):
+        taylor_expm(mat)
+    with pytest.raises(NumericalError, match="non-finite"):
+        dynamics._flow(mat, np.ones(4), ROBIN_GRID)
+
+
+def test_overflow_is_numerical_error():
+    big = 1e300 * np.eye(3)
+    with pytest.raises(NumericalError, match="overflowed"):
+        taylor_expm(big)
+    # the action route refuses a plan it cannot resolve, and stops at the
+    # first step whose result overflows
+    with pytest.raises(NumericalError, match=r"2\^53 matvecs"):
+        dynamics._flow(big, np.ones(3), ROBIN_GRID)
+    with pytest.raises(NumericalError, match="overflowed"):
+        dynamics._flow(1e10 * np.eye(3), np.ones(3), ROBIN_GRID)
+
+
+@pytest.mark.parametrize("t", [0.01, 1.0])
+def test_taylor_expm_against_scipy_on_strip(neutral_strip, t):
+    _, sys = neutral_strip
+    ref = scipy.linalg.expm(sys.Acal * t)
+    assert np.linalg.norm(taylor_expm(sys.Acal * t) - ref, 2) / np.linalg.norm(ref, 2) < 1e-12
+
+
+def test_taylor_expm_against_scipy_on_strip_nx32(neutral_cfg):
+    cfg = dataclasses.replace(neutral_cfg, geometry={**neutral_cfg.geometry, "nx": 32, "ny": 32})
+    _, sys = ab.build_system(cfg)
+    ref = scipy.linalg.expm(sys.Acal * 0.01)
+    err = taylor_expm(sys.Acal * 0.01) - ref
+    # sqrt(||err||_1 ||err||_inf) >= ||err||_2 and the largest column norm is
+    # <= ||ref||_2, so this overstates the relative 2-norm error (no 2244^2 SVD)
+    err_2 = np.sqrt(np.linalg.norm(err, 1) * np.linalg.norm(err, np.inf))
+    assert err_2 / np.max(np.linalg.norm(ref, axis=0)) < 1e-10
 
 
 def test_taylor_expm_against_scipy(abc1d):

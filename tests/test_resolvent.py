@@ -5,7 +5,7 @@ import pytest
 
 import abclab as ab
 from abclab.errors import AssumptionError, SpectralParameterError
-from abclab.resolvent import default_zero_radius
+from abclab.resolvent import _factored, default_zero_radius
 
 from conftest import wave_system
 
@@ -167,6 +167,27 @@ def test_factorization_residuals(abc1d):
     _, sys = abc1d
     rep = ab.factorization_check(sys, 1 + 1j, 2.0)
     assert all(item.value < 1e-8 for item in rep.items.values())
+
+
+@pytest.mark.parametrize("system", ["abc1d", "neutral_strip"])
+def test_blockwise_factored_product_matches_dense(system, request):
+    _, sys = request.getfixturevalue(system)
+    lam, mu = 1 + 1j, 2.0
+    m1, nb = 2 * sys.n + sys.n_b, sys.n_b
+    E = -sys.Bfrak @ ab.resolvent_A0_block(sys, lam)
+    F = -ab.block_dirichlet(sys, lam)
+    Blam = ab.pencil(ab.PencilEvaluator(sys), lam)
+    Lfac = np.eye(m1 + nb, dtype=complex)
+    Lfac[m1:, :m1] = E
+    Mfac = np.eye(m1 + nb, dtype=complex)
+    Mfac[:m1, m1:] = F
+    for omega in (lam, mu):
+        middle = np.zeros((m1 + nb, m1 + nb), dtype=complex)
+        middle[:m1, :m1] = omega * np.eye(m1) - sys.Abb0
+        middle[m1:, m1:] = omega * np.eye(nb) - Blam
+        dense = Lfac @ middle @ Mfac
+        blockwise = _factored(sys.Abb0, E, F, Blam, omega)
+        assert np.linalg.norm(blockwise - dense) / np.linalg.norm(dense) < 1e-13
 
 
 def test_factorization_degenerates_at_equal_shifts(abc1d):
