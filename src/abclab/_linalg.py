@@ -1,5 +1,8 @@
 """Dense linear-algebra primitives shared by the operator modules.
 
+The one exception is ``NonzeroOperator``, which applies a dense matrix
+through its nonzeros for the matvecs of the exponential's action.
+
 Everything here is desk scale: square systems of a few hundred unknowns,
 solved by LU with partial pivoting, with a condition refusal threshold
 instead of iterative refinement.  The guard costs O(N^2): each solve carries
@@ -106,6 +109,37 @@ def bordered_dirichlet_solve(a_max: np.ndarray, bnd: np.ndarray, mu: complex,
     rhs = np.zeros((next_, n_b), dtype=mat.dtype)
     rhs[n:, :] = np.eye(n_b)
     return checked_solve(mat, rhs, what="bordered Dirichlet system", cond_bound=cond_bound)
+
+
+class NonzeroOperator:
+    """The nonzeros of a dense matrix, applied at O(nnz) per product.
+
+    Built once with ``np.nonzero``, whose row-major order keeps the entries
+    of each row contiguous, so ``mat @ b`` is one ``np.add.reduceat`` over
+    row segments.  An empty row would share its segment start with the next
+    row and return that row's first product, so each empty row stores one
+    explicit zero.  The two products are the ones the exponential needs,
+    ``mat @ b`` and ``w @ |mat|``; each output entry is summed in a fixed
+    order, so results do not depend on the BLAS thread count.
+    """
+
+    def __init__(self, mat: np.ndarray):
+        stored = mat != 0
+        stored[~stored.any(axis=1), 0] = True
+        self.shape = mat.shape
+        self.rows, self.cols = np.nonzero(stored)
+        self.vals = mat[self.rows, self.cols]
+        self.abs_vals = np.abs(self.vals)
+        self._starts = np.flatnonzero(np.diff(self.rows, prepend=-1))
+
+    def matvec(self, b: np.ndarray) -> np.ndarray:
+        """mat @ b for a vector b, real or complex."""
+        return np.add.reduceat(self.vals * b[self.cols], self._starts)
+
+    def abs_rmatvec(self, w: np.ndarray) -> np.ndarray:
+        """w @ |mat| for a real vector w."""
+        return np.bincount(self.cols, weights=w[self.rows] * self.abs_vals,
+                           minlength=self.shape[1])
 
 
 def rel_residual(lhs: np.ndarray, rhs: np.ndarray, reference: np.ndarray | None = None) -> float:

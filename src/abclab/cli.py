@@ -3,8 +3,9 @@
 Commands: spectrum, simulate, verify, compare-robin, essential-proxy.
 Exit codes: 0 success, 1 numerical-certification failure, 2 hypothesis or
 configuration violation, 3 physics-invariant violation, 4 I/O error.
-Identical config + seed produce byte-identical outputs; floats are written
-with 17 significant digits so every value round-trips exactly.
+Identical config + seed produce byte-identical outputs at a fixed BLAS thread
+count (compare-robin at any thread count); floats are written with 17
+significant digits so every value round-trips exactly.
 """
 
 from __future__ import annotations

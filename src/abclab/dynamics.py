@@ -14,6 +14,15 @@ step chosen from the time grid alone (``_flow``):
 Both kinds of step are scaled from the same certified upper bounds on
 ||A^p||_1^(1/p), read off the row vector 1^T |A|^p (``_power_alphas``).
 
+The action applies the generator through its nonzeros
+(``_linalg.NonzeroOperator``): a finite-difference stencil with a rank-n_b
+boundary border holds about five nonzeros per row, so each of the action's
+matvecs (about 550 per frozen-boundary flow on the strip) costs O(nnz)
+instead of O(N^2), and its sums do not depend on the BLAS thread count.
+The uniform step stays dense: one dense propagator matvec per output step
+is cheaper than the about 18 action matvecs a dt = 0.01 strip step needs
+(strip ``simulate`` through the action takes three times as long).
+
 The coupled generator always carries a defective rigid-drift pair at zero, so
 no eigenbasis route is used.  A classical RK4 integrator and, in the tests,
 scipy's expm are the independent cross-checks of both kinds of step.
@@ -38,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import opnorm
+from ._linalg import NonzeroOperator, opnorm
 from .blockops import BlockSystem
 from .errors import ConfigurationError, ModelError, NumericalError
 from .mesh import Mesh
@@ -113,12 +122,19 @@ def taylor_expm(mat: np.ndarray) -> np.ndarray:
     products) after scaling A by 2^-s, with s the fewest squarings that bring
     min(alpha_2, alpha_3, alpha_4) to at most theta_16 (Al-Mohy and Higham,
     SIMAX 2009): p <= 4 are the powers admissible at degree 16, and the
-    alpha_p are the certified upper bounds of ``_power_alphas``.
+    alpha_p are the certified upper bounds of ``_power_alphas``.  Raises
+    NumericalError when that bound or the result leaves the float range.
     """
     n = mat.shape[0]
     alpha = float(np.min(_power_alphas(mat)[_ADMISSIBLE[:, TAYLOR_ORDER - 1]]))
-    squarings = max(0, int(np.ceil(np.log2(max(alpha, 1e-300) / THETA[TAYLOR_ORDER - 1]))))
-    A = mat / (2.0 ** squarings)
+    if not np.isfinite(alpha):
+        raise NumericalError("Taylor matrix exponential overflowed: "
+                             "the norm bound exceeds the float range")
+    squarings = max(0, math.ceil(math.log2(max(alpha, 1e-300))
+                                 - math.log2(THETA[TAYLOR_ORDER - 1])))
+    # 2.0 ** squarings overflows from 1024 on; a finite alpha gives at most
+    # 1025 squarings, so 2.0 ** -squarings is an exact nonzero power of two
+    A = mat * 2.0 ** -squarings
     A2 = A @ A
     A3 = A2 @ A
     A4 = A2 @ A2
@@ -151,45 +167,53 @@ def _uniform(gaps: np.ndarray) -> bool:
     return np.allclose(gaps, gaps[0], rtol=1e-10, atol=0.0)
 
 
-def _power_alphas(mat: np.ndarray) -> np.ndarray:
+def _power_alphas(mat: np.ndarray | NonzeroOperator) -> np.ndarray:
     """alpha_p = max(d_p, d_{p+1}) for p = 2..ACTION_P_MAX, d_p >= ||mat^p||_1^(1/p).
 
-    Entrywise |mat^p| <= |mat|^p, so the largest entry of the row vector
-    w_p = 1^T |mat|^p bounds ||mat^p||_1 from above: p vector-matrix products
-    and no dense power.  Every d_p is a certified upper bound, so the
-    backward-error bounds of both exponential routes hold.  After each
-    product w_p is rescaled to a largest entry in [1/2, 1) by a power of two,
-    which is exact, and the exponents are summed, so the recursion stays in
-    range at any scale of mat.  Raises NumericalError for non-finite entries.
+    ``mat`` is a dense matrix or its ``NonzeroOperator`` (which ``_flow``
+    builds once and shares with the action).  Entrywise |mat^p| <= |mat|^p,
+    so the largest entry of the row vector w_p = 1^T |mat|^p bounds
+    ||mat^p||_1 from above: p vector-matrix products at O(nnz) each and no
+    dense power.  Every d_p is a certified upper bound, so the backward-error
+    bounds of both exponential routes hold.  w is kept below 2^-k, with
+    2^k >= the dimension, by exact power-of-two rescaling, and the exponents
+    are summed, so no product overflows at any finite scale of mat; a d_p
+    beyond the float range is returned as inf.  Raises NumericalError for
+    non-finite entries.
     """
-    if not np.all(np.isfinite(mat)):
+    op = mat if isinstance(mat, NonzeroOperator) else NonzeroOperator(mat)
+    if not np.all(np.isfinite(op.vals)):
         raise NumericalError("matrix exponential of a matrix with non-finite entries")
-    absm = np.abs(mat)
-    w = np.ones(mat.shape[0])
-    log2_scale = 0
+    k = max(op.shape[0] - 1, 1).bit_length()
+    w = np.full(op.shape[0], 2.0 ** -k)
+    log2_scale = k                  # 1^T |mat|^p = w 2^log2_scale
     d = np.zeros(ACTION_P_MAX)
     for p in range(1, ACTION_P_MAX + 2):
-        w = w @ absm
+        w = op.abs_rmatvec(w)
         top = float(np.max(w))
         if top == 0.0:          # |mat|^p = 0, so are all higher powers
             break
         mantissa, exponent = math.frexp(top)
-        w = np.ldexp(w, -exponent)
-        log2_scale += exponent
+        w = np.ldexp(w, -exponent - k)
+        log2_scale += exponent + k
         if p >= 2:
-            d[p - 2] = 2.0 ** ((log2_scale + math.log2(mantissa)) / p)
+            log2_d = (log2_scale - k + math.log2(mantissa)) / p
+            d[p - 2] = 2.0 ** log2_d if log2_d < 1024 else math.inf
     return np.maximum(d[:-1], d[1:])
 
 
-def _expm_action(mat: np.ndarray, b: np.ndarray, t: float, alphas: np.ndarray) -> np.ndarray:
+def _expm_action(op: NonzeroOperator, b: np.ndarray, t: float,
+                 alphas: np.ndarray) -> np.ndarray:
     """e^{t mat} b by s steps of a degree-m truncated Taylor series.
 
-    (m, s) minimizes the matvec count m*s subject to t alpha_p / s <= theta_m
-    (Al-Mohy and Higham 2011, Alg. 3.2, without shift or balancing); each
-    step stops early once the last two terms sum to at most ACTION_TOL times
-    the partial sum, in the max norm.  Raises NumericalError when the plan
-    needs 2^53 matvecs or more, beyond what double precision resolves, and
-    when a partial result stops being finite.
+    ``op`` applies mat through its nonzeros, so each of the m*s matvecs
+    costs O(nnz) and sums in a fixed order.  (m, s) minimizes the matvec
+    count m*s subject to t alpha_p / s <= theta_m (Al-Mohy and Higham 2011,
+    Alg. 3.2, without shift or balancing); each step stops early once the
+    last two terms sum to at most ACTION_TOL times the partial sum, in the
+    max norm.  Raises NumericalError when the plan needs 2^53 matvecs or
+    more, beyond what double precision resolves (an infinite alpha_p among
+    them), and when a partial result stops being finite.
     """
     steps = np.maximum(np.ceil(t * alphas[:, None] / THETA[None, :]), 1.0)
     cost = np.where(_ADMISSIBLE, steps * _DEGREES, np.inf).min(axis=0)
@@ -201,7 +225,7 @@ def _expm_action(mat: np.ndarray, b: np.ndarray, t: float, alphas: np.ndarray) -
     c1 = np.max(np.abs(b))
     for _ in range(s):
         for k in range(1, m + 1):
-            b = (t / (s * k)) * (mat @ b)
+            b = (t / (s * k)) * op.matvec(b)
             f = f + b
             c2 = np.max(np.abs(b))
             if c1 + c2 <= ACTION_TOL * np.max(np.abs(f)):
@@ -221,7 +245,8 @@ def _flow(mat: np.ndarray, s: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
     return s itself.  A uniform grid (two or more positive gaps, equal to a
     relative 1e-10) takes one dense exponential of the mean gap and applies it
     by matvecs.  Any other grid forms no dense exponential: each gap is
-    crossed by the action of the exponential (``_expm_action``).
+    crossed by the action of the exponential (``_expm_action``), which
+    applies mat through one ``NonzeroOperator`` built here.
     """
     gaps = np.diff(np.maximum(t_grid, 0.0), prepend=0.0)
     positive = gaps[gaps > 0]
@@ -229,11 +254,12 @@ def _flow(mat: np.ndarray, s: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
     if uniform:
         P = taylor_expm(mat * positive.mean())
     else:
-        alphas = _power_alphas(mat)
+        op = NonzeroOperator(mat)
+        alphas = _power_alphas(op)
     states = np.empty((t_grid.size, s.size), dtype=s.dtype)
     for i, gap in enumerate(gaps):
         if gap > 0:
-            s = P @ s if uniform else _expm_action(mat, s, gap, alphas)
+            s = P @ s if uniform else _expm_action(op, s, gap, alphas)
         states[i] = s
     return states
 

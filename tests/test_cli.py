@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -129,6 +133,26 @@ def test_compare_robin(tmp_path):
     summary = json.loads((tmp_path / "robin.csv.summary.json").read_text())
     assert summary["ratio_factor_ok"] is True
     assert summary["limit_within_20pct"] is True
+
+
+def test_compare_robin_is_independent_of_the_blas_thread_count(tmp_path):
+    # nx=ny=24: at nx=16 a dense BLAS matvec happens to sum alike at 1 and 2
+    # threads, so the shipped strip would not show a thread-dependent sum
+    doc = json.loads((CONFIG_DIR / "timoshenko-strip.json").read_text())
+    doc["geometry"].update(nx=24, ny=24)
+    cfg = tmp_path / "strip24.json"
+    cfg.write_text(json.dumps(doc))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"robin-{threads}.csv"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-m", "abclab.cli", "compare-robin", "--config",
+                        str(cfg), "--seed", "5", "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=300)
+        outputs.append((out.read_bytes(), Path(f"{out}.summary.json").read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_essential_proxy_interval(tmp_path):

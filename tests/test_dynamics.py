@@ -174,6 +174,28 @@ def test_overflow_is_numerical_error():
         dynamics._flow(big, np.ones(3), ROBIN_GRID)
     with pytest.raises(NumericalError, match="overflowed"):
         dynamics._flow(1e10 * np.eye(3), np.ones(3), ROBIN_GRID)
+    # a finite bound stays in range up to the top of the float range, where
+    # it needs 1024 or 1025 squarings: exact underflow to zero is a result,
+    # growth past the range is "overflowed"
+    for scale in (1e20, 1e308, 1.5e308):
+        assert np.array_equal(taylor_expm(-scale * np.eye(3)), np.zeros((3, 3)))
+    for scale in (1e308, 1.5e308):
+        with pytest.raises(NumericalError, match="overflowed"):
+            taylor_expm(scale * np.eye(3))
+    # 1^T |A| = 2e308 has no float, but the recursion stays in range and
+    # finds A^2 = 0, so e^A = I + A exactly
+    nilpotent = np.zeros((3, 3))
+    nilpotent[1:, 0] = 1e308
+    assert np.array_equal(taylor_expm(nilpotent), np.eye(3) + nilpotent)
+    # (1^T |A|^p)^(1/p) = 4e308 has no float: the bound is inf, and both
+    # routes refuse it instead of raising OverflowError
+    for scale in (1e308, -1e308):
+        mat = scale * np.ones((4, 4))
+        assert np.all(dynamics._power_alphas(mat) == np.inf)
+        with pytest.raises(NumericalError, match="float range"):
+            taylor_expm(mat)
+        with pytest.raises(NumericalError, match=r"2\^53 matvecs"):
+            dynamics._flow(mat, np.ones(4), ROBIN_GRID)
 
 
 @pytest.mark.parametrize("t", [0.01, 1.0])

@@ -1,15 +1,19 @@
-"""The condition guard: a certified bound first, the exact SVD only above it.
+"""The condition guard and the nonzero-pattern operator.
 
 The sameness audit wraps the guard's decision point and checks, for every
 guarded solve it sees, that the bound is never below the exact condition
 number and that the pass/refuse decision is the one the exact condition
-number alone makes.
+number alone makes.  The operator's two products are checked against the
+dense ones.
 """
 
 import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import abclab as ab
 import abclab._linalg as la
@@ -137,3 +141,40 @@ def test_lift_cond_bound_is_never_below_the_exact_condition_number(request, fixt
             mat = np.vstack([np.hstack([mu * np.eye(n), np.zeros((n, sys.dims[1]))])
                              - sys.ops.A_max, bnd])
             assert sys.lift_cond_bound(mu, flux) >= np.linalg.cond(mat)
+
+
+# magnitudes of at least 1e-3 keep every product out of the subnormal range,
+# where a relative bound does not hold
+_ENTRIES = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+
+
+def _arrays(dtype, shape):
+    entries = _ENTRIES if dtype is float else st.builds(complex, _ENTRIES, _ENTRIES)
+    return arrays(dtype, shape, elements=entries)
+
+
+@st.composite
+def _operands(draw):
+    """A real or complex matrix with some rows and columns zeroed, b and w >= 0."""
+    n = draw(st.integers(1, 12))
+    mat = draw(_arrays(draw(st.sampled_from([float, complex])), (n, n)))
+    mat[draw(arrays(bool, n)), :] = 0
+    mat[:, draw(arrays(bool, n))] = 0
+    b = draw(_arrays(draw(st.sampled_from([float, complex])), n))
+    w = np.abs(draw(_arrays(float, n)))
+    return mat, b, w
+
+
+@settings(max_examples=200, deadline=None)
+@given(_operands())
+def test_nonzero_operator_matches_dense_products(operands):
+    mat, b, w = operands
+    n = mat.shape[0]
+    eps = np.finfo(float).eps
+    for a in (mat, np.zeros_like(mat)):
+        op = la.NonzeroOperator(a)
+        got = op.matvec(b)
+        assert got.shape == (n,) and got.dtype == np.result_type(a, b)
+        assert np.all(np.abs(got - a @ b) <= n * eps * (np.abs(a) @ np.abs(b)))
+        ref = w @ np.abs(a)
+        assert np.all(np.abs(op.abs_rmatvec(w) - ref) <= n * eps * ref)
