@@ -52,6 +52,7 @@ class BlockSystem:
     Bfrak: np.ndarray              # (n_b, 2n+n_b): [B1+B4 B2, 0, B3]
     dims: tuple[int, int, int]
     eig_A0: np.ndarray = field(repr=False)   # (n,) real, ascending: a
+    spectral_scale: float = field(repr=False)  # max |a|, 1.0 when n = 0
     X1: np.ndarray = field(repr=False)       # (n_b, n): (B1 + B4 B2) V
     X2: np.ndarray = field(repr=False)       # (n_b, n): B3 B2 V
     Y: np.ndarray = field(repr=False)        # (n, n_b): V^-1 S_A
@@ -200,7 +201,8 @@ def assemble_block_generator(ops: ModelOperators) -> BlockSystem:
         Abb0=Abb0, Acal=Acal, A1cal=A1cal, A2cal=A2cal,
         Bfrak=Bfrak,
         dims=(n, g, nb),
-        eig_A0=a, X1=Bfrak[:, :n] @ V, X2=ops.B3 @ ops.B2 @ V,
+        eig_A0=a, spectral_scale=float(np.max(np.abs(a))) if a.size else 1.0,
+        X1=Bfrak[:, :n] @ V, X2=ops.B3 @ ops.B2 @ V,
         Y=Q.T.conj() @ (sq[:, None] * S_A), B2V=ops.B2 @ V,
         norm_T=holder_norm(np.block([[np.eye(n), np.zeros((n, nb))], [E0, E1]])),
         norm_S_A=holder_norm(S_A), norm_B2=holder_norm(ops.B2),

@@ -92,7 +92,7 @@ def _special_case_resolvent(mesh, sys, rep):
 
 
 def _spectral_separation(mesh, sys, rep):
-    scale = max(1.0, float(np.max(np.abs(sys.eig_A0))))
+    scale = max(1.0, sys.spectral_scale)
     betas = np.linalg.eigvals(sys.ops.B4)
     margin = min(float(np.min(np.abs(b * b - sys.eig_A0))) for b in betas)
     rep.add("spectral-separation", margin / scale, 1e-6, passed=margin / scale > 1e-6,

@@ -147,12 +147,12 @@ def cmd_simulate(config: ScenarioConfig, t_final: float, dt: float, out: str,
     t_grid = np.linspace(0.0, n_steps * dt, n_steps + 1)
     traj = simulate(sys, u0, t_grid, method=method, mesh=mesh)
 
-    w = sys.ops.state_weights
     integral = traj.consistency.get("integral", np.zeros(t_grid.size))
+    state_norm = np.linalg.norm(traj.states, axis=1)
+    u_l2_norm = np.sqrt(np.abs(traj.states[:, :sys.n]) ** 2 @ sys.ops.state_weights)
     rows = [[t, traj.energies[i] if traj.energies is not None else None,
-             integral[i] if i < len(integral) else None, float(np.linalg.norm(state)),
-             float(np.sqrt(np.sum(w * np.abs(state[:sys.n]) ** 2)))]
-            for i, (t, state) in enumerate(zip(t_grid, traj.states))]
+             integral[i] if i < len(integral) else None, state_norm[i], u_l2_norm[i]]
+            for i, t in enumerate(t_grid)]
     _write_csv(out, ["t", "energy", "integral_residual", "state_norm", "u_l2_norm"], rows)
     if dump_states:
         _write_csv(dump_states, ["t"] + [f"s{i}" for i in range(sys.state_dim)],

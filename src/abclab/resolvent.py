@@ -43,10 +43,6 @@ from .errors import SpectralParameterError
 from .reporting import VerificationReport
 
 
-def _spectral_scale(sys: BlockSystem) -> float:
-    return float(np.max(np.abs(sys.eig_A0))) if sys.eig_A0.size else 1.0
-
-
 def default_exclusion_radius(sys: BlockSystem) -> float:
     """1e-6 times the spectral scale of the restricted operator.
 
@@ -55,11 +51,11 @@ def default_exclusion_radius(sys: BlockSystem) -> float:
     ``companion_zero_radius``) since eigenvalues of the first-order system
     scale like sqrt of the restricted ones.
     """
-    return 1e-6 * max(1.0, _spectral_scale(sys))
+    return 1e-6 * max(1.0, sys.spectral_scale)
 
 
 def default_zero_radius(sys: BlockSystem) -> float:
-    return 1e-6 * max(1.0, np.sqrt(_spectral_scale(sys)))
+    return 1e-6 * max(1.0, np.sqrt(sys.spectral_scale))
 
 
 def companion_zero_radius(sys: BlockSystem, radius: float | None = None) -> float:
@@ -70,7 +66,7 @@ def companion_zero_radius(sys: BlockSystem, radius: float | None = None) -> floa
     """
     if radius is None:
         return default_zero_radius(sys)
-    scale = _spectral_scale(sys)
+    scale = sys.spectral_scale
     return radius * max(1.0, np.sqrt(scale)) / max(1.0, scale)
 
 

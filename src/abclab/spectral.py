@@ -286,7 +286,7 @@ def special_case_spectrum(sys: BlockSystem, tol: float = 1e-6) -> SpectrumReport
                         f"B1 = -B4 B2 (entrywise residual {b1res:.3e})")
 
     eig_b4 = np.linalg.eigvals(ops.B4)
-    scale = max(1.0, float(np.max(np.abs(sys.eig_A0))))
+    scale = max(1.0, sys.spectral_scale)
     for beta in eig_b4:
         dist = float(np.min(np.abs(beta * beta - sys.eig_A0)))
         if dist <= tol * scale:
