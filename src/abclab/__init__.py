@@ -4,7 +4,7 @@ and neutral boundary conditions, verified against brute-force linear algebra."""
 __version__ = "0.1.0"
 
 from .blockops import BlockSystem, assemble_block_generator, initial_state, \
-    reduced_generator, restriction_A0
+    reduced_generator
 from .dynamics import Trajectory, energy, propagator, robin_comparison, simulate, \
     trajectory_consistency
 from .errors import (AbclabError, AssumptionError, ConfigurationError,

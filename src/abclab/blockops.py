@@ -6,13 +6,15 @@ appear in the state: they are eliminated exactly through the constraint
 R u_ext = y by solving the (always square, full-rank) ghost block of R, so the
 constraint is a coordinate identity along every trajectory.
 
-Assembled objects:
+The coupled generator Acal on (u, v, x, y) is the only full-size matrix a
+BlockSystem stores (it is frozen and every stored array is read-only).  With
+m1 = 2n + n_b the other blocks are read off it:
 
-    Abb0  : 3x3 block matrix on (u, v, x), the generator restricted to the
-            kernel of the boundary row (its x-row collapses to B2 exactly)
-    Acal  : the full coupled generator on (u, v, x, y)
-    A1cal : the decoupled part (interior dynamics, zero y-row)
-    A2cal : the boundary feedback, nonzero only in the y-row (rank <= n_b)
+    Abb0  = Acal[:m1, :m1], the generator restricted to the kernel of the
+            boundary row (its x-row collapses to B2 exactly); a view
+    Bfrak = Acal[m1:, :m1], the boundary row [B1 + B4 B2, 0, B3]; a view
+    A1cal : the decoupled part, Acal with zero y-rows; a new array
+    A2cal : the boundary feedback, the y-rows of Acal (rank <= n_b); a new array
 
 A0 must be self-adjoint in the state quadrature weights W; then one eigh of
 W^{1/2} A0 W^{-1/2} = Q diag(a) Q^T gives A0 = V diag(a) V^-1 with
@@ -30,12 +32,12 @@ import numpy as np
 
 from ._linalg import bordered_dirichlet_solve, checked_solve, holder_norm
 from .errors import AssumptionError, ConfigurationError, DimensionError, NumericalError
-from .model import SYMMETRY_TOL, ModelOperators, weighted_asymmetry
+from .model import SYMMETRY_TOL, ModelOperators, freeze_arrays, weighted_asymmetry
 
 
-@dataclass
+@dataclass(frozen=True)
 class BlockSystem:
-    """Assembled block matrices with the ghost-elimination maps.
+    """Assembled coupled generator with the ghost-elimination maps.
 
     ghosts = E0 @ u + E1 @ y realizes R(u, ghosts) = y exactly.
     """
@@ -45,12 +47,7 @@ class BlockSystem:
     E0: np.ndarray                 # (g, n)
     E1: np.ndarray                 # (g, n_b)
     S_A: np.ndarray                # (n, n_b): ghost contribution of y to v-dot
-    Abb0: np.ndarray               # (2n+n_b)^2
     Acal: np.ndarray               # (2n+2n_b)^2
-    A1cal: np.ndarray
-    A2cal: np.ndarray
-    Bfrak: np.ndarray              # (n_b, 2n+n_b): [B1+B4 B2, 0, B3]
-    dims: tuple[int, int, int]
     eig_A0: np.ndarray = field(repr=False)   # (n,) real, ascending: a
     spectral_scale: float = field(repr=False)  # max |a|, 1.0 when n = 0
     X1: np.ndarray = field(repr=False)       # (n_b, n): (B1 + B4 B2) V
@@ -66,6 +63,14 @@ class BlockSystem:
     norm_L: float = field(repr=False)
     kappa_W: float = field(repr=False)       # cond(W^{1/2}) = sqrt(max W / min W)
 
+    def __post_init__(self):
+        freeze_arrays(self, ("A0", "E0", "E1", "S_A", "Acal", "eig_A0",
+                             "X1", "X2", "Y", "B2V"))
+
+    @property
+    def dims(self) -> tuple[int, int, int]:
+        return self.ops.dims
+
     @property
     def n(self) -> int:
         return self.dims[0]
@@ -77,6 +82,28 @@ class BlockSystem:
     @property
     def state_dim(self) -> int:
         return 2 * self.n + 2 * self.n_b
+
+    @property
+    def _m1(self) -> int:          # size of (u, v, x); the y-rows start here
+        return 2 * self.n + self.n_b
+
+    @property
+    def Abb0(self) -> np.ndarray:
+        return self.Acal[:self._m1, :self._m1]
+
+    @property
+    def Bfrak(self) -> np.ndarray:
+        return self.Acal[self._m1:, :self._m1]
+
+    @property
+    def A1cal(self) -> np.ndarray:
+        out = self.Acal.copy()
+        out[self._m1:] = 0.0
+        return out
+
+    @property
+    def A2cal(self) -> np.ndarray:
+        return self.Acal - self.A1cal
 
     def split(self, state: np.ndarray):
         """Split a reduced state (or matrix of states) into (u, v, x, y)."""
@@ -141,47 +168,27 @@ def _ghost_maps(ops: ModelOperators):
     return E0, E1
 
 
-def restriction_A0(ops: ModelOperators) -> np.ndarray:
-    """A restricted to ker R: ghosts eliminated with boundary datum y = 0."""
-    E0, _ = _ghost_maps(ops)
-    n = ops.n
-    return ops.A_max[:, :n] + ops.A_max[:, n:] @ E0
-
-
 def assemble_block_generator(ops: ModelOperators) -> BlockSystem:
-    """Build the coupled generator, its restriction and its splitting."""
-    n, g, nb = ops.dims
+    """Build the coupled generator Acal and the modal data of its restriction."""
+    n, _, nb = ops.dims
     E0, E1 = _ghost_maps(ops)
     An, Ag = ops.A_max[:, :n], ops.A_max[:, n:]
     Ln, Lg = ops.L[:, :n], ops.L[:, n:]
     A0 = An + Ag @ E0
     S_A = Ag @ E1
-    L0 = Ln + Lg @ E0            # collapses to B2 exactly (R = L - B2)
-    S_L = Lg @ E1                # collapses to the identity
+    Bu = ops.B1 + ops.B4 @ ops.B2   # u block of the boundary row
 
-    dt = np.result_type(A0, ops.B3, ops.B4)
-    Abb0 = np.zeros((2 * n + nb, 2 * n + nb), dtype=dt)
-    Abb0[:n, n:2 * n] = np.eye(n)
-    Abb0[n:2 * n, :n] = A0
-    Abb0[2 * n:, :n] = L0            # collapses to B2 on the kernel of R
-
-    Acal = np.zeros((2 * n + 2 * nb, 2 * n + 2 * nb), dtype=dt)
+    x, y = slice(2 * n, 2 * n + nb), slice(2 * n + nb, None)
+    Acal = np.zeros((2 * n + 2 * nb, 2 * n + 2 * nb),
+                    dtype=np.result_type(A0, ops.B3, ops.B4))
     Acal[:n, n:2 * n] = np.eye(n)
     Acal[n:2 * n, :n] = A0
-    Acal[n:2 * n, 2 * n + nb:] = S_A
-    Acal[2 * n:2 * n + nb, :n] = L0
-    Acal[2 * n:2 * n + nb, 2 * n + nb:] = S_L
-    Acal[2 * n + nb:, :n] = ops.B1 + ops.B4 @ ops.B2
-    Acal[2 * n + nb:, 2 * n:2 * n + nb] = ops.B3
-    Acal[2 * n + nb:, 2 * n + nb:] = ops.B4
-
-    A2cal = np.zeros_like(Acal)
-    A2cal[2 * n + nb:, :] = Acal[2 * n + nb:, :]
-    A1cal = Acal - A2cal
-
-    Bfrak = np.zeros((nb, 2 * n + nb), dtype=dt)
-    Bfrak[:, :n] = ops.B1 + ops.B4 @ ops.B2
-    Bfrak[:, 2 * n:] = ops.B3
+    Acal[n:2 * n, y] = S_A
+    Acal[x, :n] = Ln + Lg @ E0      # collapses to B2 exactly (R = L - B2)
+    Acal[x, y] = Lg @ E1            # collapses to the identity
+    Acal[y, :n] = Bu
+    Acal[y, x] = ops.B3
+    Acal[y, y] = ops.B4
 
     W = ops.state_weights
     asym = weighted_asymmetry(A0, W)
@@ -197,12 +204,9 @@ def assemble_block_generator(ops: ModelOperators) -> BlockSystem:
     V = Q / sq[:, None]
 
     return BlockSystem(
-        ops=ops, A0=A0, E0=E0, E1=E1, S_A=S_A,
-        Abb0=Abb0, Acal=Acal, A1cal=A1cal, A2cal=A2cal,
-        Bfrak=Bfrak,
-        dims=(n, g, nb),
+        ops=ops, A0=A0, E0=E0, E1=E1, S_A=S_A, Acal=Acal,
         eig_A0=a, spectral_scale=float(np.max(np.abs(a))) if a.size else 1.0,
-        X1=Bfrak[:, :n] @ V, X2=ops.B3 @ ops.B2 @ V,
+        X1=Bu @ V, X2=ops.B3 @ ops.B2 @ V,
         Y=Q.T.conj() @ (sq[:, None] * S_A), B2V=ops.B2 @ V,
         norm_T=holder_norm(np.block([[np.eye(n), np.zeros((n, nb))], [E0, E1]])),
         norm_S_A=holder_norm(S_A), norm_B2=holder_norm(ops.B2),
@@ -222,13 +226,8 @@ def reduced_generator(sys: BlockSystem) -> np.ndarray:
     if np.max(np.abs(sys.ops.B3)) > 1e-12:
         raise ConfigurationError(
             "the reduced generator requires B3 = 0 (spring coupling absent)")
-    red = np.zeros((2 * n + nb, 2 * n + nb), dtype=sys.Acal.dtype)
-    red[:n, n:2 * n] = np.eye(n)
-    red[n:2 * n, :n] = sys.A0
-    red[n:2 * n, 2 * n:] = sys.S_A
-    red[2 * n:, :n] = sys.ops.B1 + sys.ops.B4 @ sys.ops.B2
-    red[2 * n:, 2 * n:] = sys.ops.B4
-    return red
+    keep = np.r_[0:2 * n, 2 * n + nb:2 * n + 2 * nb]
+    return sys.Acal[np.ix_(keep, keep)]
 
 
 def initial_state(f: np.ndarray, g: np.ndarray, h: np.ndarray, j: np.ndarray,

@@ -35,6 +35,14 @@ if TYPE_CHECKING:  # blockops imports this module; the annotation only names it
 _LADDER_EXPONENTS = range(2, 17)  # lambda = 2^k probe ladder
 
 
+def freeze_arrays(obj, names) -> None:
+    """Make the named array attributes of ``obj`` read-only (None is skipped)."""
+    for name in names:
+        arr = getattr(obj, name)
+        if arr is not None:
+            arr.setflags(write=False)
+
+
 # ---------------------------------------------------------------------------
 # Coefficient data
 # ---------------------------------------------------------------------------
@@ -61,6 +69,7 @@ class CoefficientSet:
     q: np.ndarray | None = None
 
     def __post_init__(self):
+        freeze_arrays(self, ("rho", "m", "d", "k", "a", "r", "s", "p", "q"))
         if not (np.isreal(self.c) and self.c > 0 and np.isfinite(self.c)):
             raise ModelError(f"wave speed c must be a positive real, got {self.c!r}")
         for name in ("rho", "m", "d", "k"):
@@ -153,6 +162,10 @@ class ModelOperators:
     state_weights: np.ndarray   # quadrature weights of the state dofs
     bnd_weights: np.ndarray
     coeffs: CoefficientSet
+
+    def __post_init__(self):
+        freeze_arrays(self, ("A_max", "R", "L", "B1", "B2", "B3", "B4", "M",
+                             "state_node_idx", "state_weights", "bnd_weights"))
 
     @property
     def n(self) -> int:
@@ -365,7 +378,7 @@ def apply_neutral_transform(ops: ModelOperators, M: np.ndarray) -> ModelOperator
     Requires (I - M) invertible to working precision.
     """
     nb = ops.n_b
-    M = np.asarray(M, dtype=float)
+    M = np.array(M, dtype=float)   # a copy, so the caller's M stays writable
     if M.shape != (nb, nb):
         raise DimensionError(f"M must be {nb}x{nb}, got {M.shape}")
     try:

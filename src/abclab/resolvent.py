@@ -90,7 +90,7 @@ def _check_lambda_admissible(sys: BlockSystem, lam: complex,
     _check_mu_admissible(sys, lam * lam, radius)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PencilEvaluator:
     """Admissibility-guarded access to the boundary pencil of one system.
 

@@ -78,6 +78,28 @@ def test_acal_upper_block_matches_abb0(abc1d):
     assert np.array_equal(sys.Acal[:m1, :m1], sys.Abb0)
 
 
+def test_restricted_blocks_are_views_of_acal(abc1d):
+    _, sys = abc1d
+    assert np.shares_memory(sys.Abb0, sys.Acal)
+    assert np.shares_memory(sys.Bfrak, sys.Acal)
+
+
+def test_assembled_system_is_immutable():
+    _, sys = wave_system(n_cells=8, rho="1", d="1", k="1")
+    for name in ("Acal", "Abb0", "Bfrak", "A0", "eig_A0"):
+        with pytest.raises(ValueError):
+            getattr(sys, name)[0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sys.Acal = np.zeros_like(sys.Acal)
+    with pytest.raises(ValueError):
+        sys.ops.A_max[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        sys.ops.coeffs.d[0] = 0.0
+    # the computed splitting is a fresh array each time, never a view
+    assert not np.shares_memory(sys.A1cal, sys.Acal)
+    assert not np.shares_memory(sys.A2cal, sys.Acal)
+
+
 def test_initial_state_formulas(abc1d):
     _, sys = abc1d
     n, g, nb = sys.dims
@@ -153,6 +175,21 @@ def test_reduced_generator_zero_mode_dichotomy(special_cfg):
     _, sys0 = ab.build_system(cfg0)
     red0 = reduced_generator(sys0)
     assert np.min(np.abs(np.linalg.eigvals(red0))) < 1e-10  # constants slip through
+
+
+def test_reduced_generator_is_the_uvy_slice_of_acal(special):
+    # reference: the explicit 3-block assembly the slice replaced
+    _, sys = special
+    n, _, nb = sys.dims
+    ref = np.zeros((2 * n + nb, 2 * n + nb), dtype=sys.Acal.dtype)
+    ref[:n, n:2 * n] = np.eye(n)
+    ref[n:2 * n, :n] = sys.A0
+    ref[n:2 * n, 2 * n:] = sys.S_A
+    ref[2 * n:, :n] = sys.ops.B1 + sys.ops.B4 @ sys.ops.B2
+    ref[2 * n:, 2 * n:] = sys.ops.B4
+    red = reduced_generator(sys)
+    assert red.dtype == ref.dtype and red.shape == ref.shape
+    assert red.tobytes() == ref.tobytes()
 
 
 def test_reduced_generator_requires_b3_zero(abc1d):

@@ -37,6 +37,7 @@ TOLERANCES = {
                          "neutral-ladder": {"ladder-lambda0": 65536.0, "ladder-contraction": 1.0,
                                             "ladder-monotone": 1.0000000001}},
 }
+TOLERANCES["timoshenko-strip-k0"] = TOLERANCES["timoshenko-strip"]
 CONFIG_NAMES = sorted(p.stem for p in CONFIG_DIR.glob("*.json"))
 
 

@@ -105,7 +105,7 @@ def test_divergence_restricted_symmetry():
         "coefficients": {"a": "1 + x*y + 0.3*x", "rho": "1"}}))
     co = ab.sample_coefficients(cfg, mesh)
     ops = ab.assemble_wave_operator(mesh, co)
-    A0 = ab.restriction_A0(ops)
+    A0 = ab.assemble_block_generator(ops).A0
     WA = ops.state_weights[:, None] * A0
     assert np.linalg.norm(WA - WA.T) / np.linalg.norm(WA) < 1e-13
 
@@ -149,7 +149,7 @@ def test_biharmonic_s_zero_gives_r_equal_l():
     co = const_coeffs(2, r=np.zeros(2), s=np.zeros(2), p=np.zeros(2), q=np.zeros(2))
     ops = ab.assemble_biharmonic_operator(mesh, co)
     assert np.array_equal(ops.R, ops.L)
-    A0 = ab.restriction_A0(ops)
+    A0 = ab.assemble_block_generator(ops).A0
     WA = ops.state_weights[:, None] * A0
     assert np.linalg.norm(WA - WA.T) / np.linalg.norm(WA) < 1e-10
 
@@ -236,3 +236,14 @@ def test_neutral_form_matrix_symmetry(neutral_strip):
     mesh, sys = neutral_strip
     F = ab.neutral_form_matrix(sys.ops, mesh)
     assert np.linalg.norm(F - F.T) / np.linalg.norm(F) < 1e-10
+
+
+def test_neutral_transform_freezes_its_own_copy_of_m():
+    mesh = ab.build_strip_mesh(4, 4)
+    ops = ab.assemble_wave_operator(mesh, const_coeffs(5, d=2.0, k=1.0))
+    M = ab.default_boundary_laplacian(mesh)
+    out = ab.apply_neutral_transform(ops, M)
+    assert not np.shares_memory(out.M, M)
+    M[0, 0] += 1.0                  # the caller's array stays writable
+    with pytest.raises(ValueError):
+        out.M[0, 0] = 0.0

@@ -2,8 +2,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import abclab as ab
+from abclab._linalg import rel_residual
 from abclab.errors import AssumptionError, SpectralParameterError
 from abclab.resolvent import _factored, default_zero_radius
 
@@ -100,6 +103,12 @@ def test_pencil_b3_zero_form(special):
     D = ab.dirichlet_operator(sys, lam * lam)
     expected = sys.ops.B1 @ D[:sys.n] + sys.ops.B4 @ (sys.ops.L @ D)
     assert np.allclose(ab.pencil(ev, lam), expected, atol=1e-11)
+
+
+def test_pencil_evaluator_is_frozen(abc1d):
+    ev = ab.PencilEvaluator(abc1d[1])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ev.exclusion_radius = 1.0
 
 
 MODAL_LAMBDAS = (0.8 + 0.9j, 1.5 + 0.3j, 2.0 + 1.1j, 2.5 + 0.1j, -0.4 + 1.3j)
@@ -303,3 +312,26 @@ def test_entry_point_checks_admissibility_once(abc1d, monkeypatch, name):
     monkeypatch.setattr(rv, "_check_mu_admissible", counting)
     GUARDED[name](sys, 1 + 1j)
     assert checked == [(1 + 1j) ** 2]
+
+
+# ---------------------------------------------------------------------------
+# identities at random admissible points
+# ---------------------------------------------------------------------------
+# Every eigenvalue of the abc-1d Acal has real part <= 5.3e-7, so points with
+# real and imaginary parts in [0.2, 3] stay admissible.  The tolerances are
+# those of the verify check table.
+_PART = st.floats(0.2, 3.0)
+_POINT = st.builds(complex, _PART, _PART)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lam=_POINT, mu=_POINT)
+def test_identities_hold_at_random_admissible_points(abc1d, lam, mu):
+    _, sys = abc1d
+    fac = ab.factorization_check(sys, lam, mu)
+    assert fac.passed and {item.tol for item in fac.items.values()} == {1e-8}
+    assert ab.identity_LD(sys, lam * lam) <= 1e-10
+    size = sys.state_dim
+    dense = np.linalg.solve(lam * np.eye(size, dtype=complex) - sys.Acal,
+                            np.eye(size, dtype=complex))
+    assert rel_residual(ab.resolvent_Acal(sys, lam), dense, reference=dense) <= 1e-8

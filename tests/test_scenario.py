@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import abclab as ab
 from abclab.errors import ConfigurationError
@@ -79,6 +81,62 @@ def test_round_trip_idempotent():
         cfg = load(name)
         again = ab.parse_config(ab.serialize_config(cfg))
         assert cfg == again
+
+
+_POSITIVE = st.sampled_from(["1", "2.5", "1 + x", "0.5*z + 1", "1 + 0.1*sin(z)",
+                             "exp(-x)", "step(0.5, 2) + 1"])
+_ANY = st.one_of(_POSITIVE, st.just("0"), st.just("-0.25*cos(z)"))
+
+
+@st.composite
+def scenario_documents(draw):
+    """Valid scenario documents; optional sections and keys may be left out."""
+    kind = draw(st.sampled_from(["interval", "strip"]))
+    models = ["wave", "divergence"] + (["biharmonic"] if kind == "interval" else [])
+    model = draw(st.sampled_from(models))
+    if kind == "interval":
+        geometry = {"kind": kind, "n_cells": draw(st.integers(4, 128)),
+                    "length": draw(st.floats(0.1, 10.0))}
+    else:
+        geometry = {"kind": kind, "nx": draw(st.integers(4, 32)),
+                    "ny": draw(st.integers(4, 32))}
+    coefficients = draw(st.fixed_dictionaries(
+        {}, optional={"c": st.one_of(st.floats(0.1, 5.0), _POSITIVE),
+                      "rho": _POSITIVE, "m": _POSITIVE, "d": _ANY, "k": _ANY}))
+    if model == "divergence":
+        coefficients["a"] = draw(_POSITIVE)
+    if model == "biharmonic":
+        coefficients.update(draw(st.fixed_dictionaries(
+            {}, optional={name: _ANY for name in ("r", "s", "p", "q")})))
+    b3_zero = draw(st.booleans())
+    if b3_zero:
+        coefficients["k"] = "0"
+    neutral = model != "biharmonic" and draw(st.booleans())
+    flags = {"neutral": neutral, "b1_mode": draw(st.sampled_from(["zero", "minus_b4b2"])),
+             "b3_zero": b3_zero,
+             "neutral_m_zero": (neutral and kind == "interval") or draw(st.booleans())}
+    doc = {"geometry": geometry, "model": model, "coefficients": coefficients,
+           "flags": flags}
+    doc.update(draw(st.fixed_dictionaries({}, optional={
+        "initial": st.one_of(
+            st.integers(0, 10 ** 6).map(lambda seed: f"compatible-random({seed})"),
+            st.fixed_dictionaries({key: _ANY for key in "fghj"})),
+        "solver": st.fixed_dictionaries({}, optional={
+            "tol": st.floats(1e-14, 1e-6), "newton_max_iter": st.integers(1, 200),
+            "exclusion_radius": st.one_of(st.none(), st.floats(1e-9, 1e-3)),
+            "cert_tol": st.floats(1e-12, 1e-3)}),
+        "output": st.fixed_dictionaries({}, optional={
+            "dir": st.sampled_from([".", "out", "runs/a"]),
+            "prefix": st.sampled_from(["", "run", "strip-"])}),
+    })))
+    return doc
+
+
+@settings(max_examples=50, deadline=None)
+@given(scenario_documents())
+def test_round_trip_random_documents(doc):
+    cfg = ab.parse_config(json.dumps(doc))
+    assert ab.parse_config(ab.serialize_config(cfg)) == cfg
 
 
 def test_duplicate_key_rejected():
