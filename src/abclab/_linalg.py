@@ -35,6 +35,31 @@ def opnorm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2))
 
 
+def mixed_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` as one real product when one factor is real and the other complex.
+
+    numpy casts the real factor to complex and runs a complex product, four
+    real multiplications per term where two suffice.  Stacking the real and
+    imaginary parts of the complex factor (side by side on the right, one
+    above the other on the left) gives the same result from one real product;
+    the sums run in another order, so the two agree to rounding.  No
+    temporary is larger than the complex result.
+    """
+    if np.iscomplexobj(b) and not np.iscomplexobj(a):
+        m = b.shape[1]
+        out = a @ np.concatenate([b.real, b.imag], axis=1)
+        re, im = out[:, :m], out[:, m:]
+    elif np.iscomplexobj(a) and not np.iscomplexobj(b):
+        k = a.shape[0]
+        out = np.concatenate([a.real, a.imag]) @ b
+        re, im = out[:k], out[k:]
+    else:
+        return a @ b
+    res = np.empty(re.shape, dtype=np.result_type(a, b))
+    res.real, res.imag = re, im
+    return res
+
+
 def holder_norm(a: np.ndarray) -> float:
     """sqrt(||a||_1 ||a||_inf), an O(N^2) upper bound on the 2-norm."""
     if a.size == 0:

@@ -35,7 +35,7 @@ from .errors import AssumptionError, ConfigurationError, DimensionError, Numeric
 from .model import SYMMETRY_TOL, ModelOperators, freeze_arrays, weighted_asymmetry
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockSystem:
     """Assembled coupled generator with the ghost-elimination maps.
 

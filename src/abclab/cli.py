@@ -62,7 +62,7 @@ def _json_default(obj):
 
 def _config_metadata(config: ScenarioConfig, seed) -> dict:
     digest = hashlib.sha256(serialize_config(config).encode()).hexdigest()
-    return {"config_sha256": digest, "geometry": config.geometry, "seed": seed,
+    return {"config_sha256": digest, "geometry": dict(config.geometry), "seed": seed,
             "tool_version": __version__}
 
 

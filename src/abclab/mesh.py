@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ConfigurationError, DimensionError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mesh:
     """Immutable grid with boundary partition and quadrature weights.
 

@@ -143,7 +143,7 @@ def sample_coefficients(config, mesh: Mesh) -> CoefficientSet:
 # ---------------------------------------------------------------------------
 # Operator bundle
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelOperators:
     """Dense operator realization of one concrete model."""
 

@@ -18,28 +18,33 @@ weights, so the eigendecomposition A0 = V diag(a) V^-1 taken once at assembly
 
     P(lam) = (X1 + X2/lam) diag(1/(lam^2 - a)) Y + B3/lam + B4,
 
-at O(n n_b^2) cost, with a closed-form derivative P'(lam).  Systems whose A0
-is not weighted-symmetric are refused at assembly.  The bordered solve for
-D_mu is the independent cross-check: the lifted block Dirichlet operator on
-(u, v, x) states gives the second construction pencil_via_blocks, and the
-explicit block resolvents and the triangular factorization of (lam - Acal)
-are assembled from it.
+with a closed-form derivative P'(lam).  ``pencil`` and ``pencil_derivative``
+take a scalar lam or a 1-D array of K values; a scalar is a batch of one and
+gets an (n_b, n_b) result, an array a (K, n_b, n_b) stack.  A PencilEvaluator
+folds X1 and X2 with Y once into (n, n_b^2) tables, so a batch costs one real
+product of its (K, 2n) diagonal weights with them: no per-point loop and no
+K n n_b temporary.  Systems whose A0 is not weighted-symmetric are refused at
+assembly.  The bordered solve for D_mu is the independent cross-check: the
+lifted block Dirichlet operator on (u, v, x) states gives the second
+construction pencil_via_blocks, and the explicit block resolvents and the
+triangular factorization of (lam - Acal) are assembled from it.
 
 Every public entry point checks admissibility once: lam != 0 and lam^2 (or
 mu) off the restricted spectrum, within the radius of the PencilEvaluator it
-is given or, for the functions taking a system, the default radius.  The
-constructions they share are unchecked internals.
+is given or, for the functions taking a system, the default radius.  On a
+batch, the first refused point raises with the reason and message the scalar
+check gives for it.  The constructions they share are unchecked internals.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import checked_solve, opnorm, rel_residual
+from ._linalg import checked_solve, mixed_matmul, opnorm, rel_residual
 from .blockops import BlockSystem
-from .errors import SpectralParameterError
+from .errors import DimensionError, SpectralParameterError
 from .reporting import VerificationReport
 
 
@@ -70,37 +75,70 @@ def companion_zero_radius(sys: BlockSystem, radius: float | None = None) -> floa
     return radius * max(1.0, np.sqrt(scale)) / max(1.0, scale)
 
 
-def _check_mu_admissible(sys: BlockSystem, mu: complex, radius: float | None = None) -> None:
+def _sigma_a0_distance(sys: BlockSystem, mu) -> np.ndarray:
+    """Distance of each mu (a scalar or 1-D array) to the restricted spectrum."""
+    return np.min(np.abs(np.asarray(mu)[..., None] - sys.eig_A0), axis=-1)
+
+
+def _check_mu_admissible(sys: BlockSystem, mu, radius: float | None = None) -> None:
+    """Refuse mu (a scalar or 1-D array) within ``radius`` of the restricted
+    spectrum, naming the first refused value."""
     r = default_exclusion_radius(sys) if radius is None else radius
-    dist = float(np.min(np.abs(mu - sys.eig_A0)))
-    if dist < r:
+    dist = _sigma_a0_distance(sys, mu)
+    refused = np.flatnonzero(dist < r)
+    if refused.size:
+        k = refused[0]
         raise SpectralParameterError(
             "near-sigma-a0",
-            f"mu={mu:.6g} is within {dist:.3e} of the restricted spectrum "
-            f"(exclusion radius {r:.3e})")
+            f"mu={np.ravel(mu)[k]:.6g} is within {dist.flat[k]:.3e} of the restricted "
+            f"spectrum (exclusion radius {r:.3e})")
 
 
-def _check_lambda_admissible(sys: BlockSystem, lam: complex,
-                             radius: float | None = None) -> None:
+def _check_lambda_admissible(sys: BlockSystem, lam, radius: float | None = None) -> None:
+    """Refuse the first lam (of a scalar or 1-D array) near zero or with lam^2
+    near the restricted spectrum; at one point the zero test comes first."""
+    lam = np.ravel(lam)
     r0 = companion_zero_radius(sys, radius)
-    if abs(lam) < r0:
+    near_zero = np.abs(lam) < r0
+    k = int(np.argmax(near_zero)) if near_zero.any() else lam.size
+    if k:
+        _check_mu_admissible(sys, lam[:k] * lam[:k], radius)
+    if k < lam.size:
         raise SpectralParameterError(
-            "near-zero", f"lambda={lam:.6g} is within {abs(lam):.3e} of zero "
+            "near-zero", f"lambda={lam[k]:.6g} is within {abs(lam[k]):.3e} of zero "
                          f"(exclusion radius {r0:.3e})")
-    _check_mu_admissible(sys, lam * lam, radius)
 
 
-@dataclass(frozen=True)
+def _as_batch(lam) -> np.ndarray:
+    """lam as a 1-D array; a scalar is a batch of one."""
+    batch = np.atleast_1d(np.asarray(lam))
+    if batch.ndim != 1:
+        raise DimensionError(f"lam must be a scalar or a 1-D array, got shape {batch.shape}")
+    return batch
+
+
+@dataclass(frozen=True, eq=False)
 class PencilEvaluator:
     """Admissibility-guarded access to the boundary pencil of one system.
 
     ``exclusion_radius`` is a distance in the mu = lam^2 plane from the
     restricted spectrum; lam is also refused within its square-root companion
     (``companion_zero_radius``) of zero.  None selects the default radii.
+    ``tables`` is [X1 (x) Y; X2 (x) Y], the (2n, n_b^2) fold whose row j is
+    X[:, j] Y[j, :] flattened, built once at construction and read-only.
+    Evaluators compare and hash by identity.
     """
 
     sys: BlockSystem
     exclusion_radius: float | None = None
+    tables: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        s = self.sys
+        folded = np.concatenate([(X.T[:, :, None] * s.Y[:, None, :]).reshape(s.n, -1)
+                                 for X in (s.X1, s.X2)])
+        folded.setflags(write=False)
+        object.__setattr__(self, "tables", folded)
 
     @property
     def radius(self) -> float:
@@ -108,15 +146,22 @@ class PencilEvaluator:
             return default_exclusion_radius(self.sys)
         return self.exclusion_radius
 
-    def check(self, lam: complex) -> None:
+    def check(self, lam) -> None:
+        """Refuse lam, or the first refused point of a 1-D array of them."""
         _check_lambda_admissible(self.sys, lam, self.exclusion_radius)
 
-    def is_admissible(self, lam: complex) -> bool:
-        try:
-            self.check(lam)
-        except SpectralParameterError:
-            return False
-        return True
+    def refusals(self, lam) -> np.ndarray:
+        """Per point of lam, the reason ``check`` refuses it ("near-zero"
+        before "near-sigma-a0"), or "" when it is admissible."""
+        lam = np.asarray(lam)
+        near_zero = np.abs(lam) < companion_zero_radius(self.sys, self.exclusion_radius)
+        near_sigma = _sigma_a0_distance(self.sys, lam * lam) < self.radius
+        return np.where(near_zero, "near-zero", np.where(near_sigma, "near-sigma-a0", ""))
+
+    def is_admissible(self, lam):
+        """A bool for a scalar lam, a boolean mask for a 1-D array."""
+        ok = self.refusals(lam) == ""
+        return ok if ok.ndim else bool(ok)
 
 
 # ---------------------------------------------------------------------------
@@ -132,9 +177,12 @@ def _block_lift(sys: BlockSystem, lam: complex) -> np.ndarray:
     return out
 
 
-def _modal_pencil(sys: BlockSystem, lam: complex) -> np.ndarray:
-    r = 1.0 / (lam * lam - sys.eig_A0)
-    return ((sys.X1 + sys.X2 / lam) * r) @ sys.Y + sys.ops.B3 / lam + sys.ops.B4
+def _modal_sum(evaluator: PencilEvaluator, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
+    """X1 diag(w1[k]) Y + X2 diag(w2[k]) Y for each row k of the (K, n)
+    weights: one product with the folded tables, shaped (K, n_b, n_b)."""
+    nb = evaluator.sys.n_b
+    weights = np.concatenate([w1, w2], axis=1)
+    return mixed_matmul(weights, evaluator.tables).reshape(-1, nb, nb)
 
 
 def _a0_block_resolvent(sys: BlockSystem, lam: complex) -> np.ndarray:
@@ -160,8 +208,7 @@ def _regular_pencil(evaluator: PencilEvaluator, lam: complex) -> tuple[np.ndarra
     Refuses a near-singular pencil: the pencil-singularity test uses a
     relative smallest-singular-value threshold of 1e-8.
     """
-    evaluator.check(lam)
-    pcl = lam * np.eye(evaluator.sys.n_b) - _modal_pencil(evaluator.sys, lam)
+    pcl = lam * np.eye(evaluator.sys.n_b) - pencil(evaluator, lam)
     sv = np.linalg.svd(pcl, compute_uv=False)
     if sv[-1] <= 1e-8 * max(1.0, sv[0]):
         raise SpectralParameterError(
@@ -202,19 +249,31 @@ def block_dirichlet(sys: BlockSystem, lam: complex) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Pencil
 # ---------------------------------------------------------------------------
-def pencil(evaluator: PencilEvaluator, lam: complex) -> np.ndarray:
-    """Boundary pencil from the modal data of the restricted operator."""
-    evaluator.check(lam)
-    return _modal_pencil(evaluator.sys, lam)
+def pencil(evaluator: PencilEvaluator, lam) -> np.ndarray:
+    """Boundary pencil from the modal data of the restricted operator.
 
-
-def pencil_derivative(evaluator: PencilEvaluator, lam: complex) -> np.ndarray:
-    """d/dlam P(lam) in closed form from the same modal data as ``pencil``."""
+    ``lam`` is a scalar, giving (n_b, n_b), or a 1-D array of K points,
+    giving (K, n_b, n_b).
+    """
     evaluator.check(lam)
     sys = evaluator.sys
-    r = 1.0 / (lam * lam - sys.eig_A0)
-    coef = -(sys.X2 / (lam * lam)) * r - (sys.X1 + sys.X2 / lam) * (2.0 * lam * r * r)
-    return coef @ sys.Y - sys.ops.B3 / (lam * lam)
+    lam_k = _as_batch(lam)[:, None]
+    r = 1.0 / (lam_k * lam_k - sys.eig_A0)
+    out = _modal_sum(evaluator, r, r / lam_k) + sys.ops.B3 / lam_k[..., None] + sys.ops.B4
+    return out if np.ndim(lam) else out[0]
+
+
+def pencil_derivative(evaluator: PencilEvaluator, lam) -> np.ndarray:
+    """d/dlam P(lam) in closed form from the same modal data as ``pencil``;
+    shaped like ``pencil(evaluator, lam)``."""
+    evaluator.check(lam)
+    sys = evaluator.sys
+    lam_k = _as_batch(lam)[:, None]
+    r = 1.0 / (lam_k * lam_k - sys.eig_A0)
+    r2 = 2.0 * r * r
+    out = (_modal_sum(evaluator, -lam_k * r2, -r / (lam_k * lam_k) - r2)
+           - sys.ops.B3 / (lam_k * lam_k)[..., None])
+    return out if np.ndim(lam) else out[0]
 
 
 def pencil_via_blocks(evaluator: PencilEvaluator, lam: complex) -> np.ndarray:
@@ -272,12 +331,11 @@ def factorization_check(sys: BlockSystem, lam: complex, mu: complex) -> Verifica
     (``_factored``); Lfac Mfac stays one dense product, so that (iii) compares
     it with the display formula rather than with itself.
     """
-    _check_lambda_admissible(sys, lam)
+    Blam = pencil(PencilEvaluator(sys), lam)
     n, nb = sys.n, sys.n_b
     m1 = 2 * n + nb
     Dblk = _block_lift(sys, lam)
     RA0 = _a0_block_resolvent(sys, lam)
-    Blam = _modal_pencil(sys, lam)
 
     E = -sys.Bfrak @ RA0
     F = -Dblk

@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace as dc_replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -60,25 +62,29 @@ _ALLOWED = {
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    geometry: dict
+    """A validated scenario.  Its object sections are read-only copies
+    (assigning a key raises TypeError); ``dataclasses.replace`` with a plain
+    dict gives a new config with its own read-only copy."""
+
+    geometry: Mapping
     model: str
-    coefficients: dict
-    flags: dict
-    initial: object
-    solver: dict
-    output: dict
+    coefficients: Mapping
+    flags: Mapping
+    initial: object            # the random-state token, or a mapping of expressions
+    solver: Mapping
+    output: Mapping
     warnings: tuple = field(default=())
 
+    def __post_init__(self):
+        for name in _DEFAULTS:
+            value = getattr(self, name)
+            if isinstance(value, Mapping):
+                object.__setattr__(self, name, MappingProxyType(dict(value)))
+
     def to_document(self) -> dict:
-        return {
-            "geometry": self.geometry,
-            "model": self.model,
-            "coefficients": self.coefficients,
-            "flags": self.flags,
-            "initial": self.initial,
-            "solver": self.solver,
-            "output": self.output,
-        }
+        doc = {name: getattr(self, name) for name in _DEFAULTS}
+        return {key: dict(value) if isinstance(value, Mapping) else value
+                for key, value in doc.items()}
 
 
 def _reject_duplicates(pairs):

@@ -5,7 +5,12 @@ record.  The boundary pencil provides the independent route: off the
 restricted spectrum, lam is an eigenvalue of the coupled generator exactly
 when det(lam - P(lam)) = 0, so Newton iteration on that characteristic
 function and argument-principle winding counts must reproduce the direct
-eigenvalues.  Essential-spectrum statements survive only as refinement
+eigenvalues.  ``characteristic_value`` and ``log_derivative`` take a scalar
+or a 1-D array of lam, like ``pencil``, and every lam-loop here is one such
+batched call per step: the classification of all direct eigenvalues, the
+four edges of a winding box, and the live seeds of one Newton iteration
+(each seed keeps its own exclusion, failure and certification record).
+Essential-spectrum statements survive only as refinement
 trends in finite dimensions and are reported as such, never as point values.
 """
 
@@ -15,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import checked_solve, rel_residual
+from ._linalg import checked_solve, mixed_matmul, rel_residual
 from .blockops import BlockSystem, reduced_generator
 from .errors import AssumptionError, ConfigurationError, NumericalError, SpectralParameterError
 from .resolvent import PencilEvaluator, dirichlet_operator, pencil, pencil_derivative
@@ -35,17 +40,7 @@ class SpectrumReport:
     extras: dict = field(default_factory=dict)
 
     def admissible_mask(self, evaluator: PencilEvaluator) -> np.ndarray:
-        return np.array([evaluator.is_admissible(l) for l in self.eigenvalues])
-
-
-def _classify(evaluator: PencilEvaluator, lam: complex, eig_b4: np.ndarray) -> str:
-    try:
-        evaluator.check(lam)
-    except SpectralParameterError as exc:
-        return "zero-mode" if exc.reason == "near-zero" else "a0-branch"
-    if eig_b4.size and np.min(np.abs(lam - eig_b4)) <= 1e-6 * (1.0 + abs(lam)):
-        return "b4-branch"
-    return "pencil-root"
+        return evaluator.is_admissible(self.eigenvalues)
 
 
 def direct_spectrum(evaluator: PencilEvaluator | BlockSystem,
@@ -67,13 +62,17 @@ def direct_spectrum(evaluator: PencilEvaluator | BlockSystem,
         vals, vecs = np.linalg.eig(mat)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"dense eigensolve failed: {exc}") from exc
-    mv = mat @ vecs
+    mv = mixed_matmul(mat, vecs)
     resid = (np.linalg.norm(mv - vecs * vals[None, :], axis=0)
              / np.linalg.norm(vecs, axis=0))
     order = np.lexsort((vals.imag, vals.real))
     vals, resid = vals[order], resid[order]
     eig_b4 = np.linalg.eigvals(sys.ops.B4)
-    cls = [_classify(evaluator, l, eig_b4) for l in vals]
+    refusal = evaluator.refusals(vals)
+    near_b4 = (np.min(np.abs(vals[:, None] - eig_b4), axis=1) <= 1e-6 * (1.0 + np.abs(vals))
+               if eig_b4.size else np.zeros(vals.size, dtype=bool))
+    cls = np.select([refusal == "near-zero", refusal != "", near_b4],
+                    ["zero-mode", "a0-branch", "b4-branch"], "pencil-root").tolist()
     return SpectrumReport(
         eigenvalues=vals, classification=cls, residuals=resid,
         method="direct-reduced" if reduced else "direct",
@@ -83,24 +82,41 @@ def direct_spectrum(evaluator: PencilEvaluator | BlockSystem,
 # ---------------------------------------------------------------------------
 # Characteristic function, Newton roots and their match with direct eigenvalues
 # ---------------------------------------------------------------------------
-def characteristic_value(evaluator: PencilEvaluator, lam: complex) -> complex:
-    """det(lam I - P(lam)); zero exactly at admissible coupled eigenvalues."""
-    Blam = pencil(evaluator, lam)
-    return complex(np.linalg.det(lam * np.eye(evaluator.sys.n_b) - Blam))
+def characteristic_value(evaluator: PencilEvaluator, lam):
+    """det(lam I - P(lam)); zero exactly at admissible coupled eigenvalues.
+
+    A complex for a scalar lam, a complex array for a 1-D array.
+    """
+    lam_b = np.atleast_1d(lam)
+    chi = np.linalg.det(lam_b[:, None, None] * np.eye(evaluator.sys.n_b)
+                        - pencil(evaluator, lam_b)).astype(complex)
+    return chi if np.ndim(lam) else complex(chi[0])
 
 
-def log_derivative(evaluator: PencilEvaluator, lam: complex) -> complex:
+def _trace_of_quotient(pcl: np.ndarray, rhs: np.ndarray):
+    """tr(pcl^-1 rhs) for one matrix pair or a stack; inf where pcl is exactly
+    singular, found point by point when the stacked solve refuses."""
+    try:
+        return np.trace(np.linalg.solve(pcl, rhs), axis1=-2, axis2=-1)
+    except np.linalg.LinAlgError:
+        if pcl.ndim == 2:
+            return complex(np.inf)
+        return np.array([_trace_of_quotient(a, b) for a, b in zip(pcl, rhs)])
+
+
+def log_derivative(evaluator: PencilEvaluator, lam):
     """chi'(lam)/chi(lam) = tr((lam - P(lam))^-1 (I - P'(lam))), in closed form.
 
-    Infinite where lam - P(lam) is exactly singular, i.e. at a root.
+    Infinite where lam - P(lam) is exactly singular, i.e. at a root.  A
+    complex for a scalar lam, a complex array for a 1-D array: one stacked
+    solve for the whole batch.
     """
+    lam_b = np.atleast_1d(lam)
     eye = np.eye(evaluator.sys.n_b)
-    try:
-        quotient = np.linalg.solve(lam * eye - pencil(evaluator, lam),
-                                   eye - pencil_derivative(evaluator, lam))
-    except np.linalg.LinAlgError:
-        return complex(np.inf)
-    return complex(np.trace(quotient))
+    pcl = lam_b[:, None, None] * eye - pencil(evaluator, lam_b)
+    quotient = np.asarray(_trace_of_quotient(pcl, eye - pencil_derivative(evaluator, lam_b)),
+                          dtype=complex)
+    return quotient if np.ndim(lam) else complex(quotient[0])
 
 
 def pencil_roots(evaluator: PencilEvaluator, seeds, tol: float | None = None,
@@ -108,59 +124,61 @@ def pencil_roots(evaluator: PencilEvaluator, seeds, tol: float | None = None,
                  newton_tol: float = 1e-10) -> SpectrumReport:
     """Newton iteration on the characteristic function from the given seeds.
 
-    The Newton step chi/chi' is the reciprocal of ``log_derivative``.
-    Converged roots are deduplicated at distance ``tol`` (default
-    1e-8*(1+|lam|)) and certified by the characteristic-value threshold
-    cert_tol * max(1, |lam|)^n_b.  Inadmissible seeds are listed in
+    The Newton step chi/chi' is the reciprocal of ``log_derivative``; all
+    live seeds take their step in one batched evaluation.  Every iterate is
+    checked before it is accepted, so the evaluation never refuses one.
+    Converged roots are deduplicated in seed order at distance ``tol``
+    (default 1e-8*(1+|lam|)) and certified by the characteristic-value
+    threshold cert_tol * max(1, |lam|)^n_b.  Inadmissible seeds are listed in
     gamma_excluded; per-seed non-convergence is recorded, not fatal.
     """
-    sys = evaluator.sys
-    nb = sys.n_b
+    nb = evaluator.sys.n_b
+    seeds = np.fromiter(map(complex, seeds), dtype=complex)
+    admissible = evaluator.is_admissible(seeds)
+    lam = seeds.copy()
+    stopped = [""] * seeds.size       # why a seed stopped before converging
+    converged = np.zeros(seeds.size, dtype=bool)
+    live = np.flatnonzero(admissible)
+    for _ in range(max_iter):
+        if not live.size:
+            break
+        logd = log_derivative(evaluator, lam[live])
+        for i in live[logd == 0]:
+            stopped[i] = "stationary characteristic value"
+        live, logd = live[logd != 0], logd[logd != 0]
+        step = 1.0 / logd
+        lam_new = lam[live] - step
+        inside = evaluator.is_admissible(lam_new)
+        for i in live[~inside]:
+            stopped[i] = "step into the exclusion zone"
+        live, step, lam_new = live[inside], step[inside], lam_new[inside]
+        lam[live] = lam_new
+        done = np.abs(step) <= newton_tol * (1.0 + np.abs(lam_new))
+        converged[live[done]] = True
+        live = live[~done]
+
+    chi = np.zeros(seeds.size)
+    chi[converged] = np.abs(characteristic_value(evaluator, lam[converged]))
+    bound = cert_tol * np.maximum(1.0, np.abs(lam)) ** nb
     roots: list[complex] = []
     chis: list[float] = []
-    excluded: list[complex] = []
     failures: list[str] = []
-
-    for seed in seeds:
-        seed = complex(seed)
-        if not evaluator.is_admissible(seed):
-            excluded.append(seed)
-            continue
-        lam = seed
-        converged = False
-        for _ in range(max_iter):
-            try:
-                logd = log_derivative(evaluator, lam)
-            except SpectralParameterError:
-                failures.append(f"seed {seed:.6g}: iterate left the admissible set")
-                break
-            if logd == 0:
-                failures.append(f"seed {seed:.6g}: stationary characteristic value")
-                break
-            step = 1.0 / logd
-            lam_new = lam - step
-            if not evaluator.is_admissible(lam_new):
-                failures.append(f"seed {seed:.6g}: step into the exclusion zone")
-                break
-            lam = lam_new
-            if abs(step) <= newton_tol * (1.0 + abs(lam)):
-                converged = True
-                break
-        if not converged:
+    for i in np.flatnonzero(admissible):
+        seed, root = complex(seeds[i]), complex(lam[i])
+        if stopped[i]:
+            failures.append(f"seed {seed:.6g}: {stopped[i]}")
+        elif not converged[i]:
             if not any(msg.startswith(f"seed {seed:.6g}") for msg in failures):
                 failures.append(f"seed {seed:.6g}: no convergence in {max_iter} iterations")
-            continue
-        chi_final = abs(characteristic_value(evaluator, lam))
-        if chi_final > cert_tol * max(1.0, abs(lam)) ** nb:
+        elif chi[i] > bound[i]:
             failures.append(
-                f"seed {seed:.6g}: root {lam:.6g} failed certification "
-                f"(|chi| = {chi_final:.3e})")
-            continue
-        dedup = tol if tol is not None else 1e-8 * (1.0 + abs(lam))
-        if any(abs(lam - r) <= dedup for r in roots):
-            continue
-        roots.append(lam)
-        chis.append(chi_final)
+                f"seed {seed:.6g}: root {root:.6g} failed certification "
+                f"(|chi| = {chi[i]:.3e})")
+        else:
+            dedup = tol if tol is not None else 1e-8 * (1.0 + abs(root))
+            if not any(abs(root - r) <= dedup for r in roots):
+                roots.append(root)
+                chis.append(float(chi[i]))
 
     vals = np.array(roots, dtype=complex)
     order = np.lexsort((vals.imag, vals.real)) if vals.size else []
@@ -170,7 +188,7 @@ def pencil_roots(evaluator: PencilEvaluator, seeds, tol: float | None = None,
         eigenvalues=vals,
         classification=["pencil-root"] * vals.size,
         residuals=chis_arr,
-        gamma_excluded=excluded,
+        gamma_excluded=seeds[~admissible].tolist(),
         method="pencil-newton",
         extras={"failures": failures},
     )
@@ -230,7 +248,8 @@ def count_roots_in_box(evaluator: PencilEvaluator, box, n_quad: int) -> int:
     """Winding number of the characteristic function around a rectangle.
 
     ``box`` is (re_min, re_max, im_min, im_max); ``log_derivative`` is
-    integrated along the boundary with ``n_quad`` trapezoid panels per edge.
+    integrated along the boundary with ``n_quad`` trapezoid panels per edge,
+    all four edges evaluated in one batch.
     The rounded winding estimate must sit within 0.2 of an integer, otherwise
     the count is inconclusive and a finer n_quad is required.  The contour
     must stay admissible and must not pass through a root.
@@ -238,19 +257,17 @@ def count_roots_in_box(evaluator: PencilEvaluator, box, n_quad: int) -> int:
     re0, re1, im0, im1 = box
     if not (re1 > re0 and im1 > im0):
         raise ConfigurationError(f"degenerate box {box}")
-    corners = [re0 + 1j * im0, re1 + 1j * im0, re1 + 1j * im1, re0 + 1j * im1]
-    total = 0.0 + 0.0j
-    for a, b in zip(corners, corners[1:] + corners[:1]):
-        ts = np.linspace(0.0, 1.0, n_quad + 1)
-        pts = a + (b - a) * ts
-        try:
-            vals = np.array([log_derivative(evaluator, z) for z in pts])
-        except SpectralParameterError as exc:
-            raise SpectralParameterError(
-                exc.reason, f"box boundary intersects the exclusion zone: {exc}")
-        if not np.all(np.isfinite(vals)):
-            raise NumericalError("box boundary passes through a root")
-        total += _trapezoid(vals, dx=1.0 / n_quad) * (b - a)
+    starts = np.array([re0 + 1j * im0, re1 + 1j * im0, re1 + 1j * im1, re0 + 1j * im1])
+    sides = np.roll(starts, -1) - starts
+    pts = starts[:, None] + sides[:, None] * np.linspace(0.0, 1.0, n_quad + 1)
+    try:
+        vals = log_derivative(evaluator, pts.ravel()).reshape(pts.shape)
+    except SpectralParameterError as exc:
+        raise SpectralParameterError(
+            exc.reason, f"box boundary intersects the exclusion zone: {exc}")
+    if not np.all(np.isfinite(vals)):
+        raise NumericalError("box boundary passes through a root")
+    total = np.sum(_trapezoid(vals, dx=1.0 / n_quad, axis=1) * sides)
     winding = total / (2.0j * np.pi)
     estimate = float(np.real(winding))
     rounded = int(round(estimate))

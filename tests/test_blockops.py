@@ -100,6 +100,16 @@ def test_assembled_system_is_immutable():
     assert not np.shares_memory(sys.A2cal, sys.Acal)
 
 
+def test_assembled_objects_hash_by_identity(abc1d_cfg):
+    builds = [ab.build_system(abc1d_cfg) for _ in range(2)]
+    for pick in (lambda mesh, sys: mesh, lambda mesh, sys: sys.ops, lambda mesh, sys: sys,
+                 lambda mesh, sys: ab.PencilEvaluator(sys)):
+        first, second = (pick(*build) for build in builds)
+        assert first != second
+        assert len({first, second}) == 2
+        assert len({first, first}) == 1 and first in {first}
+
+
 def test_initial_state_formulas(abc1d):
     _, sys = abc1d
     n, g, nb = sys.dims

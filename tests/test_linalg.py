@@ -178,3 +178,16 @@ def test_nonzero_operator_matches_dense_products(operands):
         assert np.all(np.abs(got - a @ b) <= n * eps * (np.abs(a) @ np.abs(b)))
         ref = w @ np.abs(a)
         assert np.all(np.abs(op.abs_rmatvec(w) - ref) <= n * eps * ref)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+def test_mixed_matmul_matches_the_complex_product(k, n, m, seed):
+    rng = np.random.default_rng(seed)
+    real = rng.standard_normal((k, n))
+    cplx = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+    eps = np.finfo(float).eps
+    for a, b in ((real, cplx), (cplx.T, real.T), (real, real.T), (cplx.T, cplx)):
+        got, ref = la.mixed_matmul(a, b), a @ b
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        assert np.all(np.abs(got - ref) <= 4 * n * eps * (np.abs(a) @ np.abs(b)))

@@ -83,6 +83,46 @@ def test_round_trip_idempotent():
         assert cfg == again
 
 
+# sha256 of serialize_config for each shipped config, as the CLI writes it
+# into output metadata (config_sha256)
+SHIPPED_CONFIG_SHA256 = {
+    "abc-1d": "37d8426f3535119493728e62dc790d432c3610cd0b7353d1793e6305914bb458",
+    "special-case": "e12ba351a337986b354be8258964715211b8e032b9c0d62e471d14e269a5f91b",
+    "timoshenko-strip-k0": "552d397faae1355713ee5aac465f192cc18d62e498a0ecf939738c01488330c5",
+    "timoshenko-strip": "4a389264cde5c34803963983b51bf5ce315489caa2d19bb868e8f591c2ea72c1",
+}
+
+
+def test_config_sections_are_read_only():
+    import hashlib
+
+    from abclab.cli import _config_metadata
+
+    for name, digest in SHIPPED_CONFIG_SHA256.items():
+        cfg = load(name)
+        for section in (cfg.geometry, cfg.coefficients, cfg.flags, cfg.solver, cfg.output):
+            with pytest.raises(TypeError):
+                section["neutral"] = True
+        assert hashlib.sha256(ab.serialize_config(cfg).encode()).hexdigest() == digest
+        meta = _config_metadata(cfg, 3)
+        assert meta["config_sha256"] == digest
+        assert json.loads(json.dumps(meta))["geometry"] == dict(cfg.geometry)
+    cfg = ab.parse_config(json.dumps({"initial": {key: "0" for key in "fghj"}}))
+    with pytest.raises(TypeError):
+        cfg.initial["f"] = "1"
+    # a replaced section is copied: the caller's dict does not reach the config
+    geometry = {**cfg.geometry, "n_cells": 8}
+    smaller = dataclasses.replace(cfg, geometry=geometry)
+    geometry["n_cells"] = 4
+    assert smaller.geometry["n_cells"] == 8 and cfg.geometry["n_cells"] == 64
+    import abclab.scenario as sc
+
+    assert sc.override_interval_cells(cfg, 16).geometry["n_cells"] == 16
+    strip = load("timoshenko-strip")
+    assert sc.override_strip_nx(strip, 8).geometry["nx"] == 8
+    assert strip.geometry["nx"] == 16
+
+
 _POSITIVE = st.sampled_from(["1", "2.5", "1 + x", "0.5*z + 1", "1 + 0.1*sin(z)",
                              "exp(-x)", "step(0.5, 2) + 1"])
 _ANY = st.one_of(_POSITIVE, st.just("0"), st.just("-0.25*cos(z)"))
