@@ -46,7 +46,7 @@ def freeze_arrays(obj, names) -> None:
 # ---------------------------------------------------------------------------
 # Coefficient data
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoefficientSet:
     """Sampled physical coefficients.
 

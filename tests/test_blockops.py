@@ -102,7 +102,8 @@ def test_assembled_system_is_immutable():
 
 def test_assembled_objects_hash_by_identity(abc1d_cfg):
     builds = [ab.build_system(abc1d_cfg) for _ in range(2)]
-    for pick in (lambda mesh, sys: mesh, lambda mesh, sys: sys.ops, lambda mesh, sys: sys,
+    for pick in (lambda mesh, sys: mesh, lambda mesh, sys: sys.ops.coeffs,
+                 lambda mesh, sys: sys.ops, lambda mesh, sys: sys,
                  lambda mesh, sys: ab.PencilEvaluator(sys)):
         first, second = (pick(*build) for build in builds)
         assert first != second

@@ -15,7 +15,7 @@ from abclab.dynamics import (boundary_dissipation, energy_defined, propagator,
                              propagator_frozen, propagator_norms, taylor_expm)
 from abclab.errors import ConfigurationError, ModelError, NumericalError
 
-from conftest import CONFIG_DIR
+from conftest import CONFIG_DIR, wave_system
 
 # output times of `abclab compare-robin`
 ROBIN_GRID = np.concatenate([np.geomspace(1e-3, 1e-1, 21), np.linspace(0.2, 1.0, 9)])
@@ -374,6 +374,21 @@ def test_energy_monotone_with_resistivity(abc1d_cfg, abc1d):
     E = traj.energies
     assert np.all(np.diff(E) <= 1e-9 * E[0])
     assert E[-1] < E[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_cells=st.integers(4, 12),
+       d=st.floats(0.0, 10.0), k=st.floats(0.0, 10.0),
+       m=st.floats(0.05, 10.0), rho=st.floats(0.05, 10.0),
+       t_final=st.floats(0.1, 5.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_energy_nonincreasing_for_nonnegative_constant_coefficients(
+        n_cells, d, k, m, rho, t_final, seed):
+    mesh, sys = wave_system(n_cells, rho=repr(rho), m=repr(m), d=repr(d), k=repr(k),
+                            b1_mode="zero")
+    u0 = np.random.default_rng(seed).standard_normal(sys.state_dim)
+    E = ab.simulate(sys, u0, np.linspace(0.0, t_final, 51), mesh=mesh).energies
+    # the slack of `abclab simulate`'s energy gate
+    assert np.all(np.diff(E) <= 1e-9 * max(E[0], 1e-300))
 
 
 def test_energy_rate_matches_boundary_dissipation(abc1d_cfg, abc1d):

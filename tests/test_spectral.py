@@ -8,7 +8,7 @@ import abclab as ab
 from abclab.blockops import reduced_generator
 from abclab.errors import AssumptionError, NumericalError
 
-from conftest import wave_system
+from conftest import CONFIG_DIR, wave_system
 
 
 # ---------------------------------------------------------------------------
@@ -273,3 +273,102 @@ def test_compact_resolvent_diagnostic(abc1d_cfg):
     worst = max(max(e["relative_change"]) for e in out["per_k"])
     assert worst < 0.01
     assert out["max_eig_squared_growth_ratio"][0] == pytest.approx(4.0, rel=0.1)
+
+
+# ---------------------------------------------------------------------------
+# mirror-split eigenvalues of the refinement proxies
+# ---------------------------------------------------------------------------
+def _as_diagnosed(vals):
+    """Zero-mode count and nonzero eigenvalues, sorted as the diagnostic sorts."""
+    zero_tol = 1e-6 * max(1.0, float(np.max(np.abs(vals))))
+    nonzero = vals[np.abs(vals) > zero_tol]
+    return vals.size - nonzero.size, nonzero[np.lexsort((nonzero.imag, nonzero.real,
+                                                         np.abs(nonzero)))]
+
+
+def _same_spectrum(vals, ref, tol):
+    """Every value within ``tol`` of one of the other set, both ways."""
+    dist = np.abs(vals[:, None] - ref[None, :])
+    return vals.size == ref.size and max(dist.min(axis=0).max(), dist.min(axis=1).max()) <= tol
+
+
+def _recorded_eigvals(monkeypatch):
+    shapes = []
+    real = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda mat: shapes.append(mat.shape) or real(mat))
+    return shapes, real
+
+
+@pytest.mark.parametrize("name", ["abc1d_cfg", "special_cfg"])
+def test_mirror_split_matches_full_eigensolve(name, request, monkeypatch):
+    import abclab.scenario as sc
+    from abclab.spectral import _generator_eigvals
+
+    mesh, sys = ab.build_system(sc.override_interval_cells(request.getfixturevalue(name), 256))
+    shapes, full_eigvals = _recorded_eigvals(monkeypatch)
+    split = _generator_eigvals(mesh, sys)
+    # (u, v, x, y) on 257 nodes and 2 ends: the even part keeps the middle node
+    assert shapes == [(260, 260), (258, 258)]
+    full = full_eigvals(sys.Acal)
+    (z_split, nz_split), (z_full, nz_full) = _as_diagnosed(split), _as_diagnosed(full)
+    assert z_split == z_full
+    assert np.all(np.abs(nz_split[:10] - nz_full[:10]) <= 1e-10 * np.abs(nz_full[:10]))
+    big_split, big_full = np.max(np.abs(split)), np.max(np.abs(full))
+    assert abs(big_split - big_full) <= 1e-12 * big_full
+
+
+def test_mirror_split_on_biharmonic_interval(biharmonic_sys, monkeypatch):
+    from abclab.spectral import _generator_eigvals
+
+    # the state nodes are 1..31 of 0..32, so the mirror maps them onto themselves
+    mesh, sys = biharmonic_sys
+    shapes, full_eigvals = _recorded_eigvals(monkeypatch)
+    split = _generator_eigvals(mesh, sys)
+    assert shapes == [(34, 34), (32, 32)]
+    full = full_eigvals(sys.Acal)
+    assert _same_spectrum(split, full, 1e-10 * np.max(np.abs(full)))
+
+
+def _one_sided_interval():
+    mesh = ab.build_interval_mesh(32, 1.0, gamma1_sides=("right",))
+    coeffs = ab.CoefficientSet(c=1.0, rho=np.ones(1), m=np.ones(1), d=np.ones(1),
+                               k=np.ones(1))
+    return mesh, ab.assemble_block_generator(ab.assemble_wave_operator(mesh, coeffs))
+
+
+@pytest.mark.parametrize("build", [lambda: wave_system(64, d="1 + x", k="1"),
+                                   _one_sided_interval],
+                         ids=["d=1+x", "gamma1-right-only"])
+def test_asymmetric_interval_keeps_the_full_eigensolve(build, monkeypatch):
+    from abclab.spectral import _generator_eigvals
+
+    mesh, sys = build()
+    shapes, full_eigvals = _recorded_eigvals(monkeypatch)
+    vals = _generator_eigvals(mesh, sys)
+    assert shapes == [sys.Acal.shape]
+    assert vals.tobytes() == full_eigvals(sys.Acal).tobytes()
+
+
+@pytest.mark.parametrize("reduced", [False, True], ids=["Acal", "reduced"])
+def test_shipped_strip_keeps_the_full_eigensolve(reduced, monkeypatch):
+    from abclab.spectral import _generator_eigvals
+
+    # the neutral strip's assembly is mirror-symmetric only to rounding
+    mesh, sys = ab.build_system(ab.load_config(CONFIG_DIR / "timoshenko-strip-k0.json"))
+    mat = reduced_generator(sys) if reduced else sys.Acal
+    shapes, full_eigvals = _recorded_eigvals(monkeypatch)
+    vals = _generator_eigvals(mesh, sys, reduced=reduced)
+    assert shapes == [mat.shape]
+    assert vals.tobytes() == full_eigvals(mat).tobytes()
+
+
+def test_mirror_split_on_exactly_symmetric_strip(monkeypatch):
+    from abclab.spectral import _generator_eigvals
+
+    # nx = 8: 9 columns mirror about the middle one, (u, v, y) of 81, 81, 9 dofs
+    mesh, sys = ab.build_system(strip_proxy_cfg())
+    shapes, full_eigvals = _recorded_eigvals(monkeypatch)
+    split = _generator_eigvals(mesh, sys, reduced=True)
+    assert shapes == [(95, 95), (76, 76)]
+    full = full_eigvals(reduced_generator(sys))
+    assert _same_spectrum(split, full, 1e-10 * np.max(np.abs(full)))
