@@ -18,15 +18,15 @@ from .model import (CoefficientSet, ModelOperators, apply_neutral_transform,
                     neutral_form_matrix, sample_coefficients)
 from .reporting import VerificationReport
 from .resolvent import (PencilEvaluator, block_dirichlet, dirichlet_operator,
-                        factorization_check, gamma_membership, identity_LD,
-                        pencil, pencil_derivative, pencil_via_blocks,
+                        factorization_check, identity_LD, pencil,
+                        pencil_derivative, pencil_via_blocks,
                         resolvent_A0_block, resolvent_Acal)
 from .scenario import (ScenarioConfig, build_system, initial_state_from_config,
                        load_config, parse_config, serialize_config)
 from .spectral import (SpectrumMatch, SpectrumReport, characteristic_value,
                        compact_resolvent_diagnostic, count_roots_in_box,
                        direct_spectrum, essential_range,
-                       essential_spectrum_proxy, gamma_members, log_derivative,
+                       essential_spectrum_proxy, log_derivative,
                        match_spectra, pencil_roots, special_case_spectrum)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

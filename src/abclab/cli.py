@@ -31,7 +31,7 @@ from .scenario import (ScenarioConfig, build_system, initial_state_from_config,
                        load_config, override_interval_cells, override_strip_nx,
                        serialize_config)
 from .spectral import (compact_resolvent_diagnostic, direct_spectrum,
-                       essential_spectrum_proxy, gamma_members, match_spectra,
+                       essential_spectrum_proxy, match_spectra,
                        pencil_roots, special_case_spectrum)
 
 EXIT_OK = 0
@@ -105,7 +105,7 @@ def cmd_spectrum(config: ScenarioConfig, method: str, out: str, tol: float = 1e-
         return EXIT_OK if worst < 1e-8 else EXIT_NUMERICAL
 
     direct = direct_spectrum(ev)
-    members = gamma_members(direct)
+    members = direct.admissible_mask(ev)
     if method == "direct":
         _write_csv(out, header, _spectrum_rows(direct, members))
         worst = float(np.max(direct.residuals))
@@ -285,6 +285,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = load_config(args.config)
+        for warning in config.warnings:
+            print(f"warning: {warning}", file=_sys.stderr)
         if args.command == "spectrum":
             return cmd_spectrum(config, args.method, args.out, args.tol)
         if args.command == "simulate":

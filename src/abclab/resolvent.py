@@ -29,11 +29,16 @@ lifted block Dirichlet operator on (u, v, x) states gives the second
 construction pencil_via_blocks, and the explicit block resolvents and the
 triangular factorization of (lam - Acal) are assembled from it.
 
-Every public entry point checks admissibility once: lam != 0 and lam^2 (or
-mu) off the restricted spectrum, within the radius of the PencilEvaluator it
-is given or, for the functions taking a system, the default radius.  On a
-batch, the first refused point raises with the reason and message the scalar
-check gives for it.  The constructions they share are unchecked internals.
+Admissibility is one rule: lam is refused within the zero radius r0 of zero
+("near-zero", tested first) or when mu = lam^2 is within the exclusion
+radius r of the restricted spectrum ("near-sigma-a0"; a bare mu gets only
+this test).  ``exclusion_radii`` gives (r, r0) for the radius of the
+PencilEvaluator an entry point is given or, for a system, the default one.
+One private per-point predicate decides every refusal: the guard every
+public entry point runs once, which raises for the first refused point of a
+batch with the message that point gets alone, and ``PencilEvaluator.check``,
+``refusals`` and ``is_admissible``.  The constructions the entry points
+share are unchecked internals.
 """
 
 from __future__ import annotations
@@ -48,65 +53,49 @@ from .errors import DimensionError, SpectralParameterError
 from .reporting import VerificationReport
 
 
-def default_exclusion_radius(sys: BlockSystem) -> float:
-    """1e-6 times the spectral scale of the restricted operator.
-
-    This is a distance in the squared-parameter plane (where the restricted
-    spectrum lives); the zero test uses its square-root companion (see
-    ``companion_zero_radius``) since eigenvalues of the first-order system
-    scale like sqrt of the restricted ones.
-    """
-    return 1e-6 * max(1.0, sys.spectral_scale)
-
-
-def default_zero_radius(sys: BlockSystem) -> float:
-    return 1e-6 * max(1.0, np.sqrt(sys.spectral_scale))
-
-
-def companion_zero_radius(sys: BlockSystem, radius: float | None = None) -> float:
-    """Square-root companion of an exclusion radius in the mu plane.
-
-    The same fraction of the square-root spectral scale as ``radius`` is of
-    the spectral scale, so the default radius gives the default zero radius.
-    """
-    if radius is None:
-        return default_zero_radius(sys)
+def exclusion_radii(sys: BlockSystem, radius: float | None = None) -> tuple[float, float]:
+    """(r, r0): the exclusion radius in the mu = lam^2 plane and its zero radius
+    in the lam plane, the same fraction of max(1, sqrt(s)) as r is of
+    max(1, s) for the spectral scale s of the restricted operator (coupled
+    eigenvalues scale like square roots of restricted ones).  None selects the
+    fraction 1e-6."""
     scale = sys.spectral_scale
-    return radius * max(1.0, np.sqrt(scale)) / max(1.0, scale)
+    if radius is None:
+        return 1e-6 * max(1.0, scale), 1e-6 * max(1.0, np.sqrt(scale))
+    return radius, radius * max(1.0, np.sqrt(scale)) / max(1.0, scale)
 
 
-def _sigma_a0_distance(sys: BlockSystem, mu) -> np.ndarray:
-    """Distance of each mu (a scalar or 1-D array) to the restricted spectrum."""
-    return np.min(np.abs(np.asarray(mu)[..., None] - sys.eig_A0), axis=-1)
+def _refusal(sys: BlockSystem, radius: float | None, mu: np.ndarray,
+             lam: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Per point, the reason it is refused ("" if admissible) and its distance:
+    |lam| if "near-zero" (no zero test without lam), else from mu to the
+    restricted spectrum."""
+    r, r0 = exclusion_radii(sys, radius)
+    dist = np.min(np.abs(mu[..., None] - sys.eig_A0), axis=-1)
+    reason = np.where(dist < r, "near-sigma-a0", "")
+    if lam is not None:
+        near_zero = np.abs(lam) < r0
+        reason = np.where(near_zero, "near-zero", reason)
+        dist = np.where(near_zero, np.abs(lam), dist)
+    return reason, dist
 
 
-def _check_mu_admissible(sys: BlockSystem, mu, radius: float | None = None) -> None:
-    """Refuse mu (a scalar or 1-D array) within ``radius`` of the restricted
-    spectrum, naming the first refused value."""
-    r = default_exclusion_radius(sys) if radius is None else radius
-    dist = _sigma_a0_distance(sys, mu)
-    refused = np.flatnonzero(dist < r)
+def _check_admissible(sys: BlockSystem, lam=None, *, mu=None,
+                      radius: float | None = None) -> None:
+    """Refuse lam, or a bare mu, or the first refused point of a 1-D array."""
+    if mu is None:
+        lam = np.ravel(lam)
+        mu = lam * lam
+    mu = np.ravel(mu)
+    reason, dist = _refusal(sys, radius, mu, lam)
+    refused = np.flatnonzero(reason)
     if refused.size:
         k = refused[0]
-        raise SpectralParameterError(
-            "near-sigma-a0",
-            f"mu={np.ravel(mu)[k]:.6g} is within {dist.flat[k]:.3e} of the restricted "
-            f"spectrum (exclusion radius {r:.3e})")
-
-
-def _check_lambda_admissible(sys: BlockSystem, lam, radius: float | None = None) -> None:
-    """Refuse the first lam (of a scalar or 1-D array) near zero or with lam^2
-    near the restricted spectrum; at one point the zero test comes first."""
-    lam = np.ravel(lam)
-    r0 = companion_zero_radius(sys, radius)
-    near_zero = np.abs(lam) < r0
-    k = int(np.argmax(near_zero)) if near_zero.any() else lam.size
-    if k:
-        _check_mu_admissible(sys, lam[:k] * lam[:k], radius)
-    if k < lam.size:
-        raise SpectralParameterError(
-            "near-zero", f"lambda={lam[k]:.6g} is within {abs(lam[k]):.3e} of zero "
-                         f"(exclusion radius {r0:.3e})")
+        r, r0 = exclusion_radii(sys, radius)
+        point, near, rad = ((f"lambda={lam[k]:.6g}", "zero", r0) if reason[k] == "near-zero"
+                            else (f"mu={mu[k]:.6g}", "the restricted spectrum", r))
+        raise SpectralParameterError(str(reason[k]), f"{point} is within {dist[k]:.3e} "
+                                     f"of {near} (exclusion radius {rad:.3e})")
 
 
 def _as_batch(lam) -> np.ndarray:
@@ -123,7 +112,7 @@ class PencilEvaluator:
 
     ``exclusion_radius`` is a distance in the mu = lam^2 plane from the
     restricted spectrum; lam is also refused within its square-root companion
-    (``companion_zero_radius``) of zero.  None selects the default radii.
+    of zero (both from ``exclusion_radii``).  None selects the default radii.
     ``tables`` is [X1 (x) Y; X2 (x) Y], the (2n, n_b^2) fold whose row j is
     X[:, j] Y[j, :] flattened, built once at construction and read-only.
     Evaluators compare and hash by identity.
@@ -140,23 +129,15 @@ class PencilEvaluator:
         folded.setflags(write=False)
         object.__setattr__(self, "tables", folded)
 
-    @property
-    def radius(self) -> float:
-        if self.exclusion_radius is None:
-            return default_exclusion_radius(self.sys)
-        return self.exclusion_radius
-
     def check(self, lam) -> None:
         """Refuse lam, or the first refused point of a 1-D array of them."""
-        _check_lambda_admissible(self.sys, lam, self.exclusion_radius)
+        _check_admissible(self.sys, lam, radius=self.exclusion_radius)
 
     def refusals(self, lam) -> np.ndarray:
         """Per point of lam, the reason ``check`` refuses it ("near-zero"
         before "near-sigma-a0"), or "" when it is admissible."""
         lam = np.asarray(lam)
-        near_zero = np.abs(lam) < companion_zero_radius(self.sys, self.exclusion_radius)
-        near_sigma = _sigma_a0_distance(self.sys, lam * lam) < self.radius
-        return np.where(near_zero, "near-zero", np.where(near_sigma, "near-sigma-a0", ""))
+        return _refusal(self.sys, self.exclusion_radius, lam * lam, lam)[0]
 
     def is_admissible(self, lam):
         """A bool for a scalar lam, a boolean mask for a 1-D array."""
@@ -223,7 +204,7 @@ def _regular_pencil(evaluator: PencilEvaluator, lam: complex) -> tuple[np.ndarra
 # ---------------------------------------------------------------------------
 def dirichlet_operator(sys: BlockSystem, mu: complex) -> np.ndarray:
     """Extended-dof lifting of boundary data: columns solve the bordered system."""
-    _check_mu_admissible(sys, mu)
+    _check_admissible(sys, mu=mu)
     return sys.dirichlet_lift(complex(mu))
 
 
@@ -242,7 +223,7 @@ def block_dirichlet(sys: BlockSystem, lam: complex) -> np.ndarray:
     Rows are (D_{lam^2}, lam D_{lam^2}, (1/lam) L D_{lam^2}); the middle row
     is lam times the first, the last one is the scaled flux of the lift.
     """
-    _check_lambda_admissible(sys, lam)
+    _check_admissible(sys, lam)
     return _block_lift(sys, lam)
 
 
@@ -292,7 +273,7 @@ def resolvent_A0_block(sys: BlockSystem, lam: complex) -> np.ndarray:
     Rows: (lam R2, R2, 0 / A0 R2, lam R2, 0 / B2 R2, B2 R2 / lam, I / lam)
     with R2 = (lam^2 - A0)^{-1}.
     """
-    _check_lambda_admissible(sys, lam)
+    _check_admissible(sys, lam)
     return _a0_block_resolvent(sys, lam)
 
 
@@ -365,19 +346,6 @@ def factorization_check(sys: BlockSystem, lam: complex, mu: complex) -> Verifica
     report.add("factorization-shifted", res_ii, 1e-8)
     report.add("lm-product", res_iii, 1e-8)
     return report
-
-
-def gamma_membership(evaluator: PencilEvaluator, lam: complex) -> tuple[bool, str]:
-    """Membership of lam in the joint resolvent set Gamma.
-
-    Returns (member, reason); reason is "" for members, otherwise names the
-    failed test ("near-zero", "near-sigma-a0" or "pencil-singular").
-    """
-    try:
-        _regular_pencil(evaluator, lam)
-    except SpectralParameterError as exc:
-        return False, exc.reason
-    return True, ""
 
 
 def resolvent_Acal(sys: BlockSystem, lam: complex) -> np.ndarray:

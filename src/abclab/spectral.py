@@ -195,13 +195,6 @@ def pencil_roots(evaluator: PencilEvaluator, seeds, tol: float | None = None,
     )
 
 
-def gamma_members(direct: SpectrumReport) -> np.ndarray:
-    """Gamma membership of ``direct_spectrum`` rows, read off the classification
-    (the evaluator refused exactly the ``zero-mode`` and ``a0-branch`` rows)."""
-    return np.array([c not in ("zero-mode", "a0-branch") for c in direct.classification],
-                    dtype=bool)
-
-
 @dataclass(frozen=True)
 class SpectrumMatch:
     """Nearest-neighbour matching of admissible eigenvalues and pencil roots.

@@ -247,6 +247,23 @@ def test_shipped_configs_exit_as_documented(tmp_path, capsys, name, command):
     assert message in capsys.readouterr().err
 
 
+def test_config_warnings_reach_stderr(tmp_path, capsys):
+    # no shipped config parses with a warning; a neutral strip with variable
+    # rho does, and its assembly is then refused with the usual exit code
+    assert not any(ab.load_config(cfg_path(name)).warnings for name in CONFIG_NAMES)
+    doc = json.loads((CONFIG_DIR / "timoshenko-strip.json").read_text())
+    doc["geometry"].update(nx=4, ny=4)
+    doc["coefficients"]["rho"] = "1 + 0.5*z"
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(doc))
+    code = main(["spectrum", "--config", str(p), "--method", "direct",
+                 "--out", str(tmp_path / "spec.csv")])
+    assert code == 2
+    first, second = capsys.readouterr().err.splitlines()
+    assert first.startswith("warning: neutral model with variable rho")
+    assert second.startswith("error: [restricted-symmetry]")
+
+
 @pytest.mark.parametrize("radius,classes", [
     (5.0, {"zero-mode", "a0-branch"}),
     (0.1, {"zero-mode", "a0-branch", "pencil-root"}),
@@ -264,8 +281,8 @@ def test_exclusion_radius_is_one_radius_in_the_mu_plane(tmp_path, radius, classe
     _, sys = ab.build_system(config)
     ev = ab.PencilEvaluator(sys, config.solver["exclusion_radius"])
     scale = max(1.0, float(abs(sys.eig_A0).max()))
-    assert ab.resolvent.companion_zero_radius(sys, radius) == pytest.approx(
-        radius * scale ** -0.5)
+    assert ab.resolvent.exclusion_radii(sys, radius) == pytest.approx(
+        (radius, radius * scale ** -0.5))
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
     refused = {"zero-mode", "a0-branch"}

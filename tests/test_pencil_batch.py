@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import abclab as ab
 from abclab.errors import SpectralParameterError
+from abclab.resolvent import exclusion_radii
 
 # divergence_sys has B4 != B3, so X1 != X2 there (on abc-1d they coincide)
 SYSTEMS = ("abc1d", "special", "neutral_strip", "divergence_sys")
@@ -36,9 +37,16 @@ _RIGHT_BATCH = st.lists(_RIGHT_POINT, min_size=1, max_size=12, unique=True).flat
 PENCIL_TWO_ROUTES_TOL = 1e-10   # the verify check of the two constructions
 
 
+# an abc-1d evaluator at a set radius: 0.05 in the mu plane stays below the
+# 0.08 that keeps the drawn points admissible
+SET_RADIUS = "abc1d-radius-0.05"
+
+
 @pytest.fixture(scope="module")
 def evaluators(request):
-    return {name: ab.PencilEvaluator(request.getfixturevalue(name)[1]) for name in SYSTEMS}
+    evs = {name: ab.PencilEvaluator(request.getfixturevalue(name)[1]) for name in SYSTEMS}
+    evs[SET_RADIUS] = ab.PencilEvaluator(evs["abc1d"].sys, 0.05)
+    return evs
 
 
 def _rel(a, b):
@@ -100,23 +108,24 @@ def test_exact_root_in_a_batch_is_infinite_there_only(evaluators, batch, where):
     assert ab.characteristic_value(ev, lam)[where] == 0.0
 
 
-def _inadmissible(sys, which, j):
-    """The j-th of some points near zero (which = 0) or with lam^2 on the
-    restricted spectrum (which = 1)."""
+def _inadmissible(ev, which, j):
+    """The j-th of some points within the evaluator's zero radius (which = 0)
+    or with lam^2 on the restricted spectrum (which = 1)."""
+    sys = ev.sys
     if which == 0:
-        return complex(ab.resolvent.default_zero_radius(sys) / (2 + j))
+        return complex(exclusion_radii(sys, ev.exclusion_radius)[1] / (2 + j))
     return complex(1j * np.sqrt(-sys.eig_A0[len(sys.eig_A0) // 2 + j]))
 
 
 @settings(max_examples=40, deadline=None)
-@given(name=st.sampled_from(SYSTEMS), batch=_BATCH,
+@given(name=st.sampled_from(SYSTEMS + (SET_RADIUS,)), batch=_BATCH,
        bad=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 5), st.integers(0, 50)),
                     min_size=2, max_size=4))
 def test_first_refused_point_raises_the_scalar_reason(evaluators, name, batch, bad):
     ev = evaluators[name]
     points = list(batch)
     for which, j, where in bad:
-        points.insert(min(where, len(points)), _inadmissible(ev.sys, which, j))
+        points.insert(min(where, len(points)), _inadmissible(ev, which, j))
     lam = np.array(points)
     first = int(np.argmin(ev.is_admissible(lam)))
     assert not ev.is_admissible(lam[first]) and ev.is_admissible(lam[:first]).all()
@@ -208,7 +217,7 @@ def mixed_seeds(sys, direct):
     seeds = []
     for k, lam in enumerate(good):
         far = 0.5 + 1.5j * (k + 1)
-        seeds += [lam, lam + 1e-4, _inadmissible(sys, k % 2, k % 5), far, lam + 1e-3j,
+        seeds += [lam, lam + 1e-4, _inadmissible(ev, k % 2, k % 5), far, lam + 1e-3j,
                   lam, far, lam + 1e-4]
     return seeds
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import abclab as ab
 from abclab._linalg import rel_residual
 from abclab.errors import AssumptionError, SpectralParameterError
-from abclab.resolvent import _factored, default_zero_radius
+from abclab.resolvent import _factored, exclusion_radii
 
 from conftest import wave_system
 
@@ -245,15 +245,6 @@ def test_resolvent_acal_refusals(abc1d):
     assert sv[-1] < 1e-6 * np.linalg.norm(sys.Acal, 2)
 
 
-def test_gamma_membership(abc1d):
-    _, sys = abc1d
-    ev = ab.PencilEvaluator(sys)
-    ok, reason = ab.gamma_membership(ev, 1 + 1j)
-    assert ok and reason == ""
-    ok, reason = ab.gamma_membership(ev, default_zero_radius(sys) / 10)
-    assert not ok and reason == "near-zero"
-
-
 def test_dirichlet_flux_lifting_norm_decay(abc1d):
     # high-frequency decay of the (A, L) lifting along the dyadic ladder
     _, sys = abc1d
@@ -277,7 +268,7 @@ def test_pencil_blow_up_toward_zero(abc1d):
     assert norms[2] > 5 * norms[1]
     assert norms[2] * lams[2] == pytest.approx(norms[1] * lams[1], rel=0.2)
     with pytest.raises(SpectralParameterError):
-        ab.pencil(ev, default_zero_radius(sys) / 2)
+        ab.pencil(ev, exclusion_radii(sys)[1] / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +284,6 @@ GUARDED = {
     "pencil_derivative": lambda sys, lam: ab.pencil_derivative(ab.PencilEvaluator(sys), lam),
     "dirichlet_operator": lambda sys, lam: ab.dirichlet_operator(sys, lam * lam),
     "resolvent_A0_block": lambda sys, lam: ab.resolvent_A0_block(sys, lam),
-    "gamma_membership": lambda sys, lam: ab.gamma_membership(ab.PencilEvaluator(sys), lam),
 }
 
 
@@ -303,13 +293,13 @@ def test_entry_point_checks_admissibility_once(abc1d, monkeypatch, name):
 
     _, sys = abc1d
     checked = []
-    guard = rv._check_mu_admissible
+    guard = rv._check_admissible
 
-    def counting(sys_, mu, radius=None):
-        checked.append(mu)
-        return guard(sys_, mu, radius)
+    def counting(sys_, lam=None, *, mu=None, radius=None):
+        checked.append(lam * lam if mu is None else mu)
+        return guard(sys_, lam, mu=mu, radius=radius)
 
-    monkeypatch.setattr(rv, "_check_mu_admissible", counting)
+    monkeypatch.setattr(rv, "_check_admissible", counting)
     GUARDED[name](sys, 1 + 1j)
     assert checked == [(1 + 1j) ** 2]
 

@@ -65,6 +65,42 @@ def test_expr_unknown_variable():
         ab.eval_coeff_expr("q + 1", {"x": 0.0})
 
 
+# ASTs in the parser's own node shapes; numbers are nonnegative, as in the
+# grammar, and print as their repr, which reads back to the same float
+_EXPR_LEAVES = (st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+                .map(lambda v: ("num", abs(v)))
+                | st.sampled_from("xyz").map(lambda name: ("var", name)))
+
+
+def _expr_nodes(children):
+    return (children.map(lambda a: ("neg", a))
+            | st.tuples(st.sampled_from("+-*/^"), children, children)
+            | st.tuples(st.just("call"), st.sampled_from(["sin", "cos", "exp", "abs"]),
+                        st.lists(children, min_size=1, max_size=1))
+            | st.tuples(st.just("call"), st.just("step"),
+                        st.lists(children, min_size=2, max_size=2)))
+
+
+def _render(node):
+    """Fully parenthesised text of an AST."""
+    tag = node[0]
+    if tag == "num":
+        return repr(node[1])
+    if tag == "var":
+        return node[1]
+    if tag == "neg":
+        return f"(-{_render(node[1])})"
+    if tag == "call":
+        return f"{node[1]}({', '.join(map(_render, node[2]))})"
+    return f"({_render(node[1])}{tag}{_render(node[2])})"
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree=st.recursive(_EXPR_LEAVES, _expr_nodes, max_leaves=20))
+def test_expr_round_trip(tree):
+    assert ab.parse_expr(_render(tree)) == tree
+
+
 # ---------------------------------------------------------------------------
 # config parsing
 # ---------------------------------------------------------------------------
