@@ -1,38 +1,31 @@
 """Time evolution of the coupled system and its energy diagnostics.
 
-Trajectories step from one output time to the next, by one of two kinds of
-step chosen from the time grid alone (``_flow``):
-
-* a uniform grid (two or more positive gaps, all equal to a relative 1e-10)
-  takes one dense propagator P for the common gap, a scaling-and-squaring
-  Taylor exponential of degree 16 (``taylor_expm``), and applies it by
-  matvecs; with at least as many steps as states it takes the first eight
-  steps by matvecs and every later block of eight states by one product
-  with P^8, so the propagator is read once per block instead of once per
-  state;
-* any other grid, such as the geometric grid of the frozen-boundary
-  comparison, forms no dense exponential: each gap is crossed by the action
-  e^{tA} u of a truncated Taylor series (Al-Mohy and Higham 2011).
-
-Both kinds of step are scaled from the same certified upper bounds on
-||A^p||_1^(1/p), read off the row vector 1^T |A|^p (``_power_alphas``).
-
+Trajectories step through the output times (``_flow``) by the action
+e^{tA} u of a truncated Taylor series (Al-Mohy and Higham 2011), walked in
+blocks: a block is the longest run of output times within one step's reach
+of its start, and one set of Taylor terms serves every time in the block.
 The action applies the generator through its nonzeros
 (``_linalg.NonzeroOperator``): a finite-difference stencil with a rank-n_b
-boundary border holds about five nonzeros per row, so each of the action's
-matvecs (about 550 per frozen-boundary flow on the strip) costs O(nnz)
-instead of O(N^2), and its sums do not depend on the BLAS thread count.
-The uniform step stays dense: one dense propagator matvec per output step
-is cheaper than the about 18 action matvecs a dt = 0.01 strip step needs
-(strip ``simulate`` through the action takes three times as long).  Blocks
-of eight states pay off once the steps outnumber the states: on the strip
-(612 states, 1 BLAS thread) they take 0.57 of the matvec time at 1000 steps
-and 0.73 at 612, the three squarings for P^8 included, but 2.3 times as
-long at 100 steps.
+boundary border holds about five nonzeros per row, so each matvec costs
+O(nnz) instead of O(N^2), and no sum depends on the BLAS thread count.
+
+A uniform grid (two or more positive gaps, all equal to a relative 1e-10)
+takes a dense route instead when a cost rule in multiply-adds, computed from
+the inputs alone (``_dense_pays``), says it is cheaper: one propagator P for
+the common gap, a scaling-and-squaring Taylor exponential of degree 16
+(``taylor_expm``), applied by matvecs; with at least as many steps as states,
+every block of eight states after the first is one product with P^8.  Numpy
+call overhead makes an action matvec cost about as much as 2^18 dense
+multiply-adds, so on the simulate grid (1000 steps) the shipped intervals
+and the strip up to nx = ny = 12 stay dense, and the strip from nx = ny = 16
+takes the action.
+
+Both routes are scaled from the same certified upper bounds on
+||A^p||_1^(1/p), read off the row vector 1^T |A|^p (``_power_alphas``).
 
 The coupled generator always carries a defective rigid-drift pair at zero, so
 no eigenbasis route is used.  A classical RK4 integrator and, in the tests,
-scipy's expm are the independent cross-checks of both kinds of step.
+scipy's expm are the independent cross-checks of both routes.
 
 The discrete energy uses the weighted-space form
 
@@ -48,17 +41,18 @@ the boundary velocity); only its monotonicity is asserted, never its value.
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import NonzeroOperator, opnorm
+from ._linalg import NonzeroOperator
 from .blockops import BlockSystem
 from .errors import ConfigurationError, ModelError, NumericalError
 from .mesh import Mesh
-from .model import gradient_operators, stiffness_matrix
+from .model import gradient_operators
 
 TAYLOR_ORDER = 16
 # states per matrix product on a uniform grid with at least as many steps as
@@ -88,15 +82,14 @@ _TAYLOR_COEFFS = np.array([1.0 / math.factorial(k) for k in range(TAYLOR_ORDER +
 
 # Truncated-Taylor action of the exponential (Al-Mohy and Higham, "Computing
 # the action of the matrix exponential", SISC 2011, Alg. 3.2): the largest
-# degree m and power index p considered, the tolerance (unit roundoff of
-# double precision) and THETA[m-1] = theta_m, the largest ||t A|| for which
-# the degree-m Taylor polynomial has relative backward error at most
-# ACTION_TOL.  theta_m solves sum_{k>m} |c_k| theta^(k-1) = ACTION_TOL for
-# the coefficients c_k of log(e^-x T_m(x)); the paper's Table 3.1 lists
-# every fifth entry (2.4e-3 at m = 5, ..., 9.9 at m = 55).
+# degree m and power index p considered and THETA[m-1] = theta_m, the largest
+# ||t A|| for which the degree-m Taylor polynomial has relative backward
+# error at most 2^-53, the unit roundoff of double precision.  theta_m solves
+# sum_{k>m} |c_k| theta^(k-1) = 2^-53 for the coefficients c_k of
+# log(e^-x T_m(x)); the paper's Table 3.1 lists every fifth entry (2.4e-3 at
+# m = 5, ..., 9.9 at m = 55).
 ACTION_M_MAX = 55
 ACTION_P_MAX = 8
-ACTION_TOL = 2.0 ** -53
 THETA = np.array([
     2.220446049250313e-16, 2.580956802971767e-08, 1.386347866119121e-05,
     3.397168839976962e-04, 2.400876357887274e-03, 9.065656407595102e-03,
@@ -136,12 +129,7 @@ def taylor_expm(mat: np.ndarray) -> np.ndarray:
     NumericalError when that bound or the result leaves the float range.
     """
     n = mat.shape[0]
-    alpha = float(np.min(_power_alphas(mat)[_ADMISSIBLE[:, TAYLOR_ORDER - 1]]))
-    if not np.isfinite(alpha):
-        raise NumericalError("Taylor matrix exponential overflowed: "
-                             "the norm bound exceeds the float range")
-    squarings = max(0, math.ceil(math.log2(max(alpha, 1e-300))
-                                 - math.log2(THETA[TAYLOR_ORDER - 1])))
+    squarings = _squarings(_power_alphas(mat))
     # 2.0 ** squarings overflows from 1024 on; a finite alpha gives at most
     # 1025 squarings, so 2.0 ** -squarings is an exact nonzero power of two
     A = mat * 2.0 ** -squarings
@@ -165,6 +153,20 @@ def taylor_expm(mat: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(E)):
         raise NumericalError("Taylor matrix exponential overflowed")
     return E
+
+
+def _squarings(alphas: np.ndarray, t: float = 1.0) -> int:
+    """Squarings ``taylor_expm`` takes for t*mat, given the alpha_p of mat.
+
+    The fewest s with 2^-s t min(alpha_2, alpha_3, alpha_4) <= theta_16.
+    Raises NumericalError when that bound is beyond the float range.
+    """
+    alpha = t * float(np.min(alphas[_ADMISSIBLE[:, TAYLOR_ORDER - 1]]))
+    if not np.isfinite(alpha):
+        raise NumericalError("Taylor matrix exponential overflowed: "
+                             "the norm bound exceeds the float range")
+    return max(0, math.ceil(math.log2(max(alpha, 1e-300))
+                            - math.log2(THETA[TAYLOR_ORDER - 1])))
 
 
 def propagator(sys: BlockSystem, t: float) -> np.ndarray:
@@ -219,88 +221,159 @@ def _power_alphas(mat: np.ndarray | NonzeroOperator) -> np.ndarray:
     return np.maximum(d[:-1], d[1:])
 
 
-def _expm_action(op: NonzeroOperator, b: np.ndarray, t: float,
-                 alphas: np.ndarray) -> np.ndarray:
-    """e^{t mat} b by s steps of a degree-m truncated Taylor series.
+def _action_plan(t: np.ndarray, alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Degree m and matvec count m*s of the cheapest action plan for each t.
 
-    ``op`` applies mat through its nonzeros, so each of the m*s matvecs
-    costs O(nnz) and sums in a fixed order.  (m, s) minimizes the matvec
-    count m*s subject to t alpha_p / s <= theta_m (Al-Mohy and Higham 2011,
-    Alg. 3.2, without shift or balancing); each step stops early once the
-    last two terms sum to at most ACTION_TOL times the partial sum, in the
-    max norm.  Raises NumericalError when the plan needs 2^53 matvecs or
-    more, beyond what double precision resolves (an infinite alpha_p among
-    them), and when a partial result stops being finite.
+    (m, s) minimizes m*s subject to t alpha_p / s <= theta_m over the
+    admissible (p, m) (Al-Mohy and Higham 2011, Alg. 3.2, without shift or
+    balancing).  The count is inf where no finite plan exists (an infinite
+    alpha_p).
     """
-    steps = np.maximum(np.ceil(t * alphas[:, None] / THETA[None, :]), 1.0)
-    cost = np.where(_ADMISSIBLE, steps * _DEGREES, np.inf).min(axis=0)
-    m = int(np.argmin(cost)) + 1
-    if not cost[m - 1] < 2.0 ** 53:
-        raise NumericalError("action of the matrix exponential needs 2^53 matvecs or more")
-    s = int(cost[m - 1]) // m
-    f = b
-    c1 = np.abs(b).max()
-    for _ in range(s):
+    # ceil(t alpha_p / theta_m) grows with alpha_p: each degree takes the
+    # least alpha_p admissible at it
+    least = np.where(_ADMISSIBLE, alphas[:, None], np.inf).min(axis=0)
+    cost = np.maximum(np.ceil(np.multiply.outer(t, least) / THETA), 1.0) * _DEGREES
+    m = np.argmin(cost, axis=-1)
+    return m + 1, np.take_along_axis(cost, m[..., None], axis=-1)[..., 0]
+
+
+def _expm_action(op: NonzeroOperator, b: np.ndarray, offsets: np.ndarray,
+                 m: int, s: int) -> np.ndarray:
+    """e^{t mat} b at each t of an increasing array of positive offsets.
+
+    ``op`` applies mat through its nonzeros, so each matvec costs O(nnz) and
+    sums in a fixed order.  (m, s) is the ``_action_plan`` of the last offset
+    T: [0, T] is crossed in s steps of h = T/s.  Each step forms its scaled
+    Taylor terms b_k = (h/k) mat b_{k-1}, k <= m, once, so no power of mat
+    overflows, and every offset inside the step, at a fraction r of it, reads
+    sum_k r^k b_k off the same terms (Al-Mohy and Higham 2011, Sec. 5).  As
+    r <= 1, the theta_m plan alone bounds the backward error at every offset;
+    there is no early stop.  The sums are one ``np.einsum`` per step, a fixed
+    order that does not depend on the BLAS thread count.  Raises
+    NumericalError when a result stops being finite.
+    """
+    h = offsets[-1] / s
+    # offset j lies in step i_j, which covers (i_j h, (i_j + 1) h]
+    step = np.clip(np.ceil(offsets / h) - 1, 0, s - 1)
+    dtype = np.result_type(b, op.vals)
+    out = np.empty((offsets.size, b.size), dtype=dtype)
+    terms = np.empty((m + 1, b.size), dtype=dtype)
+    lo = 0
+    for i in range(s):
+        hi = int(np.searchsorted(step, i, side="right"))
+        r = np.clip((offsets[lo:hi] - i * h) / h, 0.0, 1.0)
+        if not r.size or r[-1] != 1.0:
+            r = np.append(r, 1.0)       # the last row carries the step's end
+        terms[0] = b
         for k in range(1, m + 1):
-            b = (t / (s * k)) * op.matvec(b)
-            f = f + b
-            c2 = np.abs(b).max()
-            if c1 + c2 <= ACTION_TOL * np.abs(f).max():
-                break
-            c1 = c2
-        b = f
-        c1 = np.abs(b).max()
-        if not np.isfinite(c1):
+            np.multiply(op.matvec(terms[k - 1]), h / k, out=terms[k])
+        # a complex array is summed as its interleaved real and imaginary parts
+        rows = np.einsum("jk,kn->jn", np.power.outer(r, np.arange(m + 1)),
+                         terms.view(float)).view(dtype)
+        if not np.all(np.isfinite(rows)):
             raise NumericalError("action of the matrix exponential overflowed")
-    return f
+        out[lo:hi] = rows[:hi - lo]
+        b = rows[-1]
+        lo = hi
+    return out
+
+
+def _blocks(t: np.ndarray, lo: int, reach: float) -> np.ndarray:
+    """Ends of the action's blocks of output times, walking t[lo:] in order.
+
+    A block runs from the last time before it (0 for the first block) over
+    the longest run of times within ``reach`` of that start, or over a single
+    time when the next lies farther away; the ends are exclusive indices.
+    """
+    times = t.tolist()
+    ends = []
+    start = 0.0
+    while lo < len(times):
+        lo = max(bisect.bisect_right(times, start + reach), lo + 1)
+        ends.append(lo)
+        start = times[lo - 1]
+    return np.array(ends, dtype=int)
+
+
+# One action matvec costs about as much as 2^18 dense multiply-adds: at strip
+# nx = ny = 16 (612 states, 3096 nonzeros) a NonzeroOperator.matvec takes
+# 15-20 us, and a one-thread OpenBLAS dgemm does 2^18 multiply-adds in
+# 12-15 us (numpy 2.4.6, scipy-openblas 0.3.31, 2-core x86-64 host).  Numpy
+# call overhead, not arithmetic, sets this cost below a few thousand states.
+_MATVEC_COST = 2 ** 18
+
+
+def _dense_pays(op: NonzeroOperator, alphas: np.ndarray, positive: np.ndarray,
+                matvecs: float) -> bool:
+    """Whether a uniform grid's dense route takes fewer multiply-adds than the action.
+
+    ``positive`` holds the grid's K equal positive gaps.  The dense route
+    costs (6 + q + 3 [K >= N]) N^3 + K N^2: the six products of the Taylor
+    polynomial of the mean gap, its q squarings (``_squarings``), the three
+    squarings for (P^T)^8 when blocked, and N^2 per step.  The action costs
+    its planned ``matvecs`` times nnz + _MATVEC_COST.  Both counts come from
+    the inputs alone.
+    """
+    n, k = op.shape[0], positive.size
+    q = _squarings(alphas, positive.mean())
+    dense = (6 + q + 3 * (k >= n)) * float(n) ** 3 + k * float(n) ** 2
+    return dense <= matvecs * (op.vals.size + _MATVEC_COST)
 
 
 def _flow(mat: np.ndarray, s: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
     """States e^{t mat} s at each t of an increasing grid, starting from t = 0.
 
-    Steps from each output time to the next; grid points at or before t = 0
-    return s itself.  A uniform grid (two or more positive gaps, equal to a
-    relative 1e-10) takes one dense exponential P of the mean gap and applies
-    it by matvecs.  When the grid has at least as many positive steps K as
-    the state dimension N, only the first _BLOCK steps are matvecs: every
-    later block of _BLOCK rows is the block _BLOCK rows before it times
-    (P^T)^_BLOCK, formed by three squarings, one matrix product per block.
-    Rows then differ from the matvec loop by rounding only; for K < N the
-    matvec loop runs alone.  Any other grid forms no dense exponential: each
-    gap is crossed by the action of the exponential (``_expm_action``), which
-    applies mat through one ``NonzeroOperator`` built here.
+    Grid points at or before t = 0 return s itself.  The positive times are
+    walked in blocks (``_blocks``): a block is the longest run of times
+    within one step's reach theta_55 / min_p alpha_p of its start, and one
+    ``_expm_action`` call steps from the start to every time of the block.
+    The power bounds alpha_p and the plans of all blocks are computed once
+    per grid.  A uniform grid (two or more positive gaps, equal to a
+    relative 1e-10) takes the dense route instead when ``_dense_pays``: one
+    exponential P of the mean gap, applied by matvecs.  When that grid has
+    at least as many positive steps K as the state dimension N, only the
+    first _BLOCK steps are matvecs: every later block of _BLOCK rows is the
+    block _BLOCK rows before it times (P^T)^_BLOCK, formed by three
+    squarings.  Raises NumericalError when a block's plan needs 2^53
+    matvecs or more, beyond what double precision resolves (an infinite
+    alpha_p among them).
     """
-    gaps = np.diff(np.maximum(t_grid, 0.0), prepend=0.0)
+    t = np.maximum(t_grid, 0.0)
+    gaps = np.diff(t, prepend=0.0)
     positive = gaps[gaps > 0]
-    uniform = positive.size >= 2 and _uniform(positive)
-    if uniform:
+    i0 = t.size - positive.size
+    op = NonzeroOperator(mat)
+    alphas = _power_alphas(op)
+    alpha = float(np.min(alphas))
+    ends = _blocks(t, i0, THETA[-1] / alpha if alpha > 0 else math.inf)
+    degrees, matvecs = _action_plan(np.diff(t[ends - 1], prepend=0.0), alphas)
+    states = np.empty((t.size, s.size), dtype=s.dtype)
+    states[:i0] = s
+    if (positive.size >= 2 and _uniform(positive)
+            and _dense_pays(op, alphas, positive, np.sum(matvecs))):
         P = taylor_expm(mat * positive.mean())
-    else:
-        op = NonzeroOperator(mat)
-        alphas = _power_alphas(op)
-    states = np.empty((t_grid.size, s.size), dtype=s.dtype)
-    # grid points at or before t = 0 lead, so blocked stepping starts at i0
-    i0 = t_grid.size - positive.size
-    blocked = uniform and positive.size >= s.size
-    for i, gap in enumerate(gaps[:i0 + _BLOCK] if blocked else gaps):
-        if gap > 0:
-            s = P @ s if uniform else _expm_action(op, s, gap, alphas)
-        states[i] = s
-    if blocked and t_grid.size > i0 + _BLOCK:
-        # (P^T)^8 by three squarings: row k + 8 of states is row k times it
-        step = P.T
-        for _ in range(3):
-            step = step @ step
-        step = step.astype(states.dtype, copy=False)
-        for i in range(i0 + _BLOCK, t_grid.size, _BLOCK):
-            hi = min(i + _BLOCK, t_grid.size)
-            np.matmul(states[i - _BLOCK:hi - _BLOCK], step, out=states[i:hi])
+        blocked = positive.size >= s.size
+        for i in range(i0, min(i0 + _BLOCK, t.size) if blocked else t.size):
+            s = P @ s
+            states[i] = s
+        if blocked and t.size > i0 + _BLOCK:
+            # (P^T)^8 by three squarings: row k + 8 of states is row k times it
+            step = P.T
+            for _ in range(3):
+                step = step @ step
+            step = step.astype(states.dtype, copy=False)
+            for i in range(i0 + _BLOCK, t.size, _BLOCK):
+                hi = min(i + _BLOCK, t.size)
+                np.matmul(states[i - _BLOCK:hi - _BLOCK], step, out=states[i:hi])
+        return states
+    if not np.all(matvecs < 2.0 ** 53):
+        raise NumericalError("action of the matrix exponential needs 2^53 matvecs or more")
+    lo, start = i0, 0.0
+    for hi, m, steps in zip(ends.tolist(), degrees.tolist(),
+                            (matvecs // degrees).astype(int).tolist()):
+        states[lo:hi] = _expm_action(op, s, t[lo:hi] - start, m, steps)
+        s, lo, start = states[hi - 1], hi, t[hi - 1]
     return states
-
-
-def propagator_frozen(sys: BlockSystem, t: float) -> np.ndarray:
-    """e^{t A1cal} for the decoupled (frozen boundary-datum) part."""
-    return taylor_expm(sys.A1cal * t)
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +458,9 @@ def simulate(sys: BlockSystem, u0: np.ndarray, t_grid, method: str = "exact",
              mesh: Mesh | None = None) -> Trajectory:
     """Evolve a reduced state over t_grid.
 
-    ``exact`` steps between output times with the exponential (one dense
-    step on a uniform grid, its action on any other grid; see ``_flow``);
+    ``exact`` steps between output times with the exponential (its action
+    in blocks of output times, or one dense step on a uniform grid where
+    that costs less; see ``_flow``);
     ``rk4`` steps classically with fixed substeps below the
     stability bound (a warning is emitted when the requested grid is coarser
     than the bound).  Energies are attached whenever the model's energy
@@ -536,30 +610,3 @@ def robin_comparison(sys: BlockSystem, u0: np.ndarray, t_grid) -> tuple[Trajecto
         "limit_within_20pct": limit_ok,
     }
     return psi, report
-
-
-def propagator_norms(sys: BlockSystem, mesh: Mesh, t: float) -> dict:
-    """Group norms of e^{t Acal} in the Euclidean and energy-weighted metrics.
-
-    Which norm best mirrors the continuous phase space is left open; both are
-    reported.  The energy metric is regularized with the full H1 weight on the
-    interior block and plain boundary quadrature weights so it stays positive
-    definite even for k = 0.
-    """
-    P = propagator(sys, t)
-    euclid = opnorm(P)
-    n, nb = sys.n, sys.n_b
-    co = sys.ops.coeffs
-    rho0 = float(np.real(co.rho[0]))
-    K = stiffness_matrix(mesh)
-    if sys.ops.state_node_idx.size != mesh.n_nodes:
-        K = K[np.ix_(sys.ops.state_node_idx, sys.ops.state_node_idx)]
-    W = np.diag(sys.ops.state_weights)
-    G = np.zeros((sys.state_dim, sys.state_dim))
-    G[:n, :n] = rho0 * (K + W)
-    G[n:2 * n, n:2 * n] = (rho0 / co.c ** 2) * W
-    G[2 * n:2 * n + nb, 2 * n:2 * n + nb] = np.diag(sys.ops.bnd_weights)
-    G[2 * n + nb:, 2 * n + nb:] = np.diag(sys.ops.bnd_weights)
-    Gc = np.linalg.cholesky(G)
-    weighted = opnorm(Gc.T @ P @ np.linalg.inv(Gc.T))
-    return {"euclidean": euclid, "energy_weighted": float(weighted)}

@@ -11,9 +11,10 @@ from hypothesis.extra.numpy import arrays
 import abclab as ab
 from abclab import dynamics
 from abclab.cli import main
-from abclab.dynamics import (boundary_dissipation, energy_defined, propagator,
-                             propagator_frozen, propagator_norms, taylor_expm)
+from abclab._linalg import NonzeroOperator, opnorm
+from abclab.dynamics import boundary_dissipation, energy_defined, propagator, taylor_expm
 from abclab.errors import ConfigurationError, ModelError, NumericalError
+from abclab.model import stiffness_matrix
 
 from conftest import CONFIG_DIR, wave_system
 
@@ -62,19 +63,56 @@ def test_propagator_matches_scipy(abc1d_cfg, special):
 
 
 # ---------------------------------------------------------------------------
-# stepping: one dense step on uniform grids, the action on any other grid
+# stepping: the action in blocks of output times, or one dense step on the
+# uniform grids where the cost rule says so
 # ---------------------------------------------------------------------------
-def test_taylor_expm_calls_per_grid(monkeypatch, abc1d, tmp_path):
+def strip_system(neutral_cfg, nx):
+    return ab.build_system(dataclasses.replace(
+        neutral_cfg, geometry={**neutral_cfg.geometry, "nx": nx, "ny": nx}))
+
+
+def test_taylor_expm_calls_per_grid(monkeypatch, abc1d, special, neutral_strip, tmp_path):
     calls = []
     real = dynamics.taylor_expm
     monkeypatch.setattr(dynamics, "taylor_expm", lambda mat: calls.append(1) or real(mat))
-    _, sys = abc1d
-    ab.simulate(sys, np.ones(sys.state_dim), np.linspace(0, 10, 1001))
-    assert len(calls) == 1
+    # the grid of `abclab simulate --t-final 10 --dt 0.01`: the intervals take
+    # the dense route, the strip the action
+    for (_, sys), expm_calls in ((abc1d, 1), (special, 1), (neutral_strip, 0)):
+        calls.clear()
+        ab.simulate(sys, np.ones(sys.state_dim), np.linspace(0, 10, 1001))
+        assert len(calls) == expm_calls
     calls.clear()
     assert main(["compare-robin", "--config", str(CONFIG_DIR / "abc-1d.json"),
                  "--out", str(tmp_path / "robin.csv")]) == 0
     assert len(calls) == 0
+
+
+class _RouteChosen(Exception):
+    pass
+
+
+def uniform_route(mat, t_grid):
+    """The route _flow picks for a uniform grid, stopped before any stepping."""
+    real = dynamics._dense_pays
+
+    def spy(*args):
+        raise _RouteChosen("dense" if real(*args) else "action")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "_dense_pays", spy)
+        with pytest.raises(_RouteChosen) as chosen:
+            dynamics._flow(mat, np.ones(mat.shape[0]), t_grid)
+    return str(chosen.value)
+
+
+@pytest.mark.parametrize("system, route", [
+    ("abc1d", "dense"), ("special", "dense"), (8, "dense"), (16, "action"), (24, "action")])
+def test_uniform_route_by_cost_rule(request, neutral_cfg, system, route):
+    # the shipped intervals and the strip ladder on the simulate grid at
+    # T = 10, dt = 0.01; nx = 16 is the shipped strip
+    _, sys = (strip_system(neutral_cfg, system) if isinstance(system, int)
+              else request.getfixturevalue(system))
+    assert uniform_route(sys.Acal, np.linspace(0, 10, 1001)) == route
 
 
 def test_theta_table_matches_published_values():
@@ -106,15 +144,59 @@ def test_action_flow_matches_dense_exponentials(system, generator, request):
     assert np.max(_relative_errors(states[idx], ref)) < 1e-10
 
 
+# every alpha_p of the zero matrix is 0, and so is alpha_8 of a nilpotent
+# Jordan block of size at most 8 (its eighth power vanishes): the reach is
+# infinite and the whole grid is one block
+_GENERATORS = ("abc1d", "zero", "jordan")
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_stepped_states_match_taylor_on_any_grid(abc1d, data):
+    kind = data.draw(st.sampled_from(_GENERATORS), label="generator")
+    if kind == "abc1d":
+        mat = abc1d[1].Acal
+    elif kind == "zero":
+        mat = np.zeros((4, 4))
+    else:
+        size = data.draw(st.integers(2, 8), label="size")
+        mat = data.draw(st.floats(0.1, 10.0), label="scale") * np.eye(size, k=1)
+    lead = data.draw(st.lists(st.floats(-1.0, 0.0), min_size=1, max_size=3, unique=True),
+                     label="nonpositive")
+    grid = data.draw(st.sampled_from(["random", "uniform", "one reach"]), label="grid")
+    if grid == "random":
+        positive = data.draw(st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1,
+                                      max_size=6, unique=True), label="positive")
+    elif grid == "uniform":
+        gap = data.draw(st.floats(1e-3, 0.1), label="gap")
+        positive = gap * np.arange(1, data.draw(st.integers(2, 40), label="K") + 1)
+    else:
+        # within abc-1d's reach theta_55 / min_p alpha_p = 0.044
+        positive = data.draw(st.lists(st.floats(0.0, 0.04, exclude_min=True), min_size=2,
+                                      max_size=8, unique=True), label="positive")
+    t_grid = np.concatenate([sorted(lead), sorted(positive)])
+    s = np.linspace(-1.0, 1.0, mat.shape[0])
+    if data.draw(st.booleans(), label="complex"):
+        s = s + 1j * s[::-1]
+    states = dynamics._flow(mat, s, t_grid)
+    refs = np.array([taylor_expm(mat * max(t, 0.0)) @ s for t in t_grid])
+    assert np.max(_relative_errors(states, refs)) < 1e-10
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.floats(-1.0, 0.0), min_size=1, max_size=3, unique=True),
-       st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=6, unique=True))
-def test_stepped_states_match_taylor_on_any_grid(abc1d, nonpositive, positive):
+@given(st.lists(st.floats(0.0, 0.2, exclude_min=True), min_size=1, max_size=8, unique=True),
+       st.integers(1, 4))
+def test_action_steps_serve_every_offset(abc1d, offsets, extra):
+    # more steps than planned put the offsets of one call into different
+    # steps, each read off its own step's terms
     _, sys = abc1d
-    t_grid = np.array(sorted(nonpositive) + sorted(positive))
+    offsets = np.array(sorted(offsets))
+    op = NonzeroOperator(sys.Acal)
+    alphas = dynamics._power_alphas(op)
+    m, matvecs = dynamics._action_plan(offsets[-1:], alphas)
     s = np.linspace(-1.0, 1.0, sys.state_dim)
-    states = dynamics._flow(sys.Acal, s, t_grid)
-    refs = np.array([taylor_expm(sys.Acal * max(t, 0.0)) @ s for t in t_grid])
+    states = dynamics._expm_action(op, s, offsets, int(m[0]), int(matvecs[0] // m[0]) * extra)
+    refs = np.array([taylor_expm(sys.Acal * t) @ s for t in offsets])
     assert np.max(_relative_errors(states, refs)) < 1e-10
 
 
@@ -149,7 +231,8 @@ def test_blocked_uniform_flow_matches_sequential_steps(data):
     states = dynamics._flow(mat, s, t_grid)
     ref = sequential_uniform_flow(mat, s, t_grid)
     assert states.dtype == ref.dtype
-    if K < n:
+    # a generator with tiny power bounds can send the grid to the action
+    if K < n and uniform_route(mat, t_grid) == "dense":
         assert states.tobytes() == ref.tobytes()
     else:
         assert np.all(np.linalg.norm(states - ref, axis=1)
@@ -157,15 +240,15 @@ def test_blocked_uniform_flow_matches_sequential_steps(data):
 
 
 def test_blocked_strip_flow_against_scipy(neutral_strip):
-    # the simulate grid at T = 10, dt = 0.01: 1000 steps >= the 612 states,
-    # so all but the first eight steps are taken eight at a time
+    # the simulate grid at T = 10, dt = 0.01, which the strip steps by the
+    # action in blocks of 13 output times
     _, sys = neutral_strip
     t_grid = np.linspace(0.0, 10.0, 1001)
     s0 = np.random.default_rng(7).standard_normal(sys.state_dim)
     states = ab.simulate(sys, s0, t_grid).states
     for k in (1, 8, 9, 500, 1000):
         ref = scipy.linalg.expm(sys.Acal * t_grid[k]) @ s0
-        # one propagator rounding error per step: 4.4e-12 measured at k = 1000
+        # rounding accumulates block by block: 4.3e-12 measured at k = 1000
         assert np.linalg.norm(states[k] - ref) / np.linalg.norm(ref) < 1e-14 * k
 
 
@@ -277,6 +360,32 @@ def test_taylor_expm_against_scipy(abc1d):
     t = 0.05
     assert np.linalg.norm(taylor_expm(sys.Acal * t) - scipy.linalg.expm(sys.Acal * t), 2) \
         / np.linalg.norm(scipy.linalg.expm(sys.Acal * t), 2) < 1e-12
+
+
+def propagator_norms(sys, mesh, t):
+    """Group norms of e^{t Acal} in the Euclidean and energy-weighted metrics.
+
+    The energy metric is regularized with the full H1 weight on the interior
+    block and plain boundary quadrature weights so it stays positive definite
+    even for k = 0.
+    """
+    P = propagator(sys, t)
+    euclid = opnorm(P)
+    n, nb = sys.n, sys.n_b
+    co = sys.ops.coeffs
+    rho0 = float(np.real(co.rho[0]))
+    K = stiffness_matrix(mesh)
+    if sys.ops.state_node_idx.size != mesh.n_nodes:
+        K = K[np.ix_(sys.ops.state_node_idx, sys.ops.state_node_idx)]
+    W = np.diag(sys.ops.state_weights)
+    G = np.zeros((sys.state_dim, sys.state_dim))
+    G[:n, :n] = rho0 * (K + W)
+    G[n:2 * n, n:2 * n] = (rho0 / co.c ** 2) * W
+    G[2 * n:2 * n + nb, 2 * n:2 * n + nb] = np.diag(sys.ops.bnd_weights)
+    G[2 * n + nb:, 2 * n + nb:] = np.diag(sys.ops.bnd_weights)
+    Gc = np.linalg.cholesky(G)
+    weighted = opnorm(Gc.T @ P @ np.linalg.inv(Gc.T))
+    return {"euclidean": euclid, "energy_weighted": float(weighted)}
 
 
 def test_group_is_not_contractive(abc1d):
@@ -491,7 +600,7 @@ def test_robin_comparison_rejects_late_times(abc1d):
 
 def test_frozen_propagator_matches_scipy(abc1d):
     _, sys = abc1d
-    P = propagator_frozen(sys, 0.2)
+    P = taylor_expm(sys.A1cal * 0.2)
     ref = scipy.linalg.expm(sys.A1cal * 0.2)
     assert np.linalg.norm(P - ref, 2) / np.linalg.norm(ref, 2) < 1e-12
 
