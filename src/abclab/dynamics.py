@@ -51,8 +51,7 @@ import numpy as np
 from ._linalg import NonzeroOperator
 from .blockops import BlockSystem
 from .errors import ConfigurationError, ModelError, NumericalError
-from .mesh import Mesh
-from .model import gradient_operators
+from .mesh import Mesh, cell_weights
 
 TAYLOR_ORDER = 16
 # states per matrix product on a uniform grid with at least as many steps as
@@ -403,11 +402,26 @@ def energy_defined(sys: BlockSystem) -> tuple[bool, str]:
     return True, ""
 
 
+def _boundary_velocity(states: np.ndarray, sys: BlockSystem) -> np.ndarray:
+    """Lu = B2 u + y of one state or of each row of a stack of states.
+
+    B2 acts through its nonzero columns (the Gamma1 nodes of the wave models)
+    in one ``np.einsum``, a fixed order whatever the BLAS thread count.
+    """
+    B2 = sys.ops.B2
+    cols = np.flatnonzero(np.any(B2 != 0, axis=0))
+    return (np.einsum("...j,bj->...b", states[..., cols], B2[:, cols])
+            + states[..., 2 * sys.n + sys.n_b:])
+
+
 def energy(state: np.ndarray, sys: BlockSystem, mesh: Mesh) -> float | np.ndarray:
     """Weighted energy of a reduced state; boundary velocity recovered as Lu.
 
     ``state`` is one state (the energy is returned as a float) or a stack of
-    states, one per row (an array with one energy per row is returned).
+    states, one per row (an array with one energy per row is returned).  The
+    gradient term differences u on the grid (the state of a wave or
+    divergence model is every mesh node, in node order) and weighs each cell
+    by ``cell_weights``.  Every sum is an ``np.einsum`` in a fixed order.
     """
     ok, why = energy_defined(sys)
     if not ok:
@@ -415,30 +429,32 @@ def energy(state: np.ndarray, sys: BlockSystem, mesh: Mesh) -> float | np.ndarra
     ops = sys.ops
     co = ops.coeffs
     rho0 = float(np.real(co.rho[0]))
-    u, v, x, y = sys.split(np.atleast_2d(state).T)
+    states = np.atleast_2d(state)
+    u, v, x, _ = (block.T for block in sys.split(states.T))
+    ldot = _boundary_velocity(states, sys)
 
-    def sq(z):
-        return np.real(np.conjugate(z) * z)
+    def weighted(w, z):
+        """sum w |z|^2 over all but the first axis of z."""
+        z = z.reshape(len(z), -1)
+        return np.einsum("tj,j->t", (z.conj() * z).real, w.ravel())
 
-    grad_sq = sum(wc @ sq(D @ u) for D, wc in gradient_operators(mesh))
-    v_sq = ops.state_weights @ sq(v)
+    grid = u.reshape((-1,) + mesh.grid_shape[::-1])
+    grad_sq = sum(weighted(cell_weights(mesh, axis), np.diff(grid, axis=-1 - axis) / h)
+                  for axis, h in enumerate(mesh.h))
     wb = ops.bnd_weights
-    k_sq = (np.real(co.k) * wb) @ sq(x)
-    ldot = ops.B2 @ u + y
     if ops.neutral and ops.M is not None:
-        m0 = float(np.real(co.m[0]))
-        mweight = wb[:, None] * (np.eye(sys.n_b) - ops.M)
-        m_sq = m0 * np.real(np.sum(np.conjugate(ldot) * (mweight @ ldot), axis=0))
+        mweight = float(np.real(co.m[0])) * wb[:, None] * (np.eye(sys.n_b) - ops.M)
+        m_sq = np.real(np.einsum("tb,bc,tc->t", np.conjugate(ldot), mweight, ldot))
     else:
-        m_sq = (np.real(co.m) * wb) @ sq(ldot)
-    e = 0.5 * (rho0 * grad_sq + (rho0 / co.c ** 2) * v_sq + k_sq + m_sq)
+        m_sq = weighted(np.real(co.m) * wb, ldot)
+    e = 0.5 * (rho0 * grad_sq + (rho0 / co.c ** 2) * weighted(ops.state_weights, v)
+               + weighted(np.real(co.k) * wb, x) + m_sq)
     return float(e[0]) if np.ndim(state) == 1 else e
 
 
 def boundary_dissipation(state: np.ndarray, sys: BlockSystem) -> float:
     """Instantaneous expected energy decay rate: sum d |Lu|^2 w on Gamma1."""
-    u, _, _, y = sys.split(state)
-    ldot = sys.ops.B2 @ u + y
+    ldot = _boundary_velocity(state, sys)
     return float(np.sum(np.real(sys.ops.coeffs.d) * sys.ops.bnd_weights
                         * np.real(np.conjugate(ldot) * ldot)))
 
@@ -454,6 +470,19 @@ def _rk4_stability_dt(sys: BlockSystem, mesh: Mesh) -> float:
     return 0.25 * min(mesh.h) / c_eff
 
 
+def _start(sys: BlockSystem, u0: np.ndarray, t_grid) -> tuple[np.ndarray, np.ndarray]:
+    """Checked output times and the start state in the trajectory's dtype."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1 or t_grid.size == 0:
+        raise ConfigurationError("t_grid must be a non-empty 1D array")
+    if t_grid.size > 1 and np.any(np.diff(t_grid) <= 0):
+        raise ConfigurationError("t_grid must be strictly increasing")
+    if u0.shape != (sys.state_dim,):
+        raise ConfigurationError(f"state must have length {sys.state_dim}")
+    dtype = complex if np.iscomplexobj(sys.Acal) or np.iscomplexobj(u0) else float
+    return t_grid, u0.astype(dtype)
+
+
 def simulate(sys: BlockSystem, u0: np.ndarray, t_grid, method: str = "exact",
              mesh: Mesh | None = None) -> Trajectory:
     """Evolve a reduced state over t_grid.
@@ -466,18 +495,9 @@ def simulate(sys: BlockSystem, u0: np.ndarray, t_grid, method: str = "exact",
     than the bound).  Energies are attached whenever the model's energy
     weights are well defined and a mesh is supplied.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size == 0:
-        raise ConfigurationError("t_grid must be a non-empty 1D array")
-    if t_grid.size > 1 and np.any(np.diff(t_grid) <= 0):
-        raise ConfigurationError("t_grid must be strictly increasing")
-    if u0.shape != (sys.state_dim,):
-        raise ConfigurationError(f"state must have length {sys.state_dim}")
-
-    dtype = complex if np.iscomplexobj(sys.Acal) or np.iscomplexobj(u0) else float
-
+    t_grid, s = _start(sys, u0, t_grid)
     if method == "exact":
-        states = _flow(sys.Acal, u0.astype(dtype), t_grid)
+        states = _flow(sys.Acal, s, t_grid)
     elif method == "rk4":
         if mesh is None:
             raise ConfigurationError("rk4 needs the mesh for its stability bound")
@@ -489,9 +509,8 @@ def simulate(sys: BlockSystem, u0: np.ndarray, t_grid, method: str = "exact",
                 f"{bound:.3e}; substepping engaged (the exact method is recommended)",
                 stacklevel=2)
         A = sys.Acal
-        s = u0.astype(dtype).copy()
         t_prev = 0.0
-        states = np.empty((t_grid.size, sys.state_dim), dtype=dtype)
+        states = np.empty((t_grid.size, sys.state_dim), dtype=s.dtype)
         for i, t in enumerate(t_grid):
             gap = t - t_prev
             if gap > 0:
@@ -531,7 +550,7 @@ def trajectory_consistency(traj: Trajectory, sys: BlockSystem) -> dict:
     us = traj.states[:, :n]
     xs = traj.states[:, 2 * n:2 * n + nb]
     ys = traj.states[:, 2 * n + nb:]
-    ldots = us @ sys.ops.B2.T + ys
+    ldots = _boundary_velocity(traj.states, sys)
 
     # (i) trapezoid integral of the flux against x(t) - x(0)
     integral = np.zeros_like(xs)
@@ -579,13 +598,14 @@ def robin_comparison(sys: BlockSystem, u0: np.ndarray, t_grid) -> tuple[Trajecto
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid <= 0) or np.any(t_grid > 1.0):
         raise ConfigurationError("comparison bound is stated for t in (0, 1] only")
-    phi = simulate(sys, u0, t_grid, method="exact")
-    n = sys.n
-    psi_states = _flow(sys.A1cal, u0.astype(phi.states.dtype), t_grid)
+    t_grid, s = _start(sys, u0, t_grid)
+    phi_states = _flow(sys.Acal, s, t_grid)
+    psi_states = _flow(sys.A1cal, s, t_grid)
     psi = Trajectory(times=t_grid, states=psi_states, energies=None,
                      method="frozen-boundary")
 
-    diff = phi.states - psi_states
+    n = sys.n
+    diff = phi_states - psi_states
     dev_state = np.linalg.norm(diff, axis=1)
     w = sys.ops.state_weights
     dev_l2 = np.sqrt(np.sum(w[None, :] * np.abs(diff[:, :n]) ** 2, axis=1))

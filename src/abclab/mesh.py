@@ -16,6 +16,7 @@ the Gamma0 reflection, so Robin data is never counted twice at a corner.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -88,6 +89,18 @@ def _interval_weights(n_nodes: int, h: float) -> np.ndarray:
     w = np.full(n_nodes, h)
     w[0] = w[-1] = h / 2.0
     return w
+
+
+def cell_weights(mesh: Mesh, axis: int) -> np.ndarray:
+    """Weight of each cell (two neighbouring nodes) along ``axis``.
+
+    h times the trapezoid weights across the other axes, so the discrete
+    Dirichlet form is exactly dual to the reflected/ghost Laplacian.  Shaped
+    as the grid in node order (x last), one shorter along ``axis``.
+    """
+    vecs = [np.full(n - 1, h) if a == axis else _interval_weights(n, h)
+            for a, (n, h) in enumerate(zip(mesh.grid_shape, mesh.h))]
+    return reduce(np.multiply.outer, vecs[::-1])
 
 
 def build_interval_mesh(n_cells: int, length: float,

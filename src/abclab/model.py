@@ -26,7 +26,7 @@ from ._linalg import checked_solve, opnorm
 from .errors import (AssumptionError, ConfigurationError, DimensionError, ModelError,
                      NumericalError)
 from .expressions import ExpressionError, eval_coeff_expr, parse_expr
-from .mesh import Mesh
+from .mesh import Mesh, cell_weights
 from .reporting import VerificationReport
 
 if TYPE_CHECKING:  # blockops imports this module; the annotation only names it
@@ -399,58 +399,26 @@ def apply_neutral_transform(ops: ModelOperators, M: np.ndarray) -> ModelOperator
 
 
 # ---------------------------------------------------------------------------
-# Discrete gradient / form assembly (used by energy and the form check)
+# Discrete Dirichlet form (used by the form check)
 # ---------------------------------------------------------------------------
-def gradient_operators(mesh: Mesh) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-axis forward-difference operators with cell quadrature weights.
-
-    Returns [(D_axis, w_cells), ...] such that the discrete Dirichlet form is
-    sum_axis (D u)^H diag(w) (D v); the transverse directions carry trapezoid
-    weights, which makes the form exactly dual to the reflected/ghost
-    Laplacian (summation by parts with only Gamma1 flux terms).
-    """
-    if mesh.kind == "interval":
-        nx = mesh.grid_shape[0]
-        h = mesh.h[0]
-        D = np.zeros((nx - 1, nx))
-        for c in range(nx - 1):
-            D[c, c] = -1.0 / h
-            D[c, c + 1] = 1.0 / h
-        return [(D, np.full(nx - 1, h))]
-
-    nxp, nyp = mesh.grid_shape
-    hx, hy = mesh.h
-    wx = np.full(nxp, hx); wx[0] = wx[-1] = hx / 2
-    wy = np.full(nyp, hy); wy[0] = wy[-1] = hy / 2
-
-    def nid(ix, iy):
-        return iy * nxp + ix
-
-    Dx = np.zeros(((nxp - 1) * nyp, mesh.n_nodes))
-    w_x = np.empty((nxp - 1) * nyp)
-    for iy in range(nyp):
-        for ix in range(nxp - 1):
-            rix = iy * (nxp - 1) + ix
-            Dx[rix, nid(ix, iy)] = -1.0 / hx
-            Dx[rix, nid(ix + 1, iy)] = 1.0 / hx
-            w_x[rix] = hx * wy[iy]
-    Dy = np.zeros((nxp * (nyp - 1), mesh.n_nodes))
-    w_y = np.empty(nxp * (nyp - 1))
-    for iy in range(nyp - 1):
-        for ix in range(nxp):
-            rix = iy * nxp + ix
-            Dy[rix, nid(ix, iy)] = -1.0 / hy
-            Dy[rix, nid(ix, iy + 1)] = 1.0 / hy
-            w_y[rix] = hy * wx[ix]
-    return [(Dx, w_x), (Dy, w_y)]
-
-
 def stiffness_matrix(mesh: Mesh) -> np.ndarray:
-    """Dense Dirichlet-form matrix K with K[u,v] = <grad u, grad v>."""
-    K = np.zeros((mesh.n_nodes, mesh.n_nodes))
-    for D, w in gradient_operators(mesh):
-        K += D.T @ (w[:, None] * D)
-    return K
+    """Dense Dirichlet-form matrix K with K[u,v] = <grad u, grad v>.
+
+    K = sum_axis D^T diag(w) D over the forward differences D along each axis
+    and their cell weights w (``cell_weights``).  A cell's weight is
+    constant along its axis, so each term is a Kronecker product of the 1-D
+    pattern T = h^2 D1^T D1 along the axis with diag((1/h) w (1/h)) across it.
+    """
+    def term(axis):
+        n, h = mesh.grid_shape[axis], mesh.h[axis]
+        T = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+        T[0, 0] = T[-1, -1] = 1.0
+        c = (1.0 / h) * (cell_weights(mesh, axis) * (1.0 / h))
+        if mesh.kind == "interval":
+            return c[0] * T
+        return np.kron(np.diag(c[:, 0]), T) if axis == 0 else np.kron(T, np.diag(c[0]))
+
+    return sum(term(axis) for axis in range(mesh.dim))
 
 
 def neutral_form_matrix(ops: ModelOperators, mesh: Mesh) -> np.ndarray:

@@ -44,26 +44,22 @@ class SpectrumReport:
         return evaluator.is_admissible(self.eigenvalues)
 
 
-def direct_spectrum(evaluator: PencilEvaluator | BlockSystem,
-                    reduced: bool = False) -> SpectrumReport:
-    """Brute-force dense eigendecomposition with per-pair residuals.
+def direct_spectrum(evaluator: PencilEvaluator | BlockSystem) -> SpectrumReport:
+    """Brute-force dense eigendecomposition of Acal with per-pair residuals.
 
     Eigenvalues the evaluator refuses are classified by the failed test
     (``zero-mode`` or ``a0-branch``), so ``pencil-root`` and ``b4-branch``
     rows are exactly its admissible ones; a bare system gets the default
-    radii.  ``reduced=True`` eigensolves the first-order-boundary form
-    (B3 = 0 only), which is the matrix the special-case characterizations
-    describe.
+    radii.
     """
     if isinstance(evaluator, BlockSystem):
         evaluator = PencilEvaluator(evaluator)
     sys = evaluator.sys
-    mat = reduced_generator(sys) if reduced else sys.Acal
     try:
-        vals, vecs = np.linalg.eig(mat)
+        vals, vecs = np.linalg.eig(sys.Acal)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"dense eigensolve failed: {exc}") from exc
-    mv = mixed_matmul(mat, vecs)
+    mv = mixed_matmul(sys.Acal, vecs)
     resid = (np.linalg.norm(mv - vecs * vals[None, :], axis=0)
              / np.linalg.norm(vecs, axis=0))
     order = np.lexsort((vals.imag, vals.real))
@@ -76,7 +72,7 @@ def direct_spectrum(evaluator: PencilEvaluator | BlockSystem,
                     ["zero-mode", "a0-branch", "b4-branch"], "pencil-root").tolist()
     return SpectrumReport(
         eigenvalues=vals, classification=cls, residuals=resid,
-        method="direct-reduced" if reduced else "direct",
+        method="direct",
     )
 
 

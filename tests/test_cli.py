@@ -139,9 +139,9 @@ def test_compare_robin(tmp_path):
 def test_compare_robin_is_independent_of_the_blas_thread_count(tmp_path):
     # nx=ny=24: at nx=16 a dense BLAS matvec happens to sum alike at 1 and 2
     # threads, so the shipped strip would not show a thread-dependent sum.
-    # simulate's uniform grid takes the action there, so its states are
-    # compared too; its CSV is not, as the energy and u_l2_norm columns are
-    # still summed by BLAS products
+    # simulate's uniform grid takes the action there, so its states and its
+    # CSV (energy, integral_residual and u_l2_norm are fixed-order sums) are
+    # compared too
     doc = json.loads((CONFIG_DIR / "timoshenko-strip.json").read_text())
     doc["geometry"].update(nx=24, ny=24)
     cfg = tmp_path / "strip24.json"
@@ -152,14 +152,15 @@ def test_compare_robin_is_independent_of_the_blas_thread_count(tmp_path):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         robin, states = tmp_path / f"robin-{threads}.csv", tmp_path / f"states-{threads}.csv"
+        simulated = tmp_path / f"simulate-{threads}.csv"
         for argv in (["compare-robin", "--out", str(robin)],
                      ["simulate", "--t-final", "10", "--dt", "0.01", "--dump-states",
-                      str(states), "--out", str(tmp_path / "simulate.csv")]):
+                      str(states), "--out", str(simulated)]):
             subprocess.run([sys.executable, "-m", "abclab.cli", *argv, "--config", str(cfg),
                             "--seed", "5"], env=env, check=True, capture_output=True,
                            timeout=300)
         outputs.append((robin.read_bytes(), Path(f"{robin}.summary.json").read_bytes(),
-                        states.read_bytes()))
+                        states.read_bytes(), simulated.read_bytes()))
     assert outputs[0] == outputs[1]
 
 

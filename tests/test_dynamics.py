@@ -14,9 +14,10 @@ from abclab.cli import main
 from abclab._linalg import NonzeroOperator, opnorm
 from abclab.dynamics import boundary_dissipation, energy_defined, propagator, taylor_expm
 from abclab.errors import ConfigurationError, ModelError, NumericalError
+from abclab.mesh import _interval_weights
 from abclab.model import stiffness_matrix
 
-from conftest import CONFIG_DIR, wave_system
+from conftest import CONFIG_DIR, load, wave_system
 
 # output times of `abclab compare-robin`
 ROBIN_GRID = np.concatenate([np.geomspace(1e-3, 1e-1, 21), np.linspace(0.2, 1.0, 9)])
@@ -456,6 +457,70 @@ def test_energy_zero_and_quadratic_scaling(abc1d, abc1d_cfg):
     e1 = ab.energy(u0, sys, mesh)
     e2 = ab.energy(2 * u0, sys, mesh)
     assert e2 == pytest.approx(4 * e1, rel=1e-12)
+
+
+def gradient_operators(mesh):
+    """Dense forward differences D per axis with their cell weights w.
+
+    The reference route: the Dirichlet form is sum_axis (D u)^H diag(w) (D v),
+    with h times the transverse trapezoid weights on each cell.
+    """
+    def difference(n, h):
+        return (np.eye(n, k=1) - np.eye(n))[:-1] / h
+
+    if mesh.kind == "interval":
+        (n,), (h,) = mesh.grid_shape, mesh.h
+        return [(difference(n, h), np.full(n - 1, h))]
+    (nxp, nyp), (hx, hy) = mesh.grid_shape, mesh.h
+    wx, wy = _interval_weights(nxp, hx), _interval_weights(nyp, hy)
+    return [(np.kron(np.eye(nyp), difference(nxp, hx)), np.kron(wy, np.full(nxp - 1, hx))),
+            (np.kron(difference(nyp, hy), np.eye(nxp)), np.kron(np.full(nyp - 1, hy), wx))]
+
+
+def dense_energy(states, sys, mesh):
+    """The energy of each row of ``states`` by dense matrix products."""
+    ops, co = sys.ops, sys.ops.coeffs
+    rho0 = float(np.real(co.rho[0]))
+    u, v, x, y = sys.split(states.T)
+
+    def sq(z):
+        return np.real(np.conjugate(z) * z)
+
+    grad_sq = sum(wc @ sq(D @ u) for D, wc in gradient_operators(mesh))
+    wb = ops.bnd_weights
+    ldot = ops.B2 @ u + y
+    if ops.neutral:
+        mweight = wb[:, None] * (np.eye(sys.n_b) - ops.M)
+        m_sq = float(np.real(co.m[0])) * np.real(np.sum(np.conjugate(ldot) * (mweight @ ldot),
+                                                        axis=0))
+    else:
+        m_sq = (np.real(co.m) * wb) @ sq(ldot)
+    return 0.5 * (rho0 * grad_sq + (rho0 / co.c ** 2) * (ops.state_weights @ sq(v))
+                  + (np.real(co.k) * wb) @ sq(x) + m_sq)
+
+
+@pytest.mark.parametrize("name", ["abc-1d", "special-case", "timoshenko-strip",
+                                  "timoshenko-strip-k0"])
+def test_energy_matches_dense_reference(name):
+    cfg = load(name)
+    mesh, sys = ab.build_system(cfg)
+    assert energy_defined(sys)[0]
+    u0 = ab.initial_state_from_config(cfg, mesh, sys)
+    states = np.vstack([u0, np.random.default_rng(4).standard_normal((20, sys.state_dim))])
+    ref = dense_energy(states, sys, mesh)
+    assert np.all(ref > 0)
+    assert np.max(np.abs(ab.energy(states, sys, mesh) - ref) / ref) <= 1e-14
+
+
+@pytest.mark.parametrize("mesh", [
+    ab.build_interval_mesh(64, 1.0), ab.build_interval_mesh(32, 1.0),
+    ab.build_interval_mesh(48, 0.7), ab.build_strip_mesh(16, 16),
+    ab.build_strip_mesh(24, 24), ab.build_strip_mesh(12, 20), ab.build_strip_mesh(10, 14),
+], ids=lambda m: "x".join(str(n - 1) for n in m.grid_shape))
+def test_stiffness_matrix_equals_dense_reference(mesh):
+    # entry by entry both round (1/h) (w (1/h)) times 1, 2 or -1
+    ref = sum(D.T @ (w[:, None] * D) for D, w in gradient_operators(mesh))
+    assert np.array_equal(stiffness_matrix(mesh), ref)
 
 
 @pytest.mark.parametrize("system", ["abc1d", "neutral_strip"])
