@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .checks import select_checks
-from .dynamics import robin_comparison, simulate
+from .dynamics import robin_comparison, simulate, trajectory_consistency
 from .errors import (AbclabError, AssumptionError, ConfigurationError, ModelError,
                      NumericalError, PhysicsError, SpectralParameterError)
 from .reporting import VerificationReport
@@ -148,12 +148,12 @@ def cmd_simulate(config: ScenarioConfig, t_final: float, dt: float, out: str,
     t_grid = np.linspace(0.0, n_steps * dt, n_steps + 1)
     traj = simulate(sys, u0, t_grid, method=method, mesh=mesh)
 
-    integral = traj.consistency.get("integral", np.zeros(t_grid.size))
+    integral = trajectory_consistency(traj, sys)
     state_norm = np.linalg.norm(traj.states, axis=1)
     u_l2_norm = np.sqrt(np.einsum("tn,n->t", np.abs(traj.states[:, :sys.n]) ** 2,
                                   sys.ops.state_weights))
     rows = [[t, traj.energies[i] if traj.energies is not None else None,
-             integral[i] if i < len(integral) else None, state_norm[i], u_l2_norm[i]]
+             integral[i], state_norm[i], u_l2_norm[i]]
             for i, t in enumerate(t_grid)]
     _write_csv(out, ["t", "energy", "integral_residual", "state_norm", "u_l2_norm"], rows)
     if dump_states:
@@ -198,7 +198,7 @@ def cmd_compare_robin(config: ScenarioConfig, out: str, seed=None) -> int:
     mesh, sys = build_system(config)
     u0 = initial_state_from_config(config, mesh, sys, seed_override=seed)
     t_grid = np.concatenate([np.geomspace(1e-3, 1e-1, 21), np.linspace(0.2, 1.0, 9)])
-    _, report = robin_comparison(sys, u0, t_grid)
+    report = robin_comparison(sys, u0, t_grid)
     rows = [[t, d, r] for t, d, r in zip(report["t"], report["dev_state"], report["ratio"])]
     _write_csv(out, ["t", "deviation", "ratio"], rows)
     summary = ("M_est", "A2u0_norm", "ratio_factor_ok", "limit_within_20pct")

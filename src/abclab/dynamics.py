@@ -44,7 +44,7 @@ from __future__ import annotations
 import bisect
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,13 +61,11 @@ _BLOCK = 8
 
 @dataclass
 class Trajectory:
-    """Time-indexed reduced states with optional energies and residuals."""
+    """Time-indexed reduced states with optional energies."""
 
     times: np.ndarray
     states: np.ndarray            # (n_times, state_dim)
     energies: np.ndarray | None
-    consistency: dict = field(default_factory=dict)
-    method: str = "exact"
 
     def __post_init__(self):
         if np.any(np.diff(self.times) <= 0):
@@ -493,7 +491,8 @@ def simulate(sys: BlockSystem, u0: np.ndarray, t_grid, method: str = "exact",
     ``rk4`` steps classically with fixed substeps below the
     stability bound (a warning is emitted when the requested grid is coarser
     than the bound).  Energies are attached whenever the model's energy
-    weights are well defined and a mesh is supplied.
+    weights are well defined and a mesh is supplied; the flux-integral
+    residual is ``trajectory_consistency``'s, computed only on request.
     """
     t_grid, s = _start(sys, u0, t_grid)
     if method == "exact":
@@ -530,70 +529,38 @@ def simulate(sys: BlockSystem, u0: np.ndarray, t_grid, method: str = "exact",
     energies = None
     if mesh is not None and energy_defined(sys)[0]:
         energies = energy(states, sys, mesh)
-    traj = Trajectory(times=t_grid, states=states, energies=energies, method=method)
-    if t_grid.size >= 2:
-        traj.consistency = trajectory_consistency(traj, sys)
-    return traj
+    return Trajectory(times=t_grid, states=states, energies=energies)
 
 
-def trajectory_consistency(traj: Trajectory, sys: BlockSystem) -> dict:
-    """Residuals tying the first-order trajectory back to the second-order form.
+def trajectory_consistency(traj: Trajectory, sys: BlockSystem) -> np.ndarray:
+    """Per-time residual tying the first-order trajectory back to its flux.
 
-    (i) the boundary displacement must equal its flux integral,
-    (ii) the boundary datum must reproduce R applied to the extended state
-        (exact by construction),
-    (iii) the interior acceleration must match the stencil applied to the
-        extended field (central difference in time).
+    The boundary displacement x must equal its flux integral: entry i is
+    ||x(t_i) - x(t_0) - int_{t_0}^{t_i} Lu dt||, the integral taken by the
+    trapezoid rule over the output times (0 at t_0, so a one-time grid gives
+    a single 0).
     """
     n, nb = sys.n, sys.n_b
-    T = traj.times.size
-    us = traj.states[:, :n]
     xs = traj.states[:, 2 * n:2 * n + nb]
-    ys = traj.states[:, 2 * n + nb:]
     ldots = _boundary_velocity(traj.states, sys)
-
-    # (i) trapezoid integral of the flux against x(t) - x(0)
     integral = np.zeros_like(xs)
-    if T >= 2:
-        dt = np.diff(traj.times)
-        incr = 0.5 * dt[:, None] * (ldots[1:] + ldots[:-1])
-        integral[1:] = np.cumsum(incr, axis=0)
-    int_resid = np.linalg.norm(xs - xs[0] - integral, axis=1)
-
-    # (ii) constraint: R applied to the extended state returns y
-    ext = sys.extend(us.T, ys.T)
-    con_resid = np.max(np.abs(sys.ops.R @ ext - ys.T), axis=0)
-    con = float(np.max(con_resid))
-
-    # (iii) second-order form on uniform interior grid points
-    second = None
-    if T >= 3:
-        dts = np.diff(traj.times)
-        if _uniform(dts):
-            udd = (us[2:] - 2 * us[1:-1] + us[:-2]) / dts[0] ** 2
-            rhs = (sys.ops.A_max @ ext[:, 1:-1]).T
-            second = float(np.max(np.linalg.norm(udd - rhs, axis=1)
-                                  / np.maximum(1.0, np.linalg.norm(rhs, axis=1))))
-
-    return {
-        "integral": int_resid,
-        "integral_max": float(np.max(int_resid)),
-        "constraint": con_resid,
-        "constraint_max": con,
-        "second_order_max": second,
-    }
+    incr = 0.5 * np.diff(traj.times)[:, None] * (ldots[1:] + ldots[:-1])
+    integral[1:] = np.cumsum(incr, axis=0)
+    return np.linalg.norm(xs - xs[0] - integral, axis=1)
 
 
 # ---------------------------------------------------------------------------
 # Frozen-boundary comparison
 # ---------------------------------------------------------------------------
-def robin_comparison(sys: BlockSystem, u0: np.ndarray, t_grid) -> tuple[Trajectory, dict]:
+def robin_comparison(sys: BlockSystem, u0: np.ndarray, t_grid) -> dict:
     """Compare the full flow against the frozen-boundary flow e^{t A1cal}.
 
     The first-order deviation is t * ||A2cal u0|| in the state norm, so the
     ratio ||phi - psi||/t must plateau for small t; the weighted L2 norm of
     the interior component is reported alongside (the advertised bound lives
-    there).  t_grid must lie in (0, 1].
+    there).  t_grid must lie in (0, 1].  Returns the report dict: the
+    deviations and ratios per time, M_est, ||A2cal u0|| and the plateau and
+    first-order-limit verdicts; the flows themselves are not kept.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid <= 0) or np.any(t_grid > 1.0):
@@ -601,8 +568,6 @@ def robin_comparison(sys: BlockSystem, u0: np.ndarray, t_grid) -> tuple[Trajecto
     t_grid, s = _start(sys, u0, t_grid)
     phi_states = _flow(sys.Acal, s, t_grid)
     psi_states = _flow(sys.A1cal, s, t_grid)
-    psi = Trajectory(times=t_grid, states=psi_states, energies=None,
-                     method="frozen-boundary")
 
     n = sys.n
     diff = phi_states - psi_states
@@ -619,7 +584,7 @@ def robin_comparison(sys: BlockSystem, u0: np.ndarray, t_grid) -> tuple[Trajecto
     factor_ok = bool(max(r_low, r_mid) <= 2.0 * min(r_low, r_mid) + 1e-300)
     limit_ok = bool(a2_norm == 0.0 and r_low == 0.0
                     or abs(r_low - a2_norm) <= 0.2 * max(a2_norm, 1e-300))
-    report = {
+    return {
         "t": t_grid,
         "dev_state": dev_state,
         "dev_l2": dev_l2,
@@ -629,4 +594,3 @@ def robin_comparison(sys: BlockSystem, u0: np.ndarray, t_grid) -> tuple[Trajecto
         "ratio_factor_ok": factor_ok,
         "limit_within_20pct": limit_ok,
     }
-    return psi, report

@@ -271,6 +271,14 @@ def count_roots_in_box(evaluator: PencilEvaluator, box, n_quad: int) -> int:
 # ---------------------------------------------------------------------------
 # Special-case characterization (no spring coupling, matched feedback)
 # ---------------------------------------------------------------------------
+def beta_separation(sys: BlockSystem, betas: np.ndarray) -> tuple[float, complex]:
+    """The spectral-separation margin min_beta min |beta^2 - eig_A0| over the
+    eigenvalues ``betas`` of B4, and the beta that attains it."""
+    dists = [float(np.min(np.abs(beta * beta - sys.eig_A0))) for beta in betas]
+    i = int(np.argmin(dists))
+    return dists[i], complex(betas[i])
+
+
 def special_case_spectrum(sys: BlockSystem, tol: float = 1e-6) -> SpectrumReport:
     """Point spectrum for B3 = 0, B1 = -B4 B2: square roots of the restricted
     spectrum joined with the spectrum of B4.
@@ -293,14 +301,12 @@ def special_case_spectrum(sys: BlockSystem, tol: float = 1e-6) -> SpectrumReport
                         f"B1 = -B4 B2 (entrywise residual {b1res:.3e})")
 
     eig_b4 = np.linalg.eigvals(ops.B4)
-    scale = max(1.0, sys.spectral_scale)
-    for beta in eig_b4:
-        dist = float(np.min(np.abs(beta * beta - sys.eig_A0)))
-        if dist <= tol * scale:
-            raise AssumptionError(
-                "spectral-separation",
-                f"eigenvalue beta={beta:.6g} of B4 has beta^2 within {dist:.3e} of "
-                "the restricted spectrum; branch collision, characterization void")
+    margin, beta = beta_separation(sys, eig_b4)
+    if margin <= tol * max(1.0, sys.spectral_scale):
+        raise AssumptionError(
+            "spectral-separation",
+            f"eigenvalue beta={beta:.6g} of B4 has beta^2 within {margin:.3e} of "
+            "the restricted spectrum; branch collision, characterization void")
 
     vals, cls = [], []
     for mu in sys.eig_A0:

@@ -158,7 +158,7 @@ def test_criterion_7_frozen_boundary(abc1d_cfg, abc1d):
     mesh, sys = abc1d
     u0 = ab.initial_state_from_config(abc1d_cfg, mesh, sys)
     t = np.geomspace(1e-3, 1e-1, 13)
-    _, rep = ab.robin_comparison(sys, u0, t)
+    rep = ab.robin_comparison(sys, u0, t)
     ratio = rep["ratio"]
     assert np.all(np.isfinite(ratio))
     spread = float(np.max(ratio) / ratio[0])

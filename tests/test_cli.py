@@ -127,6 +127,21 @@ def test_simulate_deterministic_outputs(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_simulate_extends_no_state(tmp_path, monkeypatch):
+    # the integral_residual column reads x and the flux Lu alone: simulate
+    # never forms a ghost-extended field, and the CSV does not move
+    argv = ["simulate", "--config", cfg_path("abc-1d"), "--t-final", "1.0",
+            "--dt", "0.01", "--seed", "5", "--out"]
+    assert main([*argv, str(tmp_path / "a.csv")]) == 0
+
+    def refuse(self, u, y):
+        raise AssertionError("simulate extended a state")
+
+    monkeypatch.setattr(ab.BlockSystem, "extend", refuse)
+    assert main([*argv, str(tmp_path / "b.csv")]) == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
 def test_compare_robin(tmp_path):
     out = tmp_path / "robin.csv"
     code = main(["compare-robin", "--config", cfg_path("abc-1d"), "--out", str(out)])
@@ -257,7 +272,7 @@ def test_shipped_configs_exit_as_documented(tmp_path, capsys, name, command):
 
 def test_config_warnings_reach_stderr(tmp_path, capsys):
     # no shipped config parses with a warning; a neutral strip with variable
-    # rho does, and its assembly is then refused with the usual exit code
+    # rho alone does, and its assembly is then refused with the usual exit code
     assert not any(ab.load_config(cfg_path(name)).warnings for name in CONFIG_NAMES)
     doc = json.loads((CONFIG_DIR / "timoshenko-strip.json").read_text())
     doc["geometry"].update(nx=4, ny=4)
@@ -270,6 +285,34 @@ def test_config_warnings_reach_stderr(tmp_path, capsys):
     first, second = capsys.readouterr().err.splitlines()
     assert first.startswith("warning: neutral model with variable rho")
     assert second.startswith("error: [restricted-symmetry]")
+
+
+NEUTRAL_INTERVAL = ("abc-1d", {}, {"rho": "1 + 0.5*z"})
+
+
+@pytest.mark.parametrize("scenario,argv,code,error", [
+    (NEUTRAL_INTERVAL, ["spectrum", "--method", "direct"], 0, None),
+    (NEUTRAL_INTERVAL, ["simulate", "--t-final", "1", "--dt", "0.1"], 0, None),
+    (NEUTRAL_INTERVAL, ["verify"], 2, "error: form assembly requires constant rho and m"),
+    (("timoshenko-strip", {"nx": 6, "ny": 6}, {"rho": "1 + 0.5*x", "m": "1 + 0.5*x"}),
+     ["spectrum", "--method", "direct"], 0, None),
+], ids=["interval-spectrum", "interval-simulate", "interval-verify", "strip-rho-m-spectrum"])
+def test_neutral_variable_coefficients_run_where_assembly_allows(tmp_path, capsys, scenario,
+                                                                 argv, code, error):
+    # the well-posedness warning is printed first; the run then goes on
+    # unless a check refuses the variable coefficients (a strip where rho
+    # alone varies is refused at assembly: test_config_warnings_reach_stderr)
+    name, geometry, coefficients = scenario
+    doc = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    doc["geometry"].update(geometry)
+    doc["coefficients"].update(coefficients)
+    doc["flags"].update(neutral=True, neutral_m_zero=doc["geometry"]["kind"] == "interval")
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(doc))
+    assert main([argv[0], "--config", str(p), "--out", str(tmp_path / "out"), *argv[1:]]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("warning: neutral model with variable rho")
+    assert err[-1].startswith(error or "warning: ")
 
 
 @pytest.mark.parametrize("radius,classes", [

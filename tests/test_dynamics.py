@@ -600,25 +600,9 @@ def test_neutral_energy_monotone(neutral_cfg, neutral_strip):
 # ---------------------------------------------------------------------------
 # trajectory consistency
 # ---------------------------------------------------------------------------
-def test_consistency_residuals(abc1d_cfg):
-    cfg = smooth_cfg(abc1d_cfg)
-    mesh, sys = ab.build_system(cfg)
-    u0 = ab.initial_state_from_config(cfg, mesh, sys)
-    traj = ab.simulate(sys, u0, np.linspace(0, 1, 1001), mesh=mesh)
-    cons = traj.consistency
-    assert cons["integral_max"] < 1e-5
-    assert cons["constraint_max"] < 1e-10
-    # halving dt divides the time-quadrature residuals by about 4
-    traj2 = ab.simulate(sys, u0, np.linspace(0, 1, 2001), mesh=mesh)
-    assert traj2.consistency["integral_max"] < 0.35 * cons["integral_max"]
-    assert traj2.consistency["second_order_max"] < 0.35 * cons["second_order_max"]
-
-
-def test_consistency_matches_per_time_loop(abc1d_cfg):
-    cfg = smooth_cfg(abc1d_cfg)
-    mesh, sys = ab.build_system(cfg)
-    u0 = ab.initial_state_from_config(cfg, mesh, sys)
-    traj = ab.simulate(sys, u0, np.linspace(0, 1, 101), mesh=mesh)
+def _second_order_residuals(traj, sys):
+    """Per-time constraint residual max|R u_ext - y| and the worst relative
+    residual of A_max u_ext against the central second difference of u."""
     n, dt = sys.n, traj.times[1] - traj.times[0]
     us, ys = traj.states[:, :n], traj.states[:, 2 * n + sys.n_b:]
     con, second = [], []
@@ -629,9 +613,42 @@ def test_consistency_matches_per_time_loop(abc1d_cfg):
             udd = (us[i + 1] - 2 * us[i] + us[i - 1]) / dt ** 2
             rhs = sys.ops.A_max @ ext
             second.append(np.linalg.norm(udd - rhs) / max(1.0, np.linalg.norm(rhs)))
-    # matrix products sum in another order than matvecs: agree to rounding
-    assert np.allclose(traj.consistency["constraint"], con, rtol=0, atol=1e-13)
-    assert traj.consistency["second_order_max"] == pytest.approx(max(second), rel=1e-12)
+    return np.array(con), max(second)
+
+
+def test_consistency_residuals(abc1d_cfg):
+    cfg = smooth_cfg(abc1d_cfg)
+    mesh, sys = ab.build_system(cfg)
+    u0 = ab.initial_state_from_config(cfg, mesh, sys)
+    traj = ab.simulate(sys, u0, np.linspace(0, 1, 1001), mesh=mesh)
+    integral = ab.trajectory_consistency(traj, sys)
+    con, second = _second_order_residuals(traj, sys)
+    assert np.max(integral) < 1e-5
+    assert np.max(con) < 1e-10
+    # halving dt divides the time-quadrature residuals by about 4
+    traj2 = ab.simulate(sys, u0, np.linspace(0, 1, 2001), mesh=mesh)
+    assert np.max(ab.trajectory_consistency(traj2, sys)) < 0.35 * np.max(integral)
+    assert _second_order_residuals(traj2, sys)[1] < 0.35 * second
+
+
+def test_consistency_matches_per_time_loop(abc1d_cfg):
+    cfg = smooth_cfg(abc1d_cfg)
+    mesh, sys = ab.build_system(cfg)
+    u0 = ab.initial_state_from_config(cfg, mesh, sys)
+    traj = ab.simulate(sys, u0, np.linspace(0, 1, 101), mesh=mesh)
+    n, nb, dt = sys.n, sys.n_b, traj.times[1] - traj.times[0]
+    xs = traj.states[:, 2 * n:2 * n + nb]
+    flux = [sys.ops.B2 @ s[:n] + s[2 * n + nb:] for s in traj.states]
+    integral, resid = np.zeros(nb), [0.0]
+    for i in range(1, traj.times.size):
+        integral = integral + 0.5 * dt * (flux[i] + flux[i - 1])
+        resid.append(np.linalg.norm(xs[i] - xs[0] - integral))
+    # cumulative sums and fixed-order products against a running loop and
+    # matvecs: agree to rounding
+    assert np.allclose(ab.trajectory_consistency(traj, sys), resid, rtol=0, atol=1e-13)
+    # a one-time grid has nothing to integrate
+    single = ab.simulate(sys, u0, np.array([0.3]), mesh=mesh)
+    assert ab.trajectory_consistency(single, sys).tolist() == [0.0]
 
 
 # ---------------------------------------------------------------------------
@@ -643,7 +660,7 @@ def test_robin_comparison_trivial_when_feedback_absent(abc1d_cfg):
     mesh, sys = ab.build_system(cfg)
     assert np.max(np.abs(sys.A2cal)) == 0.0
     u0 = ab.initial_state_from_config(cfg, mesh, sys)
-    _, rep = ab.robin_comparison(sys, u0, np.geomspace(1e-3, 1.0, 7))
+    rep = ab.robin_comparison(sys, u0, np.geomspace(1e-3, 1.0, 7))
     assert np.max(rep["dev_state"]) < 1e-9
 
 
@@ -651,7 +668,7 @@ def test_robin_comparison_duhamel_limit(abc1d_cfg, abc1d):
     mesh, sys = abc1d
     u0 = ab.initial_state_from_config(abc1d_cfg, mesh, sys)
     t = np.geomspace(1e-3, 1e-1, 9)
-    _, rep = ab.robin_comparison(sys, u0, t)
+    rep = ab.robin_comparison(sys, u0, t)
     assert abs(rep["ratio"][0] - rep["A2u0_norm"]) <= 0.2 * rep["A2u0_norm"]
     assert np.all(rep["dev_state"] <= t * rep["M_est"] + 1e-12)
     assert rep["ratio_factor_ok"]
@@ -691,4 +708,4 @@ def test_complex_resistivity_simulation(complex_sys):
     assert np.iscomplexobj(traj.states)
     assert np.all(np.isfinite(traj.states))
     assert traj.energies is None
-    assert traj.consistency["constraint_max"] < 1e-10
+    assert np.max(_second_order_residuals(traj, sys)[0]) < 1e-10

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 import abclab as ab
 from abclab.blockops import reduced_generator
 from abclab.errors import AssumptionError, NumericalError
+from abclab.spectral import beta_separation
 
 from conftest import CONFIG_DIR, wave_system
 
@@ -196,6 +198,23 @@ def test_special_case_separation_condition_passes(special):
     _, sys = special
     srep = ab.special_case_spectrum(sys)  # would raise on (4.4) failure
     assert srep.method == "special-case"
+
+
+def test_special_case_refuses_on_the_separation_margin(special):
+    # the margin is min over beta in sigma(B4), mu in sigma(A0) of
+    # |beta^2 - mu|; the spectrum is refused once it is within tol * scale,
+    # naming the beta that attains it
+    _, sys = special
+    betas = np.linalg.eigvals(sys.ops.B4)
+    margin, beta = beta_separation(sys, betas)
+    assert margin == pytest.approx(min(abs(b * b - mu) for b in betas for mu in sys.eig_A0),
+                                   rel=1e-14)
+    assert min(abs(beta * beta - mu) for mu in sys.eig_A0) == pytest.approx(margin, rel=1e-14)
+    scale = max(1.0, sys.spectral_scale)
+    ab.special_case_spectrum(sys, tol=0.99 * margin / scale)
+    with pytest.raises(AssumptionError, match=re.escape(
+            f"beta={beta:.6g} of B4 has beta^2 within {margin:.3e}")):
+        ab.special_case_spectrum(sys, tol=1.01 * margin / scale)
 
 
 def test_special_case_rejects_spring(abc1d):
