@@ -5,8 +5,7 @@ __version__ = "0.1.0"
 
 from .blockops import BlockSystem, assemble_block_generator, initial_state, \
     reduced_generator
-from .dynamics import Trajectory, energy, propagator, robin_comparison, simulate, \
-    trajectory_consistency
+from .dynamics import Trajectory, energy, robin_comparison, simulate, trajectory_consistency
 from .errors import (AbclabError, AssumptionError, ConfigurationError,
                      DimensionError, ModelError, NumericalError, PhysicsError,
                      SpectralParameterError)
@@ -14,13 +13,9 @@ from .expressions import eval_coeff_expr, parse_expr
 from .mesh import Mesh, build_interval_mesh, build_strip_mesh, inner_product
 from .model import (CoefficientSet, ModelOperators, apply_neutral_transform,
                     assemble_biharmonic_operator, assemble_wave_operator,
-                    check_assumptions, default_boundary_laplacian,
-                    neutral_form_matrix, sample_coefficients)
+                    default_boundary_laplacian, sample_coefficients)
 from .reporting import VerificationReport
-from .resolvent import (PencilEvaluator, block_dirichlet, dirichlet_operator,
-                        factorization_check, identity_LD, pencil,
-                        pencil_derivative, pencil_via_blocks,
-                        resolvent_A0_block, resolvent_Acal)
+from .resolvent import PencilEvaluator, pencil, pencil_derivative
 from .scenario import (ScenarioConfig, build_system, initial_state_from_config,
                        load_config, parse_config, serialize_config)
 from .spectral import (SpectrumMatch, SpectrumReport, characteristic_value,

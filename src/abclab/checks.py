@@ -1,9 +1,11 @@
 """The operator-identity checks of ``abclab verify``, stated once.
 
 ``CHECKS`` is one table of entries: a name, an applicability predicate on the
-scenario flags, and a callable that runs the check on an assembled
-``(mesh, system)`` pair, adding its items to a VerificationReport with the
-tolerance each is judged at.  Sample points and tolerances live only here.
+scenario flags and the assembled system, and a callable that runs the check
+on an assembled ``(mesh, system)`` pair, adding its items to a
+VerificationReport with the tolerance each is judged at.  The library
+functions a check calls return numbers; the sample points, tolerances and
+verdicts of every item live only here.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from ._linalg import checked_solve, rel_residual
 from .blockops import BlockSystem
 from .errors import ConfigurationError
 from .mesh import Mesh
-from .model import check_assumptions, neutral_form_matrix
+from .model import check_assumptions, constant_rho_m, neutral_form_matrix
 from .reporting import VerificationReport
 from .resolvent import (PencilEvaluator, dirichlet_operator, factorization_check,
                         identity_LD, pencil, pencil_via_blocks, resolvent_A0_block,
@@ -28,7 +30,7 @@ class Check(NamedTuple):
     """One ``verify`` entry; ``run(mesh, sys, report)`` adds its items."""
 
     name: str
-    applies: Callable[[dict], bool]
+    applies: Callable[[dict, BlockSystem], bool]
     run: Callable[[Mesh, BlockSystem, VerificationReport], None]
 
 
@@ -73,7 +75,9 @@ def _pencil_two_routes(mesh, sys, rep):
 
 
 def _factorization(mesh, sys, rep):
-    rep.items.update(factorization_check(sys, 1 + 1j, 2.0).items)
+    residuals = factorization_check(sys, 1 + 1j, 2.0)
+    for name, resid in zip(("factorization", "factorization-shifted", "lm-product"), residuals):
+        rep.add(name, resid, 1e-8)
 
 
 def _resolvent_acal_formula(mesh, sys, rep):
@@ -104,21 +108,29 @@ def _neutral_form_symmetry(mesh, sys, rep):
 
 
 def _neutral_ladder(mesh, sys, rep):
-    sub = check_assumptions(sys, mesh).items
-    rep.items.update({name: sub[name] for name in
-                      ("ladder-lambda0", "ladder-contraction", "ladder-monotone")})
+    lam0, contraction, worst_ratio = check_assumptions(sys)
+    rep.add("ladder-lambda0", lam0, float(2 ** 16), passed=np.isfinite(lam0),
+            note="smallest dyadic lambda with ||B2' D_lambda^{A,L}|| < 1")
+    rep.add("ladder-contraction", contraction, 1.0, passed=contraction < 1.0)
+    rep.add("ladder-monotone", worst_ratio, 1.0 + 1e-10,
+            note="max ratio ||D_{2 lambda}|| / ||D_lambda|| along the ladder")
 
 
-def _always(flags) -> bool:
+def _always(flags, sys) -> bool:
     return True
 
 
-def _special_case(flags) -> bool:
+def _special_case(flags, sys) -> bool:
     return bool(flags["b3_zero"] and flags["b1_mode"] == "minus_b4b2")
 
 
-def _neutral(flags) -> bool:
+def _neutral(flags, sys) -> bool:
     return bool(flags["neutral"])
+
+
+def _neutral_form(flags, sys) -> bool:
+    # the form exists for constant rho and m only
+    return _neutral(flags, sys) and constant_rho_m(sys.ops.coeffs)
 
 
 CHECKS = (
@@ -131,15 +143,15 @@ CHECKS = (
     Check("resolvent-acal-formula", _always, _resolvent_acal_formula),
     Check("special-case-resolvent", _special_case, _special_case_resolvent),
     Check("spectral-separation", _special_case, _spectral_separation),
-    Check("neutral-form-symmetry", _neutral, _neutral_form_symmetry),
+    Check("neutral-form-symmetry", _neutral_form, _neutral_form_symmetry),
     Check("neutral-ladder", _neutral, _neutral_ladder),
 )
 
 
-def select_checks(flags: dict, names=None) -> list[Check]:
+def select_checks(flags: dict, sys: BlockSystem, names=None) -> list[Check]:
     """The named checks (all applicable ones for ``"all"``); refuses a name
-    that is unknown or does not apply under ``flags``."""
-    available = {check.name: check for check in CHECKS if check.applies(flags)}
+    that is unknown or does not apply under ``flags`` to ``sys``."""
+    available = {check.name: check for check in CHECKS if check.applies(flags, sys)}
     if names in (None, "all", ["all"]):
         return list(available.values())
     unknown = [name for name in names if name not in available]

@@ -106,7 +106,9 @@ def cmd_spectrum(config: ScenarioConfig, method: str, out: str, tol: float = 1e-
         return EXIT_OK if worst < 1e-8 else EXIT_NUMERICAL
 
     direct = direct_spectrum(ev)
-    members = direct.admissible_mask(ev)
+    # direct_spectrum classifies by the evaluator's refusal
+    members = np.array([cls not in ("zero-mode", "a0-branch") for cls in direct.classification],
+                       dtype=bool)
     if method == "direct":
         _write_csv(out, header, _spectrum_rows(direct, members))
         worst = float(np.max(direct.residuals))
@@ -180,8 +182,8 @@ def cmd_simulate(config: ScenarioConfig, t_final: float, dt: float, out: str,
 # verify
 # ---------------------------------------------------------------------------
 def cmd_verify(config: ScenarioConfig, checks, out: str | None, seed=None) -> int:
-    selected = select_checks(config.flags, checks)
     mesh, sys = build_system(config)
+    selected = select_checks(config.flags, sys, checks)
     report = VerificationReport(metadata=_config_metadata(config, seed))
     for check in selected:
         check.run(mesh, sys, report)

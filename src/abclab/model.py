@@ -27,7 +27,6 @@ from .errors import (AssumptionError, ConfigurationError, DimensionError, ModelE
                      NumericalError)
 from .expressions import ExpressionError, eval_coeff_expr, parse_expr
 from .mesh import Mesh, cell_weights
-from .reporting import VerificationReport
 
 if TYPE_CHECKING:  # blockops imports this module; the annotation only names it
     from .blockops import BlockSystem
@@ -164,8 +163,12 @@ class ModelOperators:
     coeffs: CoefficientSet
 
     def __post_init__(self):
-        freeze_arrays(self, ("A_max", "R", "L", "B1", "B2", "B3", "B4", "M",
-                             "state_node_idx", "state_weights", "bnd_weights"))
+        blocks = ("A_max", "R", "L", "B1", "B2", "B3", "B4", "M")
+        freeze_arrays(self, blocks + ("state_node_idx", "state_weights", "bnd_weights"))
+        for name in blocks:
+            block = getattr(self, name)
+            if block is not None and not np.all(np.isfinite(block)):
+                raise ModelError(f"operator block {name} has non-finite entries")
 
     @property
     def n(self) -> int:
@@ -254,6 +257,9 @@ def assemble_wave_operator(mesh: Mesh, coeffs: CoefficientSet) -> ModelOperators
                     A[j, mir] += coef
                     A[j, j] -= coef
 
+    # a ratio may overflow; ModelOperators then refuses its block
+    with np.errstate(over="ignore"):
+        b2, b3, b4 = (-v / coeffs.m for v in (coeffs.rho, coeffs.k, coeffs.d))
     L = np.zeros((nb, n + nb))
     B2 = np.zeros((nb, n))
     for slot, b in enumerate(mesh.gamma1):
@@ -261,7 +267,7 @@ def assemble_wave_operator(mesh: Mesh, coeffs: CoefficientSet) -> ModelOperators
         fac = coeffs.a[b] if divergence else 1.0
         L[slot, n + slot] = fac / (2.0 * mesh.h[axis])
         L[slot, mesh.ghost_inward[slot]] = -fac / (2.0 * mesh.h[axis])
-        B2[slot, b] = -coeffs.rho[slot] / coeffs.m[slot]
+        B2[slot, b] = b2[slot]
 
     R = L.copy()
     R[:, :n] -= B2
@@ -269,8 +275,8 @@ def assemble_wave_operator(mesh: Mesh, coeffs: CoefficientSet) -> ModelOperators
         A_max=A, R=R, L=L,
         B1=np.zeros((nb, n)),
         B2=B2,
-        B3=np.diag(-coeffs.k / coeffs.m),
-        B4=np.diag(-coeffs.d / coeffs.m),
+        B3=np.diag(b3),
+        B4=np.diag(b4),
         dims=(n, nb, nb),
         neutral=False, M=None,
         model_tag="divergence" if divergence else "wave",
@@ -421,18 +427,24 @@ def stiffness_matrix(mesh: Mesh) -> np.ndarray:
     return sum(term(axis) for axis in range(mesh.dim))
 
 
+def constant_rho_m(coeffs: CoefficientSet) -> bool:
+    """Whether rho and m are constant on Gamma1 (to 1e-14 relative): the
+    neutral form needs it, since the transform commutes with scalars only."""
+    return all(np.ptp(v) <= 1e-14 * max(1.0, np.max(np.abs(v)))
+               for v in (np.real(coeffs.rho), np.real(coeffs.m)))
+
+
 def neutral_form_matrix(ops: ModelOperators, mesh: Mesh) -> np.ndarray:
     """Discrete sesquilinear form of the shifted restricted operator.
 
     F = c^2 K + c^2 (rho/m) Tr^T [W_b (I-M)^-1] Tr - W_vol, which must be
     conjugate-symmetric when M is self-adjoint in the boundary quadrature.
-    Constant rho and m are required (the transform commutes with scalars only).
+    Refuses rho or m that are not constant (``constant_rho_m``).
     """
+    if not constant_rho_m(ops.coeffs):
+        raise ModelError("form assembly requires constant rho and m")
     rho = np.real(ops.coeffs.rho)
     m = np.real(ops.coeffs.m)
-    if np.ptp(rho) > 1e-14 * max(1.0, np.max(np.abs(rho))) or \
-       np.ptp(m) > 1e-14 * max(1.0, np.max(np.abs(m))):
-        raise ModelError("form assembly requires constant rho and m")
     nb = ops.n_b
     n = ops.n
     M = ops.M if ops.M is not None else np.zeros((nb, nb))
@@ -465,62 +477,28 @@ def weighted_asymmetry(A0: np.ndarray, W: np.ndarray) -> float:
     return float(np.linalg.norm(WA - WA.T.conj()) / max(1.0, np.linalg.norm(WA)))
 
 
-def check_assumptions(sys: BlockSystem, mesh: Mesh) -> VerificationReport:
-    """Verify the discrete counterparts of the structural assumptions.
-
-    Acts on the assembled system.  Checks: full ghost rank of R (surjectivity
-    of the boundary row), finite norms of B1..B4, symmetry of the weighted
-    restricted operator ``sys.A0`` plus a semiboundedness shift, the largest
-    assembly-time eigenvalue in ``sys.eig_A0`` (cosine-generation proxy), and
-    for neutral models the high-frequency contraction ladder for the (A, L)
-    lifting.
+def check_assumptions(sys: BlockSystem) -> tuple[float, float, float]:
+    """The high-frequency contraction ladder of the (A, L) lifting, which the
+    neutral model assumes: for dyadic lambda = 2^2 .. 2^16 it takes the flux
+    lift D_lambda and returns (lambda0, ||B2 D_lambda0||, worst ratio), where
+    lambda0 is the smallest lambda with ||B2 D_lambda|| < 1 (inf, and the
+    contraction inf, when there is none) and the worst ratio is the largest
+    ||D_{2 lambda}|| / ||D_lambda|| along the ladder.  The other structural
+    assumptions (ghost rank, symmetry of A0, finite blocks) are refused at
+    assembly.
     """
-    ops = sys.ops
-    report = VerificationReport(metadata={
-        "model": ops.model_tag, "dims": list(ops.dims), "neutral": ops.neutral})
-    n, g, nb = ops.dims
-
-    Rg = ops.R[:, n:]
-    rank = int(np.linalg.matrix_rank(Rg))
-    report.add("ghost-block-rank", value=float(rank), tol=float(nb),
-               passed=rank == nb, note="discrete boundary surjectivity")
-    if rank < nb:
-        raise AssumptionError(
-            "A3", f"ghost block of R has rank {rank} < {nb}; boundary row not surjective")
-
-    for name in ("B1", "B2", "B3", "B4"):
-        nrm = opnorm(getattr(ops, name))
-        report.add(f"{name.lower()}-norm", value=nrm, tol=np.finfo(float).max,
-                   passed=bool(np.isfinite(nrm)), note="boundedness")
-
-    report.add("restricted-symmetry", value=weighted_asymmetry(sys.A0, ops.state_weights),
-               tol=SYMMETRY_TOL, note="weighted transpose residual of A0")
-    omega = float(sys.eig_A0[-1])
-    report.add("semibound-shift", value=omega, tol=0.0,
-               passed=bool(np.isfinite(omega)),
-               note="informational: <A0 u,u> <= omega <u,u>; judged on finiteness")
-
-    if ops.neutral:
-        lam0 = None
-        contraction_at_lam0 = np.inf
-        prev = None
-        worst_ratio = 0.0
-        for kexp in _LADDER_EXPONENTS:
-            lam = float(2 ** kexp)
-            D = sys.dirichlet_lift(lam, flux=True)
-            dnorm = opnorm(D[:n, :])
-            contraction = opnorm(ops.B2 @ D[:n, :])
-            if prev is not None:
-                worst_ratio = max(worst_ratio, dnorm / prev)
-            prev = dnorm
-            if lam0 is None and contraction < 1.0:
-                lam0 = lam
-                contraction_at_lam0 = contraction
-        report.add("ladder-lambda0", value=lam0 if lam0 is not None else np.inf,
-                   tol=float(2 ** 16), passed=lam0 is not None,
-                   note="smallest dyadic lambda with ||B2' D_lambda^{A,L}|| < 1")
-        report.add("ladder-contraction", value=contraction_at_lam0, tol=1.0,
-                   passed=contraction_at_lam0 < 1.0)
-        report.add("ladder-monotone", value=worst_ratio, tol=1.0 + 1e-10,
-                   note="max ratio ||D_{2 lambda}|| / ||D_lambda|| along the ladder")
-    return report
+    n = sys.n
+    lam0, contraction_at_lam0 = np.inf, np.inf
+    prev = None
+    worst_ratio = 0.0
+    for kexp in _LADDER_EXPONENTS:
+        lam = float(2 ** kexp)
+        D = sys.dirichlet_lift(lam, flux=True)
+        dnorm = opnorm(D[:n, :])
+        contraction = opnorm(sys.ops.B2 @ D[:n, :])
+        if prev is not None:
+            worst_ratio = max(worst_ratio, dnorm / prev)
+        prev = dnorm
+        if lam0 == np.inf and contraction < 1.0:
+            lam0, contraction_at_lam0 = lam, contraction
+    return lam0, contraction_at_lam0, worst_ratio

@@ -50,7 +50,6 @@ import numpy as np
 from ._linalg import checked_solve, mixed_matmul, opnorm, rel_residual
 from .blockops import BlockSystem
 from .errors import DimensionError, SpectralParameterError
-from .reporting import VerificationReport
 
 
 def exclusion_radii(sys: BlockSystem, radius: float | None = None) -> tuple[float, float]:
@@ -277,6 +276,15 @@ def resolvent_A0_block(sys: BlockSystem, lam: complex) -> np.ndarray:
     return _a0_block_resolvent(sys, lam)
 
 
+def _shifted(A: np.ndarray, omega: complex, out: np.ndarray | None = None) -> np.ndarray:
+    """omega - A as a complex array (written into ``out`` when given)."""
+    if out is None:
+        out = np.empty(A.shape, dtype=complex)
+    np.negative(A, out=out)
+    out[np.diag_indices(A.shape[0])] += omega
+    return out
+
+
 def _factored(Abb0: np.ndarray, E: np.ndarray, F: np.ndarray, Blam: np.ndarray,
               omega: complex) -> np.ndarray:
     """Lfac diag(omega - Abb0, omega - Blam) Mfac, evaluated block by block.
@@ -289,9 +297,7 @@ def _factored(Abb0: np.ndarray, E: np.ndarray, F: np.ndarray, Blam: np.ndarray,
     """
     m1, nb = Abb0.shape[0], Blam.shape[0]
     out = np.empty((m1 + nb, m1 + nb), dtype=complex)
-    X = out[:m1, :m1]
-    np.negative(Abb0, out=X)
-    X[np.diag_indices(m1)] += omega
+    X = _shifted(Abb0, omega, out=out[:m1, :m1])
     EX = E @ X
     out[:m1, m1:] = X @ F
     out[m1:, :m1] = EX
@@ -299,10 +305,11 @@ def _factored(Abb0: np.ndarray, E: np.ndarray, F: np.ndarray, Blam: np.ndarray,
     return out
 
 
-def factorization_check(sys: BlockSystem, lam: complex, mu: complex) -> VerificationReport:
-    """Residuals of the triangular factorization of the coupled generator.
+def factorization_check(sys: BlockSystem, lam: complex,
+                        mu: complex) -> tuple[float, float, float]:
+    """Residuals (i), (ii), (iii) of the triangular factorization of the
+    coupled generator, all Frobenius-relative:
 
-    Checks, all Frobenius-relative:
       (i)   lam - Acal = Lfac diag(lam - Abb0, lam - P(lam)) Mfac
       (ii)  mu  - Acal = Lfac diag(mu - Abb0, mu - P(lam)) Mfac
                          + (mu - lam)(I - Lfac Mfac)
@@ -310,42 +317,35 @@ def factorization_check(sys: BlockSystem, lam: complex, mu: complex) -> Verifica
 
     The triple products of (i) and (ii) are evaluated block by block
     (``_factored``); Lfac Mfac stays one dense product, so that (iii) compares
-    it with the display formula rather than with itself.
+    it with the display formula rather than with itself.  Lfac and Mfac live
+    only for that product, and one shift omega - Acal is formed at a time.
     """
     Blam = pencil(PencilEvaluator(sys), lam)
-    n, nb = sys.n, sys.n_b
-    m1 = 2 * n + nb
-    Dblk = _block_lift(sys, lam)
-    RA0 = _a0_block_resolvent(sys, lam)
+    m1, size = 2 * sys.n + sys.n_b, sys.state_dim
+    E = -sys.Bfrak @ _a0_block_resolvent(sys, lam)
+    F = -_block_lift(sys, lam)
 
-    E = -sys.Bfrak @ RA0
-    F = -Dblk
-    Lfac = np.eye(m1 + nb, dtype=complex)
+    Lfac = np.eye(size, dtype=complex)
     Lfac[m1:, :m1] = E
-    Mfac = np.eye(m1 + nb, dtype=complex)
+    Mfac = np.eye(size, dtype=complex)
     Mfac[:m1, m1:] = F
-    eye_full = np.eye(m1 + nb, dtype=complex)
-
-    lhs = lam * eye_full - sys.Acal
-    rhs = _factored(sys.Abb0, E, F, Blam, lam)
-    res_i = rel_residual(rhs, lhs, reference=lhs)
-
-    lhs_mu = mu * eye_full - sys.Acal
     LM = Lfac @ Mfac
-    rhs_mu = _factored(sys.Abb0, E, F, Blam, mu) + (mu - lam) * (eye_full - LM)
-    res_ii = rel_residual(rhs_mu, lhs_mu, reference=lhs_mu)
-
-    display = np.eye(m1 + nb, dtype=complex)
+    del Lfac, Mfac
+    display = np.eye(size, dtype=complex)
     display[:m1, m1:] = F
     display[m1:, :m1] = E
-    display[m1:, m1:] = np.eye(nb) + E @ F
+    display[m1:, m1:] += E @ F
     res_iii = rel_residual(LM, display, reference=display)
+    del display
 
-    report = VerificationReport(metadata={"lambda": str(lam), "mu": str(mu)})
-    report.add("factorization", res_i, 1e-8)
-    report.add("factorization-shifted", res_ii, 1e-8)
-    report.add("lm-product", res_iii, 1e-8)
-    return report
+    lhs = _shifted(sys.Acal, lam)
+    res_i = rel_residual(_factored(sys.Abb0, E, F, Blam, lam), lhs, reference=lhs)
+    lhs = _shifted(sys.Acal, mu)
+    rhs = _shifted(LM, 1.0, out=LM)     # I - LM, in place
+    rhs *= mu - lam
+    rhs += _factored(sys.Abb0, E, F, Blam, mu)
+    res_ii = rel_residual(rhs, lhs, reference=lhs)
+    return res_i, res_ii, res_iii
 
 
 def resolvent_Acal(sys: BlockSystem, lam: complex) -> np.ndarray:

@@ -288,20 +288,28 @@ def test_config_warnings_reach_stderr(tmp_path, capsys):
 
 
 NEUTRAL_INTERVAL = ("abc-1d", {}, {"rho": "1 + 0.5*z"})
+NEUTRAL_STRIP_RHO_M = ("timoshenko-strip", {"nx": 6, "ny": 6},
+                       {"rho": "1 + 0.5*x", "m": "1 + 0.5*x"})
+FORM_ONLY = ["verify", "--checks", "neutral-form-symmetry"]
+FORM_REFUSED = "error: unknown or inapplicable check(s) ['neutral-form-symmetry']"
 
 
 @pytest.mark.parametrize("scenario,argv,code,error", [
     (NEUTRAL_INTERVAL, ["spectrum", "--method", "direct"], 0, None),
     (NEUTRAL_INTERVAL, ["simulate", "--t-final", "1", "--dt", "0.1"], 0, None),
-    (NEUTRAL_INTERVAL, ["verify"], 2, "error: form assembly requires constant rho and m"),
-    (("timoshenko-strip", {"nx": 6, "ny": 6}, {"rho": "1 + 0.5*x", "m": "1 + 0.5*x"}),
-     ["spectrum", "--method", "direct"], 0, None),
-], ids=["interval-spectrum", "interval-simulate", "interval-verify", "strip-rho-m-spectrum"])
+    (NEUTRAL_INTERVAL, ["verify"], 0, None),
+    (NEUTRAL_INTERVAL, FORM_ONLY, 2, FORM_REFUSED),
+    (NEUTRAL_STRIP_RHO_M, ["spectrum", "--method", "direct"], 0, None),
+    (NEUTRAL_STRIP_RHO_M, ["verify"], 0, None),
+    (NEUTRAL_STRIP_RHO_M, FORM_ONLY, 2, FORM_REFUSED),
+], ids=["interval-spectrum", "interval-simulate", "interval-verify", "interval-verify-form",
+        "strip-rho-m-spectrum", "strip-rho-m-verify", "strip-rho-m-verify-form"])
 def test_neutral_variable_coefficients_run_where_assembly_allows(tmp_path, capsys, scenario,
                                                                  argv, code, error):
-    # the well-posedness warning is printed first; the run then goes on
-    # unless a check refuses the variable coefficients (a strip where rho
-    # alone varies is refused at assembly: test_config_warnings_reach_stderr)
+    # the well-posedness warning is printed first; the run then goes on (a
+    # strip where rho alone varies is refused at assembly:
+    # test_config_warnings_reach_stderr).  verify runs every check but
+    # neutral-form-symmetry, whose form needs constant rho and m.
     name, geometry, coefficients = scenario
     doc = json.loads((CONFIG_DIR / f"{name}.json").read_text())
     doc["geometry"].update(geometry)
@@ -313,6 +321,20 @@ def test_neutral_variable_coefficients_run_where_assembly_allows(tmp_path, capsy
     err = capsys.readouterr().err.splitlines()
     assert err[0].startswith("warning: neutral model with variable rho")
     assert err[-1].startswith(error or "warning: ")
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+def test_overflowing_operator_block_is_refused(tmp_path, capsys, command):
+    # B3 = -k/m and B4 = -d/m overflow for a subnormal boundary mass
+    doc = json.loads((CONFIG_DIR / "abc-1d.json").read_text())
+    doc["coefficients"].update(rho="1e-310", m="1e-310", d="1")
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(doc))
+    code = main([command, "--config", str(p), "--out", str(tmp_path / "out"),
+                 *SUBCOMMANDS[command]])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: operator block B3 has non-finite entries"]
 
 
 @pytest.mark.parametrize("radius,classes", [

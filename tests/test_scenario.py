@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import abclab as ab
 from abclab.errors import ConfigurationError
 from abclab.expressions import ExpressionError
+from abclab.model import check_assumptions
 
 from conftest import CONFIG_DIR, load
 
@@ -276,9 +277,9 @@ def test_bad_initial_token():
 def test_shipped_configs_parse_and_pass_assumptions():
     for name in ("abc-1d", "special-case", "timoshenko-strip"):
         cfg = ab.load_config(CONFIG_DIR / f"{name}.json")
-        mesh, sys = ab.build_system(cfg)
-        report = ab.check_assumptions(sys, mesh)
-        assert report.passed, f"{name}: {report.summary_lines()}"
+        _, sys = ab.build_system(cfg)
+        lam0, contraction, worst_ratio = check_assumptions(sys)
+        assert lam0 <= 2 ** 16 and contraction < 1.0 and worst_ratio <= 1.0 + 1e-10, name
 
 
 # ---------------------------------------------------------------------------
