@@ -108,6 +108,106 @@ def checked_solve(mat: np.ndarray, rhs: np.ndarray, what: str = "linear system",
     return x
 
 
+def commutes_with_mirror(mat: np.ndarray, perm: np.ndarray) -> bool:
+    """Whether ``mat[perm][:, perm] == mat`` bit for bit, for an involutive
+    permutation ``perm``.
+
+    Only the nonzeros are read (an entry that is zero where its mirror image
+    is not fails the test at the image), which keeps full-size temporaries
+    out.
+    """
+    rows, cols = np.divmod(np.flatnonzero(mat != 0), mat.shape[1])
+    return bool(np.array_equal(mat[perm[rows], perm[cols]], mat[rows, cols]))
+
+
+def _mirror_coords(perm: np.ndarray):
+    """(n_even, n_odd, even_of, odd_of, sign) of an involutive permutation J.
+
+    With one representative r = min(i, Ji) per orbit, in increasing order,
+    ``even_of[i]`` is the position of i's representative among all of them
+    and ``odd_of[i]`` its position among those of the 2-orbits (clipped on
+    fixed points); ``sign[i]`` is +1 on a representative of a 2-orbit, -1 on
+    its image and 0 on a fixed point.
+    """
+    idx = np.arange(perm.size)
+    rep = np.minimum(idx, perm)
+    reps = np.flatnonzero(idx == rep)
+    pairs = reps[perm[reps] != reps]
+    odd_of = np.minimum(np.searchsorted(pairs, rep), max(pairs.size - 1, 0))
+    sign = np.where(perm == idx, 0.0, np.where(idx == rep, 1.0, -1.0))
+    return reps.size, pairs.size, np.searchsorted(reps, rep), odd_of, sign
+
+
+def mirror_blocks(mat: np.ndarray, perm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The even and odd blocks of a square ``mat`` that commutes exactly with
+    the involutive permutation J = ``perm`` (``commutes_with_mirror``).
+
+    With one representative r per orbit of J, the basis e_r + e_Jr, e_r - e_Jr
+    (e_r alone on a fixed point) block-diagonalizes ``mat``.  It is the
+    orthonormal basis (e_r +- e_Jr)/sqrt2 up to a diagonal scaling, so the
+    blocks are exactly similar to the orthogonal ones:
+
+        even[p, q] = mat[r_p, r_q] + mat[r_p, J r_q]   (second term on pairs only)
+        odd[p, q]  = mat[r_p, r_q] - mat[r_p, J r_q]   (pairs only)
+
+    Each entry is one rounded sum, gathered from the nonzeros of the
+    representative rows.  Two half-size eigensolves or LU factorizations cost
+    about a quarter of the full one.
+    """
+    n_even, n_odd, even_of, odd_of, sign = _mirror_coords(perm)
+    rows, cols = np.divmod(np.flatnonzero(mat != 0), mat.shape[1])
+    vals = mat[rows, cols]
+    even = np.zeros((n_even, n_even), dtype=mat.dtype)
+    odd = np.zeros((n_odd, n_odd), dtype=mat.dtype)
+    keep = sign[rows] >= 0                      # nonzeros of representative rows
+    np.add.at(even, (even_of[rows[keep]], even_of[cols[keep]]), vals[keep])
+    keep &= (sign[rows] != 0) & (sign[cols] != 0)
+    r, c = rows[keep], cols[keep]
+    np.add.at(odd, (odd_of[r], odd_of[c]), vals[keep] * sign[c])
+    return even, odd
+
+
+def mirror_lift(perm: np.ndarray, even_vecs: np.ndarray, odd_vecs: np.ndarray) -> np.ndarray:
+    """State vectors of columns in the even and odd coordinates of
+    ``mirror_blocks``' basis: x[i] = w[even_of[i]] for an even column w, and
+    x[i] = sign[i] w[odd_of[i]] for an odd one (zero on fixed points)."""
+    _, _, even_of, odd_of, sign = _mirror_coords(perm)
+    return np.concatenate([even_vecs[even_of], sign[:, None] * odd_vecs[odd_of]], axis=1)
+
+
+def checked_inverse(mat: np.ndarray, what: str, mirror: np.ndarray | None = None) -> np.ndarray:
+    """``mat^-1`` by LU, guarded like an identity-RHS ``checked_solve``.
+
+    With ``mirror``, an involutive permutation J with J mat J = mat exactly,
+    the inverse comes from the inverses E, O of the two blocks of
+    ``mirror_blocks``, in the coordinates of ``mirror_lift``:
+
+        X[i, j] = E[even_of[i], even_of[j]] c_j + sign[i] sign[j] O[odd_of[i], odd_of[j]] / 2
+
+    with c_j = 1/2 on a 2-orbit and 1 on a fixed point.  The guard judges the
+    full ``mat`` with the bound ||mat||_F ||X||_F, as ``checked_solve`` does.
+    """
+    if mirror is None:
+        return checked_solve(mat, np.eye(mat.shape[0], dtype=mat.dtype), what=what)
+    try:
+        even, odd = (np.linalg.solve(b, np.eye(b.shape[0], dtype=b.dtype))
+                     for b in mirror_blocks(mat, mirror))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"{what}: exactly singular matrix") from exc
+    _, _, even_of, odd_of, sign = _mirror_coords(mirror)
+    x = even[even_of][:, even_of]
+    x *= np.where(sign != 0, 0.5, 1.0)
+    odd_rows = odd[odd_of]
+    odd_rows *= (0.5 * sign)[:, None]
+    odd_part = odd_rows[:, odd_of]
+    odd_part *= sign
+    x += odd_part
+    if not np.all(np.isfinite(x)):
+        raise NumericalError(f"{what}: non-finite solution")
+    condition_guard(mat, float(np.linalg.norm(mat) * np.linalg.norm(x)), what)
+    return x
+
+
 def bordered_dirichlet_solve(a_max: np.ndarray, bnd: np.ndarray, mu: complex,
                              cond_bound: float | None = None) -> np.ndarray:
     """Columns of the lifting operator for the boundary row operator ``bnd``.

@@ -30,9 +30,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import bordered_dirichlet_solve, checked_solve, holder_norm
+from ._linalg import bordered_dirichlet_solve, checked_solve, commutes_with_mirror, holder_norm
 from .errors import AssumptionError, ConfigurationError, DimensionError, NumericalError
-from .model import SYMMETRY_TOL, ModelOperators, freeze_arrays, weighted_asymmetry
+from .model import (SYMMETRY_TOL, ModelOperators, freeze_arrays, mirror_symmetrized,
+                    weighted_asymmetry)
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,10 +63,13 @@ class BlockSystem:
     norm_R: float = field(repr=False)
     norm_L: float = field(repr=False)
     kappa_W: float = field(repr=False)       # cond(W^{1/2}) = sqrt(max W / min W)
+    # state permutation J of the mirror x -> L - x, set only when J Acal J = Acal
+    # bit for bit (see assemble_block_generator); None otherwise
+    mirror: np.ndarray | None = field(repr=False)
 
     def __post_init__(self):
         freeze_arrays(self, ("A0", "E0", "E1", "S_A", "Acal", "eig_A0",
-                             "X1", "X2", "Y", "B2V"))
+                             "X1", "X2", "Y", "B2V", "mirror"))
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -168,8 +172,25 @@ def _ghost_maps(ops: ModelOperators):
     return E0, E1
 
 
+def _state_mirror(ops: ModelOperators, Acal: np.ndarray) -> np.ndarray | None:
+    """The mirror's permutation of the state (u, v, x, y) when it leaves Acal
+    exactly unchanged, else None."""
+    if ops.mirror is None:
+        return None
+    n, _, nb = ops.dims
+    node, bnd = ops.mirror
+    perm = np.concatenate([node, n + node, 2 * n + bnd, 2 * n + nb + bnd])
+    return perm if commutes_with_mirror(Acal, perm) else None
+
+
 def assemble_block_generator(ops: ModelOperators) -> BlockSystem:
-    """Build the coupled generator Acal and the modal data of its restriction."""
+    """Build the coupled generator Acal and the modal data of its restriction.
+
+    When B1, B2 and B4 are bitwise mirror-invariant, so is the exact boundary
+    row B1 + B4 B2, and its computed value is averaged with its mirror image
+    (``mirror_symmetrized``).  The mirror's state permutation is stored when
+    Acal then commutes with it bit for bit.
+    """
     n, _, nb = ops.dims
     E0, E1 = _ghost_maps(ops)
     An, Ag = ops.A_max[:, :n], ops.A_max[:, n:]
@@ -177,6 +198,7 @@ def assemble_block_generator(ops: ModelOperators) -> BlockSystem:
     A0 = An + Ag @ E0
     S_A = Ag @ E1
     Bu = ops.B1 + ops.B4 @ ops.B2   # u block of the boundary row
+    Bu, = mirror_symmetrized(ops, [Bu], (ops.B1, ops.B2, ops.B4))
 
     x, y = slice(2 * n, 2 * n + nb), slice(2 * n + nb, None)
     Acal = np.zeros((2 * n + 2 * nb, 2 * n + 2 * nb),
@@ -212,6 +234,7 @@ def assemble_block_generator(ops: ModelOperators) -> BlockSystem:
         norm_S_A=holder_norm(S_A), norm_B2=holder_norm(ops.B2),
         norm_A_max=holder_norm(ops.A_max), norm_R=holder_norm(ops.R),
         norm_L=holder_norm(ops.L), kappa_W=float(np.sqrt(np.max(W) / np.min(W))),
+        mirror=_state_mirror(ops, Acal),
     )
 
 

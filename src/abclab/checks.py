@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._linalg import checked_solve, rel_residual
+from ._linalg import checked_inverse, rel_residual
 from .blockops import BlockSystem
 from .errors import ConfigurationError
 from .mesh import Mesh
@@ -48,10 +48,12 @@ def _identity_ld(mesh, sys, rep):
 
 def _resolvent_a0_formula(mesh, sys, rep):
     worst, m1 = 0.0, 2 * sys.n + sys.n_b
+    # Abb0 is Acal on (u, v, x), which the mirror maps onto itself
+    mirror = None if sys.mirror is None else sys.mirror[:m1]
     for lam in (1 + 1j, 0.6 + 1.7j):
         formula = resolvent_A0_block(sys, lam)
-        dense = checked_solve(lam * np.eye(m1, dtype=complex) - sys.Abb0,
-                              np.eye(m1, dtype=complex), what="(lam - Abb0)")
+        dense = checked_inverse(lam * np.eye(m1, dtype=complex) - sys.Abb0, "(lam - Abb0)",
+                                mirror=mirror)
         worst = max(worst, rel_residual(formula, dense, reference=dense))
     rep.add("resolvent-a0-formula", worst, 1e-9)
 
@@ -83,8 +85,8 @@ def _factorization(mesh, sys, rep):
 def _resolvent_acal_formula(mesh, sys, rep):
     lam, size = 1 + 1j, sys.state_dim
     formula = resolvent_Acal(sys, lam)
-    dense = checked_solve(lam * np.eye(size, dtype=complex) - sys.Acal,
-                          np.eye(size, dtype=complex), what="(lam - Acal)")
+    dense = checked_inverse(lam * np.eye(size, dtype=complex) - sys.Acal, "(lam - Acal)",
+                            mirror=sys.mirror)
     rep.add("resolvent-acal-formula", rel_residual(formula, dense, reference=dense), 1e-8)
 
 

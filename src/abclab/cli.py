@@ -5,8 +5,9 @@ Exit codes: 0 success, 1 numerical-certification failure, 2 hypothesis or
 configuration violation, 3 physics-invariant violation, 4 I/O error.
 Identical config + seed produce byte-identical outputs at a fixed BLAS thread
 count (compare-robin, and simulate on grids the exponential's action steps, at
-any thread count); floats are written with 17 significant digits so every
-value round-trips exactly.
+any thread count; spectrum --method direct keeps its row order, not its
+digits); floats are written with 17 significant digits so every value
+round-trips exactly.
 """
 
 from __future__ import annotations

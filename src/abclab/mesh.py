@@ -213,6 +213,25 @@ def build_strip_mesh(nx: int, ny: int) -> Mesh:
     )
 
 
+def mirror_images(mesh: Mesh, state_node_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Positions of the mirror images under x -> L - x (node axis 0 reversed).
+
+    Returns (node_img, bnd_img): the image of each state dof (a mesh node
+    listed in ``state_node_idx``) as a position in that list, and the image of
+    each Gamma1 dof as a position in ``gamma1``; None when some dof has no
+    image among the dofs of its own list.
+    """
+    mirror = np.arange(mesh.n_nodes).reshape(mesh.grid_shape[::-1])[..., ::-1].ravel()
+    images = []
+    for nodes in (state_node_idx, mesh.gamma1):
+        pos = np.full(mesh.n_nodes, -1)
+        pos[nodes] = np.arange(nodes.size)
+        images.append(pos[mirror[nodes]])
+    if any(np.any(img < 0) for img in images):
+        return None
+    return tuple(images)
+
+
 def inner_product(mesh: Mesh, f: np.ndarray, g: np.ndarray,
                   weight: np.ndarray | None = None) -> complex:
     """Discrete L2 pairing sum(w * conj(f) * g), conjugate-linear in f.

@@ -26,7 +26,7 @@ from ._linalg import checked_solve, opnorm
 from .errors import (AssumptionError, ConfigurationError, DimensionError, ModelError,
                      NumericalError)
 from .expressions import ExpressionError, eval_coeff_expr, parse_expr
-from .mesh import Mesh, cell_weights
+from .mesh import Mesh, cell_weights, mirror_images
 
 if TYPE_CHECKING:  # blockops imports this module; the annotation only names it
     from .blockops import BlockSystem
@@ -161,10 +161,15 @@ class ModelOperators:
     state_weights: np.ndarray   # quadrature weights of the state dofs
     bnd_weights: np.ndarray
     coeffs: CoefficientSet
+    # (node_img, bnd_img) of mesh.mirror_images: the mirror x -> L - x on the
+    # state node dofs and on the Gamma1 dofs; None where the dofs lack images
+    mirror: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
         blocks = ("A_max", "R", "L", "B1", "B2", "B3", "B4", "M")
         freeze_arrays(self, blocks + ("state_node_idx", "state_weights", "bnd_weights"))
+        for img in self.mirror or ():
+            img.setflags(write=False)
         for name in blocks:
             block = getattr(self, name)
             if block is not None and not np.all(np.isfinite(block)):
@@ -177,6 +182,13 @@ class ModelOperators:
     @property
     def n_b(self) -> int:
         return self.dims[2]
+
+    def mirrored(self, block: np.ndarray) -> np.ndarray:
+        """``block`` (Gamma1 rows; Gamma1 or node columns, told apart by
+        their count, since n > n_b on every mesh) under the mirror:
+        block[J_b, J_b] or block[J_b, J_n]."""
+        node, bnd = self.mirror
+        return block[np.ix_(bnd, bnd if block.shape[1] == self.n_b else node)]
 
 
 def _grid_index_maps(mesh: Mesh):
@@ -284,6 +296,7 @@ def assemble_wave_operator(mesh: Mesh, coeffs: CoefficientSet) -> ModelOperators
         state_weights=mesh.vol_weights.copy(),
         bnd_weights=mesh.bnd_weights.copy(),
         coeffs=coeffs,
+        mirror=mirror_images(mesh, np.arange(n)),
     )
 
 
@@ -350,6 +363,7 @@ def assemble_biharmonic_operator(mesh: Mesh, coeffs: CoefficientSet) -> ModelOpe
         state_weights=mesh.vol_weights[1:N].copy(),
         bnd_weights=mesh.bnd_weights.copy(),
         coeffs=coeffs,
+        mirror=mirror_images(mesh, np.arange(1, N)),
     )
 
 
@@ -378,10 +392,29 @@ def default_boundary_laplacian(mesh: Mesh) -> np.ndarray:
     return M
 
 
+def mirror_symmetrized(ops: ModelOperators, outputs, inputs) -> list[np.ndarray]:
+    """The ``outputs`` averaged with their mirror images (``ops.mirrored``)
+    when every block of ``inputs`` is bitwise mirror-invariant; the
+    ``outputs`` as they are otherwise, and on dofs without a mirror.
+
+    When the inputs are invariant, so is the exact value of every output,
+    which then differs from its mirror image by rounding only; the average
+    (X + J X J) / 2 is invariant bit for bit, since fl(a + b) = fl(b + a).
+    The decision reads the inputs, never a tolerance, so a model that is not
+    symmetric stays as it is assembled.
+    """
+    if ops.mirror is None or not all(np.array_equal(ops.mirrored(b), b) for b in inputs):
+        return list(outputs)
+    return [0.5 * (b + ops.mirrored(b)) for b in outputs]
+
+
 def apply_neutral_transform(ops: ModelOperators, M: np.ndarray) -> ModelOperators:
     """Replace B_i by (I-M)^-1 B_i and R by L - (I-M)^-1 B2.
 
-    Requires (I - M) invertible to working precision.
+    Requires (I - M) invertible to working precision.  When M and the B_i
+    are bitwise mirror-invariant, the transformed B_i are averaged with their
+    mirror images (``mirror_symmetrized``): the dense solve and products sum
+    in an order the mirror does not keep.
     """
     nb = ops.n_b
     M = np.array(M, dtype=float)   # a copy, so the caller's M stays writable
@@ -392,13 +425,13 @@ def apply_neutral_transform(ops: ModelOperators, M: np.ndarray) -> ModelOperator
     except NumericalError as exc:
         raise AssumptionError(
             "A8", f"{exc}; the neutral transform needs 1 in the resolvent set of M") from exc
-    B1 = S @ ops.B1
-    B2 = S @ ops.B2
+    blocks = (ops.B1, ops.B2, ops.B3, ops.B4)
+    B1, B2, B3, B4 = mirror_symmetrized(ops, [S @ b for b in blocks], (M,) + blocks)
     R = ops.L.copy()
     R[:, :ops.n] -= B2
     return replace(
         ops,
-        B1=B1, B2=B2, B3=S @ ops.B3, B4=S @ ops.B4, R=R,
+        B1=B1, B2=B2, B3=B3, B4=B4, R=R,
         neutral=True, M=M,
         model_tag=ops.model_tag + "+neutral",
     )

@@ -20,10 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import checked_solve, mixed_matmul, rel_residual
+from ._linalg import checked_solve, mirror_blocks, mirror_lift, mixed_matmul, rel_residual
 from .blockops import BlockSystem, reduced_generator
 from .errors import AssumptionError, ConfigurationError, NumericalError, SpectralParameterError
-from .mesh import Mesh
 from .resolvent import PencilEvaluator, dirichlet_operator, pencil, pencil_derivative
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2.0 fallback
@@ -44,25 +43,62 @@ class SpectrumReport:
         return evaluator.is_admissible(self.eigenvalues)
 
 
+def _generator_eig(sys: BlockSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of Acal, from the even and odd blocks of
+    ``mirror_blocks`` (vectors lifted by ``mirror_lift``) when ``sys.mirror``
+    is set."""
+    try:
+        if sys.mirror is None:
+            return np.linalg.eig(sys.Acal)
+        (val_e, vec_e), (val_o, vec_o) = (np.linalg.eig(block)
+                                          for block in mirror_blocks(sys.Acal, sys.mirror))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"dense eigensolve failed: {exc}") from exc
+    return np.concatenate([val_e, val_o]), mirror_lift(sys.mirror, vec_e, vec_o)
+
+
+# Row order of direct spectra: values rounded to multiples of this fraction of
+# 1 + max |lam|, the relative scale at which the largest direct eigenvalue is
+# matched to a pencil root.
+ORDER_TOL = 1e-6
+
+
+def canonical_order(vals: np.ndarray) -> np.ndarray:
+    """Indices sorting ``vals`` by real part, then |imag|, each rounded to a
+    multiple of q = ORDER_TOL (1 + max |lam|); a conjugate pair puts its
+    negative imaginary part first, and the exact values only break the ties
+    that remain.
+
+    One q for the whole spectrum keeps the rounded keys comparable.  The
+    order then does not depend on the last digits, which move with the BLAS
+    thread count and with the mirror split, unless a value sits within that
+    drift of a rounding boundary.
+    """
+    quantum = ORDER_TOL * (1.0 + float(np.max(np.abs(vals), initial=0.0)))
+    re, im = np.rint(vals.real / quantum), np.rint(np.abs(vals.imag) / quantum)
+    return np.lexsort((vals.imag, vals.real, np.sign(vals.imag), im, re))
+
+
 def direct_spectrum(evaluator: PencilEvaluator | BlockSystem) -> SpectrumReport:
     """Brute-force dense eigendecomposition of Acal with per-pair residuals.
 
-    Eigenvalues the evaluator refuses are classified by the failed test
-    (``zero-mode`` or ``a0-branch``), so ``pencil-root`` and ``b4-branch``
-    rows are exactly its admissible ones; a bare system gets the default
-    radii.
+    A mirror-invariant Acal (``sys.mirror`` set) is eigensolved through its
+    even and odd blocks, an exact similarity; each residual
+    ||Acal x - lam x|| / ||x|| is still taken against the full Acal, so the
+    certification does not rest on the split.  Rows come in
+    ``canonical_order``.  Eigenvalues the evaluator refuses are classified by
+    the failed test (``zero-mode`` or ``a0-branch``), so ``pencil-root`` and
+    ``b4-branch`` rows are exactly its admissible ones; a bare system gets the
+    default radii.
     """
     if isinstance(evaluator, BlockSystem):
         evaluator = PencilEvaluator(evaluator)
     sys = evaluator.sys
-    try:
-        vals, vecs = np.linalg.eig(sys.Acal)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"dense eigensolve failed: {exc}") from exc
+    vals, vecs = _generator_eig(sys)
     mv = mixed_matmul(sys.Acal, vecs)
     resid = (np.linalg.norm(mv - vecs * vals[None, :], axis=0)
              / np.linalg.norm(vecs, axis=0))
-    order = np.lexsort((vals.imag, vals.real))
+    order = canonical_order(vals)
     vals, resid = vals[order], resid[order]
     eig_b4 = np.linalg.eigvals(sys.ops.B4)
     refusal = evaluator.refusals(vals)
@@ -373,69 +409,28 @@ def essential_range(values: np.ndarray, weights: np.ndarray) -> list[tuple[float
 # ---------------------------------------------------------------------------
 # Refinement proxies
 # ---------------------------------------------------------------------------
-def _mirror_permutation(mesh: Mesh, sys: BlockSystem, reduced: bool) -> np.ndarray | None:
-    """State permutation of the mirror x -> L - x (node axis 0 reversed), or
-    None when some dof has no mirror image among the dofs of its block.
-
-    The blocks are (u, v, x, y), or (u, v, y) for the reduced generator."""
-    mirror = np.arange(mesh.n_nodes).reshape(mesh.grid_shape[::-1])[..., ::-1].ravel()
-    images = []
-    for nodes in (sys.ops.state_node_idx, mesh.gamma1):
-        pos = np.full(mesh.n_nodes, -1)
-        pos[nodes] = np.arange(nodes.size)
-        images.append(pos[mirror[nodes]])
-    if any(np.any(img < 0) for img in images):
+def _reduced_mirror(sys: BlockSystem) -> np.ndarray | None:
+    """``sys.mirror`` on the reduced generator's state (u, v, y)."""
+    if sys.mirror is None:
         return None
     n, nb = sys.n, sys.n_b
-    node_img, bnd_img = images
-    blocks = [node_img, n + node_img, 2 * n + bnd_img]
-    if not reduced:
-        blocks.append(2 * n + nb + bnd_img)
-    return np.concatenate(blocks)
+    return np.concatenate([sys.mirror[:2 * n], sys.mirror[2 * n + nb:] - nb])
 
 
-def _generator_eigvals(mesh: Mesh, sys: BlockSystem, reduced: bool = False) -> np.ndarray:
+def _generator_eigvals(sys: BlockSystem, reduced: bool = False) -> np.ndarray:
     """Eigenvalues of ``sys.Acal`` (or the reduced generator), in no order.
 
-    When the mirror permutation J of the state leaves the matrix A exactly
-    unchanged (J A J = A, compared bit for bit), A commutes with J and the
-    spectrum is that of its even and odd parts: with one representative r
-    per orbit of J, the similarity by the orthogonal basis (e_r +- e_Jr)/sqrt2
-    (e_r on a fixed point) followed by the diagonal scaling sqrt2 on the pairs
-    gives the blocks
-
-        even[p, q] = A[r_p, r_q] + A[r_p, J r_q]   (second term on pairs only)
-        odd[p, q]  = A[r_p, r_q] - A[r_p, J r_q]   (pairs only)
-
-    whose entries are one rounded sum each; two half-size eigensolves cost
-    about a quarter of the full one.  Both the test and the blocks read only
-    the nonzeros of A (J is an involution, so an entry that is zero where its
-    mirror image is not fails the test at the image), which keeps full-size
-    temporaries out.  Otherwise (no mirror image of some dof, or any unequal
-    entry, as in the neutral strip's assembly) A is eigensolved as it stands.
+    When Acal commutes exactly with the mirror (``sys.mirror`` is set), so
+    does the reduced generator, its principal submatrix on a mirror-closed
+    set of dofs, and the spectrum is that of the even and odd blocks of
+    ``mirror_blocks``: two half-size eigensolves, about a quarter of the full
+    one.  Otherwise the matrix is eigensolved as it stands.
     """
     mat = reduced_generator(sys) if reduced else sys.Acal
-    perm = _mirror_permutation(mesh, sys, reduced)
+    perm = _reduced_mirror(sys) if reduced else sys.mirror
     if perm is None:
         return np.linalg.eigvals(mat)
-    rows, cols = np.divmod(np.flatnonzero(mat != 0), mat.shape[1])
-    vals = mat[rows, cols]
-    if not np.array_equal(mat[perm[rows], perm[cols]], vals):
-        return np.linalg.eigvals(mat)
-    idx = np.arange(perm.size)
-    rep = np.minimum(idx, perm)                 # representative of each orbit
-    reps = np.flatnonzero(idx == rep)
-    pairs = reps[perm[reps] != reps]
-    even = np.zeros((reps.size, reps.size), dtype=mat.dtype)
-    odd = np.zeros((pairs.size, pairs.size), dtype=mat.dtype)
-    keep = rows == rep[rows]                    # nonzeros of representative rows
-    np.add.at(even, (np.searchsorted(reps, rows[keep]), np.searchsorted(reps, rep[cols[keep]])),
-              vals[keep])
-    keep &= (perm[rows] != rows) & (perm[cols] != cols)
-    r, c, v = rows[keep], cols[keep], vals[keep]
-    np.add.at(odd, (np.searchsorted(pairs, r), np.searchsorted(pairs, rep[c])),
-              np.where(c == rep[c], v, -v))
-    return np.concatenate([np.linalg.eigvals(even), np.linalg.eigvals(odd)])
+    return np.concatenate([np.linalg.eigvals(block) for block in mirror_blocks(mat, perm)])
 
 
 def essential_spectrum_proxy(systems, epsilon: float) -> dict:
@@ -448,11 +443,10 @@ def essential_spectrum_proxy(systems, epsilon: float) -> dict:
     in finite dimensions; only the trend is meaningful, and the report says so.
     Interval models get the finite-boundary answer instead of counts; strip
     systems are always wave or divergence models (the only strip assembly).
-    The eigenvalues come from ``_generator_eigvals``: a strip whose reduced
-    generator commutes exactly with the mirror x -> 1 - x is split into its
-    even and odd parts, an exact similarity that keeps the spectrum; the
-    shipped k = 0 strip is symmetric only to rounding and is eigensolved
-    whole.
+    The eigenvalues come from ``_generator_eigvals``: a strip whose assembly
+    is mirror-exact (``sys.mirror`` set, as on every shipped strip) is split
+    into the even and odd parts of its reduced generator under the mirror
+    x -> 1 - x, an exact similarity that keeps the spectrum.
     """
     rows = []
     ess_vals = None
@@ -469,7 +463,7 @@ def essential_spectrum_proxy(systems, epsilon: float) -> dict:
             raise ConfigurationError("essential-spectrum proxy requires B3 = 0 (k = 0)")
         rng = essential_range(np.real(np.diag(sys.ops.B4)), sys.ops.bnd_weights)
         ess_vals = [v for v, _ in rng]
-        vals = _generator_eigvals(mesh, sys, reduced=True)
+        vals = _generator_eigvals(sys, reduced=True)
         count = int(np.sum([
             np.min([abs(l - v) for v in ess_vals]) <= epsilon for l in vals]))
         rows.append({"nx": mesh.grid_shape[0] - 1, "n_b": sys.n_b, "count": count})
@@ -493,9 +487,10 @@ def compact_resolvent_diagnostic(systems) -> dict:
     the spectral radius grows like the stencil stiffness: the discrete
     signature of a compact resolvent / purely discrete spectrum.  Each
     refinement's eigenvalues come from ``_generator_eigvals``: when Acal
-    commutes exactly with the mirror x -> L - x (both shipped intervals), its
-    even and odd parts, of about half the size each, are eigensolved instead
-    of Acal; the similarity between them is exact, so only rounding differs.
+    commutes exactly with the mirror x -> L - x (``sys.mirror`` set, as on
+    both shipped intervals), its even and odd parts, of about half the size
+    each, are eigensolved instead of Acal; the similarity between them is
+    exact, so only rounding differs.
     """
     spectra = []
     sizes = []
@@ -503,7 +498,7 @@ def compact_resolvent_diagnostic(systems) -> dict:
     for mesh, sys in systems:
         if mesh.kind != "interval":
             raise ConfigurationError("compact-resolvent diagnostic expects 1D models")
-        vals = _generator_eigvals(mesh, sys)
+        vals = _generator_eigvals(sys)
         # rigid drift modes sit numerically at zero and carry no convergence
         # information; track them separately
         zero_tol = 1e-6 * max(1.0, float(np.max(np.abs(vals))))

@@ -5,11 +5,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import abclab as ab
 from abclab.checks import CHECKS
 from abclab.cli import main
+from abclab.spectral import ORDER_TOL
 
 from conftest import CONFIG_DIR
 
@@ -177,6 +179,36 @@ def test_compare_robin_is_independent_of_the_blas_thread_count(tmp_path):
         outputs.append((robin.read_bytes(), Path(f"{robin}.summary.json").read_bytes(),
                         states.read_bytes(), simulated.read_bytes()))
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("nx", [16, 24])
+def test_direct_row_order_is_independent_of_the_blas_thread_count(tmp_path, nx):
+    # the digits move with the thread count (README), the row sequence of
+    # classification, gamma_member and value rounded as canonical_order
+    # rounds does not.  Sorted by the exact values, 11 rows of the full
+    # eigensolve changed places at nx = 16, and 1081 rows of the split one
+    # at nx = 24
+    doc = json.loads((CONFIG_DIR / "timoshenko-strip.json").read_text())
+    doc["geometry"].update(nx=nx, ny=nx)
+    cfg = tmp_path / "strip.json"
+    cfg.write_text(json.dumps(doc))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    sequences = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = tmp_path / f"spectrum-{threads}.csv"
+        subprocess.run([sys.executable, "-m", "abclab.cli", "spectrum", "--config", str(cfg),
+                        "--method", "direct", "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=300)
+        with open(out, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        lam = np.array([complex(float(r["re"]), float(r["im"])) for r in rows])
+        quantum = ORDER_TOL * (1.0 + np.max(np.abs(lam)))
+        sequences.append([(r["classification"], r["gamma_member"], re + 0.0, im + 0.0)
+                          for r, re, im in zip(rows, np.rint(lam.real / quantum),
+                                               np.rint(lam.imag / quantum))])
+    assert sequences[0] == sequences[1]
 
 
 def test_essential_proxy_interval(tmp_path):

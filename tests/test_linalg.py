@@ -191,3 +191,48 @@ def test_mixed_matmul_matches_the_complex_product(k, n, m, seed):
         got, ref = la.mixed_matmul(a, b), a @ b
         assert got.shape == ref.shape and got.dtype == ref.dtype
         assert np.all(np.abs(got - ref) <= 4 * n * eps * (np.abs(a) @ np.abs(b)))
+
+
+def _mirror_invariant(seed, n_pairs, n_fixed):
+    """A complex matrix with J A J = A bit for bit, J an involution with
+    ``n_pairs`` 2-orbits and ``n_fixed`` fixed points in shuffled positions."""
+    rng = np.random.default_rng(seed)
+    size = 2 * n_pairs + n_fixed
+    slots = rng.permutation(size)
+    perm = np.arange(size)
+    a, b = slots[:n_pairs], slots[n_pairs:2 * n_pairs]
+    perm[a], perm[b] = b, a
+    half = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+    return half + half[np.ix_(perm, perm)], perm
+
+
+@pytest.mark.parametrize("n_pairs,n_fixed", [(5, 0), (4, 3), (1, 1)])
+def test_split_inverse_and_eigenvectors_match_the_full_ones(audit, n_pairs, n_fixed):
+    mat, perm = _mirror_invariant(n_pairs + 7 * n_fixed, n_pairs, n_fixed)
+    assert la.commutes_with_mirror(mat, perm)
+    inv = la.checked_inverse(mat, "probe", mirror=perm)
+    ref = np.linalg.inv(mat)
+    assert np.linalg.norm(inv - ref) <= 1e-12 * np.linalg.norm(ref)
+    # the guard judged the full matrix with the Frobenius bound of the inverse
+    (what, bound, cond, refused), = audit
+    assert (what, refused) == ("probe", False)
+    assert bound == pytest.approx(np.linalg.norm(mat) * np.linalg.norm(ref), rel=1e-12)
+    even, odd = la.mirror_blocks(mat, perm)
+    assert (even.shape[0], odd.shape[0]) == (n_pairs + n_fixed, n_pairs)
+    vals = np.concatenate([np.linalg.eigvals(even), np.linalg.eigvals(odd)])
+    vecs = la.mirror_lift(perm, np.linalg.eig(even)[1], np.linalg.eig(odd)[1])
+    assert np.linalg.norm(mat @ vecs - vecs * vals) <= 1e-12 * np.linalg.norm(mat)
+
+
+def test_split_inverse_refuses_as_the_full_solve_does(audit):
+    mat, perm = _mirror_invariant(5, 3, 2)
+    # an exact odd null vector (+1, -1 on one 2-orbit) makes mat singular
+    r = int(np.flatnonzero(perm != np.arange(perm.size))[0])
+    mat[:, r] = mat[:, perm[r]] = 0.0
+    with pytest.raises(NumericalError, match="probe: exactly singular matrix"):
+        la.checked_inverse(mat, "probe", mirror=perm)
+    # near singular: the full matrix's exact condition number decides
+    mat[r, r] = mat[perm[r], perm[r]] = 1e-14
+    with pytest.raises(NumericalError, match="probe: condition estimate"):
+        la.checked_inverse(mat, "probe", mirror=perm)
+    assert [refused for *_, refused in audit] == [True]

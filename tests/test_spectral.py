@@ -325,7 +325,7 @@ def test_mirror_split_matches_full_eigensolve(name, request, monkeypatch):
 
     mesh, sys = ab.build_system(sc.override_interval_cells(request.getfixturevalue(name), 256))
     shapes, full_eigvals = _recorded_eigvals(monkeypatch)
-    split = _generator_eigvals(mesh, sys)
+    split = _generator_eigvals(sys)
     # (u, v, x, y) on 257 nodes and 2 ends: the even part keeps the middle node
     assert shapes == [(260, 260), (258, 258)]
     full = full_eigvals(sys.Acal)
@@ -342,7 +342,7 @@ def test_mirror_split_on_biharmonic_interval(biharmonic_sys, monkeypatch):
     # the state nodes are 1..31 of 0..32, so the mirror maps them onto themselves
     mesh, sys = biharmonic_sys
     shapes, full_eigvals = _recorded_eigvals(monkeypatch)
-    split = _generator_eigvals(mesh, sys)
+    split = _generator_eigvals(sys)
     assert shapes == [(34, 34), (32, 32)]
     full = full_eigvals(sys.Acal)
     assert _same_spectrum(split, full, 1e-10 * np.max(np.abs(full)))
@@ -363,22 +363,24 @@ def test_asymmetric_interval_keeps_the_full_eigensolve(build, monkeypatch):
 
     mesh, sys = build()
     shapes, full_eigvals = _recorded_eigvals(monkeypatch)
-    vals = _generator_eigvals(mesh, sys)
+    vals = _generator_eigvals(sys)
     assert shapes == [sys.Acal.shape]
     assert vals.tobytes() == full_eigvals(sys.Acal).tobytes()
 
 
 @pytest.mark.parametrize("reduced", [False, True], ids=["Acal", "reduced"])
-def test_shipped_strip_keeps_the_full_eigensolve(reduced, monkeypatch):
+def test_shipped_strip_splits_the_eigensolve(reduced, monkeypatch):
     from abclab.spectral import _generator_eigvals
 
-    # the neutral strip's assembly is mirror-symmetric only to rounding
+    # the neutral strip's assembly is mirror-exact: nx = 16 puts 9 of the 17
+    # columns in the even part, so (u, v, x, y) splits into 324 + 288 dofs
     mesh, sys = ab.build_system(ab.load_config(CONFIG_DIR / "timoshenko-strip-k0.json"))
     mat = reduced_generator(sys) if reduced else sys.Acal
     shapes, full_eigvals = _recorded_eigvals(monkeypatch)
-    vals = _generator_eigvals(mesh, sys, reduced=reduced)
-    assert shapes == [mat.shape]
-    assert vals.tobytes() == full_eigvals(mat).tobytes()
+    split = _generator_eigvals(sys, reduced=reduced)
+    assert shapes == ([(315, 315), (280, 280)] if reduced else [(324, 324), (288, 288)])
+    full = full_eigvals(mat)
+    assert _same_spectrum(split, full, 1e-10 * np.max(np.abs(full)))
 
 
 def test_mirror_split_on_exactly_symmetric_strip(monkeypatch):
@@ -387,7 +389,30 @@ def test_mirror_split_on_exactly_symmetric_strip(monkeypatch):
     # nx = 8: 9 columns mirror about the middle one, (u, v, y) of 81, 81, 9 dofs
     mesh, sys = ab.build_system(strip_proxy_cfg())
     shapes, full_eigvals = _recorded_eigvals(monkeypatch)
-    split = _generator_eigvals(mesh, sys, reduced=True)
+    split = _generator_eigvals(sys, reduced=True)
     assert shapes == [(95, 95), (76, 76)]
     full = full_eigvals(reduced_generator(sys))
     assert _same_spectrum(split, full, 1e-10 * np.max(np.abs(full)))
+
+
+@pytest.mark.parametrize("name", ["abc-1d", "special-case", "timoshenko-strip",
+                                  "timoshenko-strip-k0"])
+def test_split_direct_spectrum_agrees_with_the_full_eigensolve(name, monkeypatch):
+    # each pair (lam, x) is exact for Acal + E with ||E||_2 = its residual r,
+    # floored at eig's own backward error N eps ||Acal||; a double eigenvalue
+    # with a Jordan block (the zero modes) moves by at most about
+    # sqrt(r ||Acal||) under it, every other one by less
+    mesh, sys = ab.build_system(ab.load_config(CONFIG_DIR / f"{name}.json"))
+    shapes = []
+    real_eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda mat: shapes.append(mat.shape) or real_eig(mat))
+    split = ab.direct_spectrum(sys)
+    assert len(shapes) == 2 and sum(rows for rows, _ in shapes) == sys.state_dim
+    full = ab.direct_spectrum(dataclasses.replace(sys, mirror=None))
+    assert shapes[2:] == [sys.Acal.shape]
+    norm = np.linalg.norm(sys.Acal, 2)
+    resid = np.maximum(np.maximum(split.residuals, full.residuals),
+                       sys.state_dim * np.finfo(float).eps * norm)
+    assert split.classification == full.classification
+    assert np.all(np.abs(split.eigenvalues - full.eigenvalues) <= np.sqrt(resid * norm))
+    assert np.max(split.residuals) < 1e-8
