@@ -5,11 +5,19 @@ through its nonzeros for the matvecs of the exponential's action.
 
 Everything here is desk scale: square systems of a few hundred unknowns,
 solved by LU with partial pivoting, with a condition refusal threshold
-instead of iterative refinement.  The guard costs O(N^2): each solve carries
-a certified upper bound on its 2-norm condition number, and only a bound
-that does not clear the threshold is settled by the exact (SVD) condition
-number, so the refusals are the ones the SVD alone would make (Higham,
-*Accuracy and Stability of Numerical Algorithms*, 2nd ed., ch. 15).
+instead of iterative refinement.  ``checked_solve`` is the one guarded dense
+solve.  The guard costs O(N^2): each solve carries a certified upper bound
+on its 2-norm condition number, and only a bound that does not clear the
+threshold is settled by the exact (SVD) condition number, so the refusals
+are the ones the SVD alone would make (Higham, *Accuracy and Stability of
+Numerical Algorithms*, 2nd ed., ch. 15).
+
+A matrix that commutes exactly with an involutive permutation J (the mirror
+x -> L - x of a symmetric grid) is block-diagonal in the basis of J's even
+and odd vectors (Bossavit, Comput. Methods Appl. Mech. Engrg. 56, 1986).
+``mirror_blocks`` forms the two blocks, ``mirror_lift`` lifts their
+eigenvectors, and ``checked_solve(..., mirror=J)`` solves the two blocks
+instead of the matrix, always guarded on the full matrix.
 """
 
 from __future__ import annotations
@@ -82,30 +90,10 @@ def condition_guard(mat: np.ndarray, bound: float, what: str) -> None:
 
 
 def _is_identity(rhs: np.ndarray) -> bool:
-    return rhs.ndim == 2 and rhs.shape[0] == rhs.shape[1] and np.array_equal(
-        rhs, np.eye(rhs.shape[0]))
-
-
-def checked_solve(mat: np.ndarray, rhs: np.ndarray, what: str = "linear system",
-                  cond_bound: float | None = None) -> np.ndarray:
-    """Solve ``mat @ x = rhs`` by LU; refuse if the matrix is near singular.
-
-    ``cond_bound`` is a certified upper bound on cond_2(mat).  Without one, an
-    inverse-forming solve (``rhs`` the identity) bounds it by
-    ||mat||_F ||x||_F, and any other solve falls back to the exact condition
-    number.
-    """
-    try:
-        x = np.linalg.solve(mat, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"{what}: exactly singular matrix") from exc
-    if not np.all(np.isfinite(x)):
-        raise NumericalError(f"{what}: non-finite solution")
-    if cond_bound is None:
-        cond_bound = (float(np.linalg.norm(mat) * np.linalg.norm(x))
-                      if _is_identity(rhs) else np.inf)
-    condition_guard(mat, cond_bound, what)
-    return x
+    """Whether ``rhs`` is a square identity (read without forming one)."""
+    n = rhs.shape[0]
+    return (rhs.shape == (n, n) and np.count_nonzero(rhs) == n
+            and bool(np.all(rhs.diagonal() == 1)))
 
 
 def commutes_with_mirror(mat: np.ndarray, perm: np.ndarray) -> bool:
@@ -175,41 +163,75 @@ def mirror_lift(perm: np.ndarray, even_vecs: np.ndarray, odd_vecs: np.ndarray) -
     return np.concatenate([even_vecs[even_of], sign[:, None] * odd_vecs[odd_of]], axis=1)
 
 
-def checked_inverse(mat: np.ndarray, what: str, mirror: np.ndarray | None = None) -> np.ndarray:
-    """``mat^-1`` by LU, guarded like an identity-RHS ``checked_solve``.
+def _mirror_solve(mat: np.ndarray, rhs: np.ndarray, perm: np.ndarray,
+                  identity: bool) -> np.ndarray:
+    """``mat^-1 rhs`` from the two blocks of ``mirror_blocks(mat, perm)``.
 
-    With ``mirror``, an involutive permutation J with J mat J = mat exactly,
-    the inverse comes from the inverses E, O of the two blocks of
-    ``mirror_blocks``, in the coordinates of ``mirror_lift``:
+    The even and odd parts (rhs +- J rhs)/2 of ``rhs``, read at the
+    representatives r, are w_e = (rhs[r] + rhs[Jr])/2 (exactly rhs[r] on a
+    fixed point) and, on the 2-orbits, w_o = (rhs[r] - rhs[Jr])/2.  The
+    block solutions y_e, y_o lift back as
+    x[i] = y_e[even_of[i]] + sign[i] y_o[odd_of[i]].  For an ``identity``
+    rhs the blocks are inverted, E and O, and the lift is
 
         X[i, j] = E[even_of[i], even_of[j]] c_j + sign[i] sign[j] O[odd_of[i], odd_of[j]] / 2
 
-    with c_j = 1/2 on a 2-orbit and 1 on a fixed point.  The guard judges the
-    full ``mat`` with the bound ||mat||_F ||X||_F, as ``checked_solve`` does.
+    with c_j = 1/2 on a 2-orbit and 1 on a fixed point.
     """
-    if mirror is None:
-        return checked_solve(mat, np.eye(mat.shape[0], dtype=mat.dtype), what=what)
-    try:
-        even, odd = (np.linalg.solve(b, np.eye(b.shape[0], dtype=b.dtype))
-                     for b in mirror_blocks(mat, mirror))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"{what}: exactly singular matrix") from exc
-    _, _, even_of, odd_of, sign = _mirror_coords(mirror)
+    even, odd = mirror_blocks(mat, perm)
+    _, _, even_of, odd_of, sign = _mirror_coords(perm)
+    if not identity:
+        reps, pairs = np.flatnonzero(sign >= 0), np.flatnonzero(sign > 0)
+        y_even = np.linalg.solve(even, 0.5 * (rhs[reps] + rhs[perm[reps]]))
+        y_odd = np.linalg.solve(odd, 0.5 * (rhs[pairs] - rhs[perm[pairs]]))
+        return y_even[even_of] + sign.reshape((-1,) + (1,) * (rhs.ndim - 1)) * y_odd[odd_of]
+    even, odd = (np.linalg.solve(b, np.eye(b.shape[0], dtype=b.dtype)) for b in (even, odd))
     x = even[even_of][:, even_of]
     x *= np.where(sign != 0, 0.5, 1.0)
-    odd_rows = odd[odd_of]
-    odd_rows *= (0.5 * sign)[:, None]
-    odd_part = odd_rows[:, odd_of]
-    odd_part *= sign
-    x += odd_part
+    # column p of ``odd_cols`` is the odd part of column r of X, and minus
+    # that of column Jr, for the p-th 2-orbit {r, Jr}; no full-size gather
+    odd_cols = odd[odd_of]
+    odd_cols *= (0.5 * sign)[:, None]
+    pairs = np.flatnonzero(sign > 0)
+    x[:, pairs] += odd_cols
+    x[:, perm[pairs]] -= odd_cols
+    return x
+
+
+def checked_solve(mat: np.ndarray, rhs: np.ndarray, what: str = "linear system",
+                  cond_bound: float | None = None,
+                  mirror: np.ndarray | None = None) -> np.ndarray:
+    """Solve ``mat @ x = rhs`` by LU; refuse if the matrix is near singular.
+
+    This is the one guarded dense solve.  ``mirror`` is None or an
+    involutive permutation J with J mat J = mat exactly
+    (``commutes_with_mirror``); with one, the two half-size blocks of
+    ``mirror_blocks`` are solved instead of ``mat`` (``_mirror_solve``), about
+    a quarter of the LU work.  Either way the guard judges the full ``mat``,
+    so the refusals and their messages do not depend on the split.
+
+    ``cond_bound`` is a certified upper bound on cond_2(mat).  Without one, an
+    inverse-forming solve (``rhs`` the identity) bounds it by
+    ||mat||_F ||x||_F, and any other solve falls back to the exact condition
+    number.
+    """
+    identity = _is_identity(rhs)
+    try:
+        x = (np.linalg.solve(mat, rhs) if mirror is None
+             else _mirror_solve(mat, rhs, mirror, identity))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"{what}: exactly singular matrix") from exc
     if not np.all(np.isfinite(x)):
         raise NumericalError(f"{what}: non-finite solution")
-    condition_guard(mat, float(np.linalg.norm(mat) * np.linalg.norm(x)), what)
+    if cond_bound is None:
+        cond_bound = float(np.linalg.norm(mat) * np.linalg.norm(x)) if identity else np.inf
+    condition_guard(mat, cond_bound, what)
     return x
 
 
 def bordered_dirichlet_solve(a_max: np.ndarray, bnd: np.ndarray, mu: complex,
-                             cond_bound: float | None = None) -> np.ndarray:
+                             cond_bound: float | None = None,
+                             mirror: np.ndarray | None = None) -> np.ndarray:
     """Columns of the lifting operator for the boundary row operator ``bnd``.
 
     Solves the square bordered system
@@ -222,6 +244,9 @@ def bordered_dirichlet_solve(a_max: np.ndarray, bnd: np.ndarray, mu: complex,
     extended field with interior eigen-equation mu and boundary data e_i.
     ``cond_bound`` bounds the condition number of the bordered matrix (see
     ``BlockSystem.lift_cond_bound``); without it the exact one is taken.
+    ``mirror`` is a permutation of the extended dofs that leaves
+    [-A_max; bnd] unchanged bit for bit (``BlockSystem.ext_mirror``); the
+    shift mu on the node diagonal keeps that, so the solve splits.
     """
     n, next_ = a_max.shape
     n_b = bnd.shape[0]
@@ -229,11 +254,13 @@ def bordered_dirichlet_solve(a_max: np.ndarray, bnd: np.ndarray, mu: complex,
         raise NumericalError("bordered solve: boundary operator has wrong extended width")
     mat = np.zeros((next_, next_), dtype=np.result_type(a_max.dtype, type(mu)))
     mat[:n, :] = -a_max
-    mat[:n, :n] += mu * np.eye(n)
+    diag = np.arange(n)
+    mat[diag, diag] += mu
     mat[n:, :] = bnd
     rhs = np.zeros((next_, n_b), dtype=mat.dtype)
     rhs[n:, :] = np.eye(n_b)
-    return checked_solve(mat, rhs, what="bordered Dirichlet system", cond_bound=cond_bound)
+    return checked_solve(mat, rhs, what="bordered Dirichlet system", cond_bound=cond_bound,
+                         mirror=mirror)
 
 
 class NonzeroOperator:

@@ -21,7 +21,9 @@ W^{1/2} A0 W^{-1/2} = Q diag(a) Q^T gives A0 = V diag(a) V^-1 with
 V = W^{-1/2} Q, V^-1 = Q^T W^{1/2}, and the modal pencil factors X1, X2, Y
 (see resolvent.pencil).  The same modal data, with a few norms taken once at
 assembly, bounds the condition number of every bordered Dirichlet solve
-(BlockSystem.lift_cond_bound), so that guard needs no SVD.
+(BlockSystem.lift_cond_bound), so that guard needs no SVD.  Where the mirror
+x -> L - x leaves both bordered matrices exactly unchanged, each bordered
+solve takes their two half-size even and odd blocks (BlockSystem.ext_mirror).
 """
 
 from __future__ import annotations
@@ -66,10 +68,14 @@ class BlockSystem:
     # state permutation J of the mirror x -> L - x, set only when J Acal J = Acal
     # bit for bit (see assemble_block_generator); None otherwise
     mirror: np.ndarray | None = field(repr=False)
+    # its permutation of the extended dofs (nodes, then ghosts), set only when
+    # it leaves both [-A_max; R] and [-A_max; L] unchanged bit for bit; the
+    # bordered Dirichlet solves split by it.  None otherwise
+    ext_mirror: np.ndarray | None = field(repr=False)
 
     def __post_init__(self):
         freeze_arrays(self, ("A0", "E0", "E1", "S_A", "Acal", "eig_A0",
-                             "X1", "X2", "Y", "B2V", "mirror"))
+                             "X1", "X2", "Y", "B2V", "mirror", "ext_mirror"))
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -90,6 +96,12 @@ class BlockSystem:
     @property
     def _m1(self) -> int:          # size of (u, v, x); the y-rows start here
         return 2 * self.n + self.n_b
+
+    @property
+    def node_mirror(self) -> np.ndarray | None:
+        """The u part of ``mirror``, which leaves A0 (the v-row, u-column
+        block of Acal) exactly unchanged; None when ``mirror`` is."""
+        return None if self.mirror is None else self.mirror[:self.n]
 
     @property
     def Abb0(self) -> np.ndarray:
@@ -154,10 +166,12 @@ class BlockSystem:
 
     def dirichlet_lift(self, mu: complex, flux: bool = False) -> np.ndarray:
         """Bordered Dirichlet solve for boundary row R (or L when ``flux``),
-        guarded by ``lift_cond_bound``."""
+        guarded by ``lift_cond_bound``; split into its even and odd halves by
+        ``ext_mirror`` when that is set."""
         bnd = self.ops.L if flux else self.ops.R
         return bordered_dirichlet_solve(self.ops.A_max, bnd, mu,
-                                        cond_bound=self.lift_cond_bound(mu, flux))
+                                        cond_bound=self.lift_cond_bound(mu, flux),
+                                        mirror=self.ext_mirror)
 
 
 def _ghost_maps(ops: ModelOperators):
@@ -178,9 +192,23 @@ def _state_mirror(ops: ModelOperators, Acal: np.ndarray) -> np.ndarray | None:
     if ops.mirror is None:
         return None
     n, _, nb = ops.dims
-    node, bnd = ops.mirror
+    node, bnd, _ = ops.mirror
     perm = np.concatenate([node, n + node, 2 * n + bnd, 2 * n + nb + bnd])
     return perm if commutes_with_mirror(Acal, perm) else None
+
+
+def _extended_mirror(ops: ModelOperators) -> np.ndarray | None:
+    """The mirror's permutation of the extended dofs (nodes, then ghosts) when
+    it leaves both bordered matrices [-A_max; R] and [-A_max; L] exactly
+    unchanged, else None.  Their rows are the nodes, then one boundary row
+    per ghost slot, so one permutation acts on rows and columns alike."""
+    if ops.mirror is None:
+        return None
+    node, _, ghost = ops.mirror
+    perm = np.concatenate([node, ops.n + ghost])
+    if all(commutes_with_mirror(np.vstack([ops.A_max, b]), perm) for b in (ops.R, ops.L)):
+        return perm
+    return None
 
 
 def assemble_block_generator(ops: ModelOperators) -> BlockSystem:
@@ -189,7 +217,8 @@ def assemble_block_generator(ops: ModelOperators) -> BlockSystem:
     When B1, B2 and B4 are bitwise mirror-invariant, so is the exact boundary
     row B1 + B4 B2, and its computed value is averaged with its mirror image
     (``mirror_symmetrized``).  The mirror's state permutation is stored when
-    Acal then commutes with it bit for bit.
+    Acal then commutes with it bit for bit, and its extended-dof permutation
+    when both bordered Dirichlet matrices do (``_extended_mirror``).
     """
     n, _, nb = ops.dims
     E0, E1 = _ghost_maps(ops)
@@ -234,7 +263,7 @@ def assemble_block_generator(ops: ModelOperators) -> BlockSystem:
         norm_S_A=holder_norm(S_A), norm_B2=holder_norm(ops.B2),
         norm_A_max=holder_norm(ops.A_max), norm_R=holder_norm(ops.R),
         norm_L=holder_norm(ops.L), kappa_W=float(np.sqrt(np.max(W) / np.min(W))),
-        mirror=_state_mirror(ops, Acal),
+        mirror=_state_mirror(ops, Acal), ext_mirror=_extended_mirror(ops),
     )
 
 

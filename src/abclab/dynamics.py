@@ -127,12 +127,6 @@ def taylor_expm(mat: np.ndarray) -> np.ndarray:
     """
     n = mat.shape[0]
     squarings = _squarings(_power_alphas(mat))
-    # 2.0 ** squarings overflows from 1024 on; a finite alpha gives at most
-    # 1025 squarings, so 2.0 ** -squarings is an exact nonzero power of two
-    A = mat * 2.0 ** -squarings
-    A2 = A @ A
-    A3 = A2 @ A
-    A4 = A2 @ A2
     c = _TAYLOR_COEFFS
     diag = np.diag_indices(n)
 
@@ -142,11 +136,20 @@ def taylor_expm(mat: np.ndarray) -> np.ndarray:
         B[diag] += c[4 * j]
         return B
 
-    E = c[16] * A4 + block(3)
-    for j in (2, 1, 0):
-        E = E @ A4 + block(j)
-    for _ in range(squarings):
-        E = E @ E
+    # an overflow leaves E non-finite (inf, or nan from inf * 0), which is
+    # refused below, so the scope only keeps numpy from also warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        # 2.0 ** squarings overflows from 1024 on; a finite alpha gives at most
+        # 1025 squarings, so 2.0 ** -squarings is an exact nonzero power of two
+        A = mat * 2.0 ** -squarings
+        A2 = A @ A
+        A3 = A2 @ A
+        A4 = A2 @ A2
+        E = c[16] * A4 + block(3)
+        for j in (2, 1, 0):
+            E = E @ A4 + block(j)
+        for _ in range(squarings):
+            E = E @ E
     if not np.all(np.isfinite(E)):
         raise NumericalError("Taylor matrix exponential overflowed")
     return E
@@ -328,7 +331,7 @@ def _flow(mat: np.ndarray, s: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
     block _BLOCK rows before it times (P^T)^_BLOCK, formed by three
     squarings.  Raises NumericalError when a block's plan needs 2^53
     matvecs or more, beyond what double precision resolves (an infinite
-    alpha_p among them).
+    alpha_p among them), and when a state of either route overflows.
     """
     t = np.maximum(t_grid, 0.0)
     gaps = np.diff(t, prepend=0.0)
@@ -337,35 +340,42 @@ def _flow(mat: np.ndarray, s: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
     op = NonzeroOperator(mat)
     alphas = _power_alphas(op)
     alpha = float(np.min(alphas))
-    ends = _blocks(t, i0, THETA[-1] / alpha if alpha > 0 else math.inf)
-    degrees, matvecs = _action_plan(np.diff(t[ends - 1], prepend=0.0), alphas)
-    states = np.empty((t.size, s.size), dtype=s.dtype)
-    states[:i0] = s
-    if (positive.size >= 2 and _uniform(positive)
-            and _dense_pays(op, alphas, positive, np.sum(matvecs))):
-        P = taylor_expm(mat * positive.mean())
-        blocked = positive.size >= s.size
-        for i in range(i0, min(i0 + _BLOCK, t.size) if blocked else t.size):
-            s = P @ s
-            states[i] = s
-        if blocked and t.size > i0 + _BLOCK:
-            # (P^T)^8 by three squarings: row k + 8 of states is row k times it
-            step = P.T
-            for _ in range(3):
-                step = step @ step
-            step = step.astype(states.dtype, copy=False)
-            for i in range(i0 + _BLOCK, t.size, _BLOCK):
-                hi = min(i + _BLOCK, t.size)
-                np.matmul(states[i - _BLOCK:hi - _BLOCK], step, out=states[i:hi])
+    # Python float division takes a subnormal alpha to an infinite reach
+    # (one block) without numpy's overflow warning
+    ends = _blocks(t, i0, float(THETA[-1]) / alpha if alpha > 0 else math.inf)
+    # overflow makes a plan cost inf (no finite plan) and an action or dense
+    # state non-finite; both are refused, so numpy need not also warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        degrees, matvecs = _action_plan(np.diff(t[ends - 1], prepend=0.0), alphas)
+        states = np.empty((t.size, s.size), dtype=s.dtype)
+        states[:i0] = s
+        if (positive.size >= 2 and _uniform(positive)
+                and _dense_pays(op, alphas, positive, np.sum(matvecs))):
+            P = taylor_expm(mat * positive.mean())
+            blocked = positive.size >= s.size
+            for i in range(i0, min(i0 + _BLOCK, t.size) if blocked else t.size):
+                s = P @ s
+                states[i] = s
+            if blocked and t.size > i0 + _BLOCK:
+                # (P^T)^8 by three squarings: row k + 8 of states is row k times it
+                step = P.T
+                for _ in range(3):
+                    step = step @ step
+                step = step.astype(states.dtype, copy=False)
+                for i in range(i0 + _BLOCK, t.size, _BLOCK):
+                    hi = min(i + _BLOCK, t.size)
+                    np.matmul(states[i - _BLOCK:hi - _BLOCK], step, out=states[i:hi])
+            if not np.all(np.isfinite(states)):
+                raise NumericalError("dense flow of the matrix exponential overflowed")
+            return states
+        if not np.all(matvecs < 2.0 ** 53):
+            raise NumericalError("action of the matrix exponential needs 2^53 matvecs or more")
+        lo, start = i0, 0.0
+        for hi, m, steps in zip(ends.tolist(), degrees.tolist(),
+                                (matvecs // degrees).astype(int).tolist()):
+            states[lo:hi] = _expm_action(op, s, t[lo:hi] - start, m, steps)
+            s, lo, start = states[hi - 1], hi, t[hi - 1]
         return states
-    if not np.all(matvecs < 2.0 ** 53):
-        raise NumericalError("action of the matrix exponential needs 2^53 matvecs or more")
-    lo, start = i0, 0.0
-    for hi, m, steps in zip(ends.tolist(), degrees.tolist(),
-                            (matvecs // degrees).astype(int).tolist()):
-        states[lo:hi] = _expm_action(op, s, t[lo:hi] - start, m, steps)
-        s, lo, start = states[hi - 1], hi, t[hi - 1]
-    return states
 
 
 # ---------------------------------------------------------------------------

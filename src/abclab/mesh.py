@@ -213,17 +213,18 @@ def build_strip_mesh(nx: int, ny: int) -> Mesh:
     )
 
 
-def mirror_images(mesh: Mesh, state_node_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+def mirror_images(mesh: Mesh, state_node_idx: np.ndarray) -> tuple[np.ndarray, ...] | None:
     """Positions of the mirror images under x -> L - x (node axis 0 reversed).
 
-    Returns (node_img, bnd_img): the image of each state dof (a mesh node
-    listed in ``state_node_idx``) as a position in that list, and the image of
-    each Gamma1 dof as a position in ``gamma1``; None when some dof has no
-    image among the dofs of its own list.
+    Returns (node_img, bnd_img, ghost_img): the image of each state dof (a
+    mesh node listed in ``state_node_idx``) as a position in that list, of
+    each Gamma1 dof as a position in ``gamma1``, and of each ghost slot as a
+    ghost slot, the one whose inward node is the image of its own inward
+    node; None when some dof has no image among the dofs of its own list.
     """
     mirror = np.arange(mesh.n_nodes).reshape(mesh.grid_shape[::-1])[..., ::-1].ravel()
     images = []
-    for nodes in (state_node_idx, mesh.gamma1):
+    for nodes in (state_node_idx, mesh.gamma1, mesh.ghost_inward):
         pos = np.full(mesh.n_nodes, -1)
         pos[nodes] = np.arange(nodes.size)
         images.append(pos[mirror[nodes]])

@@ -27,7 +27,10 @@ K n n_b temporary.  Systems whose A0 is not weighted-symmetric are refused at
 assembly.  The bordered solve for D_mu is the independent cross-check: the
 lifted block Dirichlet operator on (u, v, x) states gives the second
 construction pencil_via_blocks, and the explicit block resolvents and the
-triangular factorization of (lam - Acal) are assembled from it.
+triangular factorization of (lam - Acal) are assembled from it.  On a
+mirror-exact system the bordered solves (``BlockSystem.ext_mirror``) and the
+inverse R2 = (lam^2 - A0)^-1 (``BlockSystem.node_mirror``) each solve two
+half-size blocks (``_linalg.checked_solve``), guarded on the full matrix.
 
 Admissibility is one rule: lam is refused within the zero radius r0 of zero
 ("near-zero", tested first) or when mu = lam^2 is within the exclusion
@@ -169,7 +172,8 @@ def _a0_block_resolvent(sys: BlockSystem, lam: complex) -> np.ndarray:
     n, nb = sys.n, sys.n_b
     A0 = sys.A0
     R2 = checked_solve(lam * lam * np.eye(n, dtype=complex) - A0,
-                       np.eye(n, dtype=complex), what="(lam^2 - A0) resolvent")
+                       np.eye(n, dtype=complex), what="(lam^2 - A0) resolvent",
+                       mirror=sys.node_mirror)
     B2R2 = sys.ops.B2 @ R2
     out = np.zeros((2 * n + nb, 2 * n + nb), dtype=complex)
     out[:n, :n] = lam * R2
@@ -270,7 +274,8 @@ def resolvent_A0_block(sys: BlockSystem, lam: complex) -> np.ndarray:
     """Explicit resolvent of the restricted 3x3 block generator.
 
     Rows: (lam R2, R2, 0 / A0 R2, lam R2, 0 / B2 R2, B2 R2 / lam, I / lam)
-    with R2 = (lam^2 - A0)^{-1}.
+    with R2 = (lam^2 - A0)^{-1}, from two half-size blocks when
+    ``sys.node_mirror`` is set.
     """
     _check_admissible(sys, lam)
     return _a0_block_resolvent(sys, lam)

@@ -362,7 +362,8 @@ def special_case_spectrum(sys: BlockSystem, tol: float = 1e-6) -> SpectrumReport
     residuals = {}
     for lam in (0.7 + 0.9j, 1.3 + 0.4j, 2.1 + 1.7j):
         R2 = checked_solve(lam * lam * np.eye(n, dtype=complex) - sys.A0,
-                           np.eye(n, dtype=complex), what="(lam^2 - A0)")
+                           np.eye(n, dtype=complex), what="(lam^2 - A0)",
+                           mirror=sys.node_mirror)
         RB4 = checked_solve(lam * np.eye(nb, dtype=complex) - ops.B4,
                             np.eye(nb, dtype=complex), what="(lam - B4)")
         Dn = dirichlet_operator(sys, lam * lam)[:n]
@@ -375,7 +376,8 @@ def special_case_spectrum(sys: BlockSystem, tol: float = 1e-6) -> SpectrumReport
         display[n:2 * n, 2 * n:] = lam * Dn @ RB4
         display[2 * n:, 2 * n:] = RB4
         dense = checked_solve(lam * np.eye(2 * n + nb, dtype=complex) - red,
-                              np.eye(2 * n + nb, dtype=complex), what="(lam - reduced)")
+                              np.eye(2 * n + nb, dtype=complex), what="(lam - reduced)",
+                              mirror=_reduced_mirror(sys))
         residuals[f"{lam}"] = rel_residual(display, dense, reference=dense)
 
     return SpectrumReport(

@@ -280,6 +280,54 @@ def test_mirror_gate_reads_the_inputs(variant):
     assert sys.Acal[2 * n + nb:, :n].tobytes() == (ops.B1 + ops.B4 @ ops.B2).tobytes()
 
 
+# sample points of verify's lifts, and two dyadic points of the flux ladder,
+# where mu is real and so is the bordered matrix
+_LIFT_MUS = ([complex(lam * lam) for lam in (0.8 + 0.9j, 1.5 + 0.3j, 0.35 + 0.13j)]
+             + [4.0, 2.0 ** 10])
+
+
+def _parent_lift(sys, mu, flux):
+    """The unsplit bordered solve as it was formed before the split: with the
+    mu I temporary on the node block, and one LU of the full matrix."""
+    a_max, bnd = sys.ops.A_max, (sys.ops.L if flux else sys.ops.R)
+    n, size = a_max.shape
+    mat = np.zeros((size, size), dtype=np.result_type(a_max.dtype, type(mu)))
+    mat[:n, :] = -a_max
+    mat[:n, :n] += mu * np.eye(n)
+    mat[n:, :] = bnd
+    rhs = np.zeros((size, bnd.shape[0]), dtype=mat.dtype)
+    rhs[n:, :] = np.eye(bnd.shape[0])
+    return np.linalg.solve(mat, rhs)
+
+
+@pytest.mark.parametrize("name,nx", [("abc-1d", None), ("special-case", None),
+                                     ("timoshenko-strip", None), ("timoshenko-strip-k0", None),
+                                     ("timoshenko-strip", 24)])
+def test_split_lifts_match_the_full_ones(name, nx):
+    cfg = load(name) if nx is None else _variant(name, {"nx": nx, "ny": nx})
+    mesh, sys = ab.build_system(cfg)
+    J = sys.ext_mirror
+    assert J is not None and not np.array_equal(J, np.arange(J.size))
+    assert J.size == sys.ops.A_max.shape[1] and np.array_equal(J[:sys.n], sys.node_mirror)
+    for mu in _LIFT_MUS:
+        for flux in (False, True):
+            split = sys.dirichlet_lift(mu, flux)
+            full = _parent_lift(sys, mu, flux)
+            assert split.dtype == full.dtype
+            assert np.linalg.norm(split - full) <= 1e-12 * np.linalg.norm(full)
+
+
+def test_lifts_without_a_mirror_are_the_unsplit_solve():
+    # rho and m vary (by 1e-12), so R is not mirror-invariant: no extended
+    # mirror is stored, and each lift is the one full LU, byte for byte
+    mesh, sys = ab.build_system(_variant(
+        "timoshenko-strip", coefficients={"rho": "1 + 1e-12*x", "m": "1 + 1e-12*x"}))
+    assert sys.ext_mirror is None
+    for mu in _LIFT_MUS:
+        for flux in (False, True):
+            assert sys.dirichlet_lift(mu, flux).tobytes() == _parent_lift(sys, mu, flux).tobytes()
+
+
 @pytest.mark.parametrize("name", ["abc-1d", "special-case", "timoshenko-strip",
                                   "timoshenko-strip-k0"])
 def test_assembly_reads_exact_blocks(name):

@@ -299,6 +299,9 @@ def test_non_finite_generator_is_numerical_error(bad):
         dynamics._flow(mat, np.ones(4), ROBIN_GRID)
 
 
+# every overflow ends in a NumericalError, and numpy's RuntimeWarning about it
+# must not escape as well
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflow_is_numerical_error():
     big = 1e300 * np.eye(3)
     with pytest.raises(NumericalError, match="overflowed"):
@@ -309,6 +312,9 @@ def test_overflow_is_numerical_error():
         dynamics._flow(big, np.ones(3), ROBIN_GRID)
     with pytest.raises(NumericalError, match="overflowed"):
         dynamics._flow(1e10 * np.eye(3), np.ones(3), ROBIN_GRID)
+    # the dense route of a uniform grid refuses states that grow past the range
+    with pytest.raises(NumericalError, match="dense flow .* overflowed"):
+        dynamics._flow(500.0 * np.eye(3), np.ones(3), np.linspace(0.0, 10.0, 1001))
     # a finite bound stays in range up to the top of the float range, where
     # it needs 1024 or 1025 squarings: exact underflow to zero is a result,
     # growth past the range is "overflowed"
@@ -336,6 +342,14 @@ def test_overflow_is_numerical_error():
             taylor_expm(mat)
         with pytest.raises(NumericalError, match=r"2\^53 matvecs"):
             dynamics._flow(mat, np.ones(4), ROBIN_GRID)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_subnormal_bound_gives_one_block_without_a_warning():
+    # theta_55 / alpha overflows for alpha = 1e-310: the reach is infinite and
+    # every time lies in one block, whose states e^{1e-310 t} 1 round to 1
+    states = dynamics._flow(1e-310 * np.eye(2), np.ones(2), np.array([0.1, 0.3, 0.35]))
+    assert np.array_equal(states, np.ones((3, 2)))
 
 
 @pytest.mark.parametrize("t", [0.01, 1.0])

@@ -193,16 +193,19 @@ def test_mixed_matmul_matches_the_complex_product(k, n, m, seed):
         assert np.all(np.abs(got - ref) <= 4 * n * eps * (np.abs(a) @ np.abs(b)))
 
 
-def _mirror_invariant(seed, n_pairs, n_fixed):
-    """A complex matrix with J A J = A bit for bit, J an involution with
-    ``n_pairs`` 2-orbits and ``n_fixed`` fixed points in shuffled positions."""
+def _mirror_invariant(seed, n_pairs, n_fixed, dtype=complex):
+    """A real or complex matrix with J A J = A bit for bit, J an involution
+    with ``n_pairs`` 2-orbits and ``n_fixed`` fixed points in shuffled
+    positions."""
     rng = np.random.default_rng(seed)
     size = 2 * n_pairs + n_fixed
     slots = rng.permutation(size)
     perm = np.arange(size)
     a, b = slots[:n_pairs], slots[n_pairs:2 * n_pairs]
     perm[a], perm[b] = b, a
-    half = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+    half = rng.standard_normal((size, size)).astype(dtype)
+    if dtype is complex:
+        half += 1j * rng.standard_normal((size, size))
     return half + half[np.ix_(perm, perm)], perm
 
 
@@ -210,7 +213,7 @@ def _mirror_invariant(seed, n_pairs, n_fixed):
 def test_split_inverse_and_eigenvectors_match_the_full_ones(audit, n_pairs, n_fixed):
     mat, perm = _mirror_invariant(n_pairs + 7 * n_fixed, n_pairs, n_fixed)
     assert la.commutes_with_mirror(mat, perm)
-    inv = la.checked_inverse(mat, "probe", mirror=perm)
+    inv = la.checked_solve(mat, np.eye(perm.size, dtype=complex), "probe", mirror=perm)
     ref = np.linalg.inv(mat)
     assert np.linalg.norm(inv - ref) <= 1e-12 * np.linalg.norm(ref)
     # the guard judged the full matrix with the Frobenius bound of the inverse
@@ -224,15 +227,46 @@ def test_split_inverse_and_eigenvectors_match_the_full_ones(audit, n_pairs, n_fi
     assert np.linalg.norm(mat @ vecs - vecs * vals) <= 1e-12 * np.linalg.norm(mat)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 3), st.sampled_from([float, complex]),
+       st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+def test_split_solve_matches_the_full_solve(n_pairs, n_fixed, dtype, k, seed):
+    # a thin right-hand side (not the identity), real or complex, against a
+    # well-conditioned mirror-invariant matrix (the shift keeps cond small)
+    mat, perm = _mirror_invariant(seed, n_pairs, n_fixed, dtype)
+    mat += 4 * perm.size * np.eye(perm.size)
+    rhs = _mirror_invariant(seed + 1, n_pairs, n_fixed, dtype)[0][:, :k]
+    got = la.checked_solve(mat, rhs, "probe", mirror=perm)
+    ref = la.checked_solve(mat, rhs, "probe")
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+    # a single vector splits the same way
+    vec = la.checked_solve(mat, rhs[:, 0], "probe", mirror=perm)
+    assert np.linalg.norm(vec - ref[:, 0]) <= 1e-13 * np.linalg.norm(ref[:, 0])
+
+
 def test_split_inverse_refuses_as_the_full_solve_does(audit):
-    mat, perm = _mirror_invariant(5, 3, 2)
-    # an exact odd null vector (+1, -1 on one 2-orbit) makes mat singular
-    r = int(np.flatnonzero(perm != np.arange(perm.size))[0])
-    mat[:, r] = mat[:, perm[r]] = 0.0
-    with pytest.raises(NumericalError, match="probe: exactly singular matrix"):
-        la.checked_inverse(mat, "probe", mirror=perm)
-    # near singular: the full matrix's exact condition number decides
-    mat[r, r] = mat[perm[r], perm[r]] = 1e-14
-    with pytest.raises(NumericalError, match="probe: condition estimate"):
-        la.checked_inverse(mat, "probe", mirror=perm)
-    assert [refused for *_, refused in audit] == [True]
+    # for the identity and for a thin right-hand side, the split and the full
+    # solve refuse with the same message
+    for thin in (False, True):
+        mat, perm = _mirror_invariant(5, 3, 2)
+        rhs = mat[:, :2].copy() if thin else np.eye(perm.size, dtype=complex)
+
+        def messages(mat):
+            out = []
+            for mirror in (perm, None):
+                with pytest.raises(NumericalError) as exc:
+                    la.checked_solve(mat, rhs, "probe", mirror=mirror)
+                out.append(str(exc.value))
+            return out
+
+        # an exact odd null vector (+1, -1 on one 2-orbit) makes mat singular
+        r = int(np.flatnonzero(perm != np.arange(perm.size))[0])
+        mat[:, r] = mat[:, perm[r]] = 0.0
+        assert messages(mat) == ["probe: exactly singular matrix"] * 2
+        # near singular: the full matrix's exact condition number decides, and
+        # both routes report the same value
+        mat[r, r] = mat[perm[r], perm[r]] = 1e-14
+        split, full = messages(mat)
+        assert split == full and split.startswith("probe: condition estimate")
+    assert [refused for *_, refused in audit] == [True] * 4
