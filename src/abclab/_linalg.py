@@ -6,8 +6,9 @@ through its nonzeros for the matvecs of the exponential's action.
 Everything here is desk scale: square systems of a few hundred unknowns,
 solved by LU with partial pivoting, with a condition refusal threshold
 instead of iterative refinement.  ``checked_solve`` is the one guarded dense
-solve.  The guard costs O(N^2): each solve carries a certified upper bound
-on its 2-norm condition number, and only a bound that does not clear the
+solve, ``shifted`` forms every shift sigma - M and ``shifted_inverse`` every
+(sigma - M)^-1.  The guard costs O(N^2): each solve carries a certified upper
+bound on its 2-norm condition number, and only a bound that does not clear the
 threshold is settled by the exact (SVD) condition number, so the refusals
 are the ones the SVD alone would make (Higham, *Accuracy and Stability of
 Numerical Algorithms*, 2nd ed., ch. 15).
@@ -126,6 +127,11 @@ def _mirror_coords(perm: np.ndarray):
     return reps.size, pairs.size, np.searchsorted(reps, rep), odd_of, sign
 
 
+def _odd_rows(odd: np.ndarray, odd_of: np.ndarray) -> np.ndarray:
+    """``odd[odd_of]``, rows of zeros when J has no 2-orbit (``odd`` is empty)."""
+    return odd[odd_of] if odd.size else np.zeros(odd_of.shape + odd.shape[1:], odd.dtype)
+
+
 def mirror_blocks(mat: np.ndarray, perm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The even and odd blocks of a square ``mat`` that commutes exactly with
     the involutive permutation J = ``perm`` (``commutes_with_mirror``).
@@ -160,7 +166,8 @@ def mirror_lift(perm: np.ndarray, even_vecs: np.ndarray, odd_vecs: np.ndarray) -
     ``mirror_blocks``' basis: x[i] = w[even_of[i]] for an even column w, and
     x[i] = sign[i] w[odd_of[i]] for an odd one (zero on fixed points)."""
     _, _, even_of, odd_of, sign = _mirror_coords(perm)
-    return np.concatenate([even_vecs[even_of], sign[:, None] * odd_vecs[odd_of]], axis=1)
+    return np.concatenate([even_vecs[even_of], sign[:, None] * _odd_rows(odd_vecs, odd_of)],
+                          axis=1)
 
 
 def _mirror_solve(mat: np.ndarray, rhs: np.ndarray, perm: np.ndarray,
@@ -184,13 +191,14 @@ def _mirror_solve(mat: np.ndarray, rhs: np.ndarray, perm: np.ndarray,
         reps, pairs = np.flatnonzero(sign >= 0), np.flatnonzero(sign > 0)
         y_even = np.linalg.solve(even, 0.5 * (rhs[reps] + rhs[perm[reps]]))
         y_odd = np.linalg.solve(odd, 0.5 * (rhs[pairs] - rhs[perm[pairs]]))
-        return y_even[even_of] + sign.reshape((-1,) + (1,) * (rhs.ndim - 1)) * y_odd[odd_of]
+        return (y_even[even_of]
+                + sign.reshape((-1,) + (1,) * (rhs.ndim - 1)) * _odd_rows(y_odd, odd_of))
     even, odd = (np.linalg.solve(b, np.eye(b.shape[0], dtype=b.dtype)) for b in (even, odd))
     x = even[even_of][:, even_of]
     x *= np.where(sign != 0, 0.5, 1.0)
     # column p of ``odd_cols`` is the odd part of column r of X, and minus
     # that of column Jr, for the p-th 2-orbit {r, Jr}; no full-size gather
-    odd_cols = odd[odd_of]
+    odd_cols = _odd_rows(odd, odd_of)
     odd_cols *= (0.5 * sign)[:, None]
     pairs = np.flatnonzero(sign > 0)
     x[:, pairs] += odd_cols
@@ -229,6 +237,25 @@ def checked_solve(mat: np.ndarray, rhs: np.ndarray, what: str = "linear system",
     return x
 
 
+def shifted(mat: np.ndarray, sigma, out: np.ndarray | None = None) -> np.ndarray:
+    """sigma - mat for a matrix (sigma [I 0] - mat if wide) or a (K, N, N) stack
+    with one sigma each, into ``out`` if given: 0 - mat, then sigma added on
+    the diagonal, so a +0 entry stays +0 (``np.negative`` would give -0)."""
+    if out is None:
+        out = np.empty(mat.shape, dtype=np.result_type(mat, sigma))
+    np.subtract(0.0, mat, out=out)
+    diag = np.arange(min(mat.shape[-2:]))
+    out[..., diag, diag] += np.asarray(sigma)[..., None]
+    return out
+
+
+def shifted_inverse(mat: np.ndarray, sigma, what: str,
+                    mirror: np.ndarray | None = None) -> np.ndarray:
+    """(sigma - mat)^-1 by ``checked_solve`` against a real identity, guarded
+    on the full shifted matrix; real for a real mat and a real sigma."""
+    return checked_solve(shifted(mat, sigma), np.eye(mat.shape[0]), what, mirror=mirror)
+
+
 def bordered_dirichlet_solve(a_max: np.ndarray, bnd: np.ndarray, mu: complex,
                              cond_bound: float | None = None,
                              mirror: np.ndarray | None = None) -> np.ndarray:
@@ -252,13 +279,8 @@ def bordered_dirichlet_solve(a_max: np.ndarray, bnd: np.ndarray, mu: complex,
     n_b = bnd.shape[0]
     if bnd.shape[1] != next_:
         raise NumericalError("bordered solve: boundary operator has wrong extended width")
-    mat = np.zeros((next_, next_), dtype=np.result_type(a_max.dtype, type(mu)))
-    mat[:n, :] = -a_max
-    diag = np.arange(n)
-    mat[diag, diag] += mu
-    mat[n:, :] = bnd
-    rhs = np.zeros((next_, n_b), dtype=mat.dtype)
-    rhs[n:, :] = np.eye(n_b)
+    mat = np.concatenate([shifted(a_max, mu), bnd])
+    rhs = np.eye(next_, n_b, k=-n, dtype=mat.dtype)
     return checked_solve(mat, rhs, what="bordered Dirichlet system", cond_bound=cond_bound,
                          mirror=mirror)
 

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import NonzeroOperator
+from ._linalg import NonzeroOperator, shifted
 from .blockops import BlockSystem
 from .errors import ConfigurationError, ModelError, NumericalError
 from .mesh import Mesh, cell_weights
@@ -248,10 +248,13 @@ def _expm_action(op: NonzeroOperator, b: np.ndarray, offsets: np.ndarray,
     NumericalError when a result stops being finite.
     """
     h = offsets[-1] / s
-    # offset j lies in step i_j, which covers (i_j h, (i_j + 1) h]
-    step = np.clip(np.ceil(offsets / h) - 1, 0, s - 1)
     dtype = np.result_type(b, op.vals)
     out = np.empty((offsets.size, b.size), dtype=dtype)
+    if h == 0.0:        # each Taylor term past b underflows: e^{t mat} b = b
+        out[:] = b
+        return out
+    # offset j lies in step i_j, which covers (i_j h, (i_j + 1) h]
+    step = np.clip(np.ceil(offsets / h) - 1, 0, s - 1)
     terms = np.empty((m + 1, b.size), dtype=dtype)
     lo = 0
     for i in range(s):
@@ -446,7 +449,7 @@ def energy(state: np.ndarray, sys: BlockSystem, mesh: Mesh) -> float | np.ndarra
                   for axis, h in enumerate(mesh.h))
     wb = ops.bnd_weights
     if ops.neutral and ops.M is not None:
-        mweight = float(np.real(co.m[0])) * wb[:, None] * (np.eye(sys.n_b) - ops.M)
+        mweight = float(np.real(co.m[0])) * wb[:, None] * shifted(ops.M, 1.0)
         m_sq = np.real(np.einsum("tb,bc,tc->t", np.conjugate(ldot), mweight, ldot))
     else:
         m_sq = weighted(np.real(co.m) * wb, ldot)

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._linalg import checked_solve, opnorm
+from ._linalg import opnorm, shifted_inverse
 from .errors import (AssumptionError, ConfigurationError, DimensionError, ModelError,
                      NumericalError)
 from .expressions import ExpressionError, eval_coeff_expr, parse_expr
@@ -422,7 +422,7 @@ def apply_neutral_transform(ops: ModelOperators, M: np.ndarray) -> ModelOperator
     if M.shape != (nb, nb):
         raise DimensionError(f"M must be {nb}x{nb}, got {M.shape}")
     try:
-        S = checked_solve(np.eye(nb) - M, np.eye(nb), what="neutral transform (I-M)")
+        S = shifted_inverse(M, 1.0, "neutral transform (I-M)")
     except NumericalError as exc:
         raise AssumptionError(
             "A8", f"{exc}; the neutral transform needs 1 in the resolvent set of M") from exc
@@ -483,7 +483,7 @@ def neutral_form_matrix(ops: ModelOperators, mesh: Mesh) -> np.ndarray:
     n = ops.n
     M = ops.M if ops.M is not None else np.zeros((nb, nb))
     Wb = np.diag(ops.bnd_weights)
-    S = checked_solve(np.eye(nb) - M, np.eye(nb), what="(I-M) inverse")
+    S = shifted_inverse(M, 1.0, "(I-M) inverse")
     Tr = np.zeros((nb, n))
     # boundary trace in state-dof indexing
     state_pos = {int(node): i for i, node in enumerate(ops.state_node_idx)}

@@ -27,10 +27,11 @@ K n n_b temporary.  Systems whose A0 is not weighted-symmetric are refused at
 assembly.  The bordered solve for D_mu is the independent cross-check: the
 lifted block Dirichlet operator on (u, v, x) states gives the second
 construction pencil_via_blocks, and the explicit block resolvents and the
-triangular factorization of (lam - Acal) are assembled from it.  On a
-mirror-exact system the bordered solves (``BlockSystem.ext_mirror``) and the
-inverse R2 = (lam^2 - A0)^-1 (``BlockSystem.node_mirror``) each solve two
-half-size blocks (``_linalg.checked_solve``), guarded on the full matrix.
+triangular factorization of (lam - Acal) are assembled from it; the one
+inverse there is R2 = (lam^2 - A0)^-1, and A0 R2 = lam^2 R2 - I.  On a
+mirror-exact system the bordered solves (``BlockSystem.ext_mirror``) and R2
+(``BlockSystem.node_mirror``) each solve two half-size blocks
+(``_linalg.checked_solve``), guarded on the full matrix.
 
 Admissibility is one rule: lam is refused within the zero radius r0 of zero
 ("near-zero", tested first) or when mu = lam^2 is within the exclusion
@@ -50,7 +51,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import checked_solve, mixed_matmul, opnorm, rel_residual
+from ._linalg import (checked_solve, mixed_matmul, opnorm, rel_residual, shifted,
+                      shifted_inverse)
 from .blockops import BlockSystem
 from .errors import DimensionError, SpectralParameterError
 
@@ -170,16 +172,14 @@ def _modal_sum(evaluator: PencilEvaluator, w1: np.ndarray, w2: np.ndarray) -> np
 
 def _a0_block_resolvent(sys: BlockSystem, lam: complex) -> np.ndarray:
     n, nb = sys.n, sys.n_b
-    A0 = sys.A0
-    R2 = checked_solve(lam * lam * np.eye(n, dtype=complex) - A0,
-                       np.eye(n, dtype=complex), what="(lam^2 - A0) resolvent",
-                       mirror=sys.node_mirror)
+    lam2 = lam * lam
+    R2 = shifted_inverse(sys.A0, lam2, "(lam^2 - A0) resolvent", mirror=sys.node_mirror)
     B2R2 = sys.ops.B2 @ R2
     out = np.zeros((2 * n + nb, 2 * n + nb), dtype=complex)
-    out[:n, :n] = lam * R2
+    out[:n, :n] = out[n:2 * n, n:2 * n] = lam * R2
     out[:n, n:2 * n] = R2
-    out[n:2 * n, :n] = A0 @ R2
-    out[n:2 * n, n:2 * n] = lam * R2
+    out[n:2 * n, :n] = lam2 * R2                  # A0 R2 = lam^2 R2 - I, no product
+    out[n:2 * n, :n][np.diag_indices(n)] -= 1.0
     out[2 * n:, :n] = B2R2
     out[2 * n:, n:2 * n] = B2R2 / lam
     out[2 * n:, 2 * n:] = np.eye(nb) / lam
@@ -192,7 +192,7 @@ def _regular_pencil(evaluator: PencilEvaluator, lam: complex) -> tuple[np.ndarra
     Refuses a near-singular pencil: the pencil-singularity test uses a
     relative smallest-singular-value threshold of 1e-8.
     """
-    pcl = lam * np.eye(evaluator.sys.n_b) - pencil(evaluator, lam)
+    pcl = shifted(pencil(evaluator, lam), lam)
     sv = np.linalg.svd(pcl, compute_uv=False)
     if sv[-1] <= 1e-8 * max(1.0, sv[0]):
         raise SpectralParameterError(
@@ -275,19 +275,11 @@ def resolvent_A0_block(sys: BlockSystem, lam: complex) -> np.ndarray:
 
     Rows: (lam R2, R2, 0 / A0 R2, lam R2, 0 / B2 R2, B2 R2 / lam, I / lam)
     with R2 = (lam^2 - A0)^{-1}, from two half-size blocks when
-    ``sys.node_mirror`` is set.
+    ``sys.node_mirror`` is set; A0 R2 is written as lam^2 R2 - I, equal in
+    exact arithmetic, so no dense product is formed.
     """
     _check_admissible(sys, lam)
     return _a0_block_resolvent(sys, lam)
-
-
-def _shifted(A: np.ndarray, omega: complex, out: np.ndarray | None = None) -> np.ndarray:
-    """omega - A as a complex array (written into ``out`` when given)."""
-    if out is None:
-        out = np.empty(A.shape, dtype=complex)
-    np.negative(A, out=out)
-    out[np.diag_indices(A.shape[0])] += omega
-    return out
 
 
 def _factored(Abb0: np.ndarray, E: np.ndarray, F: np.ndarray, Blam: np.ndarray,
@@ -302,11 +294,12 @@ def _factored(Abb0: np.ndarray, E: np.ndarray, F: np.ndarray, Blam: np.ndarray,
     """
     m1, nb = Abb0.shape[0], Blam.shape[0]
     out = np.empty((m1 + nb, m1 + nb), dtype=complex)
-    X = _shifted(Abb0, omega, out=out[:m1, :m1])
+    X = shifted(Abb0, omega, out=out[:m1, :m1])
     EX = E @ X
     out[:m1, m1:] = X @ F
     out[m1:, :m1] = EX
-    out[m1:, m1:] = omega * np.eye(nb) - Blam + EX @ F
+    shifted(Blam, omega, out=out[m1:, m1:])
+    out[m1:, m1:] += EX @ F
     return out
 
 
@@ -343,10 +336,10 @@ def factorization_check(sys: BlockSystem, lam: complex,
     res_iii = rel_residual(LM, display, reference=display)
     del display
 
-    lhs = _shifted(sys.Acal, lam)
+    lhs = shifted(sys.Acal, lam)
     res_i = rel_residual(_factored(sys.Abb0, E, F, Blam, lam), lhs, reference=lhs)
-    lhs = _shifted(sys.Acal, mu)
-    rhs = _shifted(LM, 1.0, out=LM)     # I - LM, in place
+    lhs = shifted(sys.Acal, mu)
+    rhs = shifted(LM, 1.0, out=LM)     # I - LM, in place
     rhs *= mu - lam
     rhs += _factored(sys.Abb0, E, F, Blam, mu)
     res_ii = rel_residual(rhs, lhs, reference=lhs)
@@ -360,17 +353,10 @@ def resolvent_Acal(sys: BlockSystem, lam: complex) -> np.ndarray:
     G = (lam - P(lam))^{-1}; refuses lambda outside Gamma, distinguishing
     which membership test failed.
     """
-    nb = sys.n_b
     pcl, cond = _regular_pencil(PencilEvaluator(sys), lam)
-    G = checked_solve(pcl, np.eye(nb, dtype=complex), what="(lam - pencil) resolvent",
+    G = checked_solve(pcl, np.eye(sys.n_b, dtype=complex), what="(lam - pencil) resolvent",
                       cond_bound=cond)
     Dblk = _block_lift(sys, lam)
     RA0 = _a0_block_resolvent(sys, lam)
-    m1 = 2 * sys.n + nb
-    out = np.zeros((m1 + nb, m1 + nb), dtype=complex)
     GB = G @ (sys.Bfrak @ RA0)
-    out[:m1, :m1] = RA0 + Dblk @ GB
-    out[:m1, m1:] = Dblk @ G
-    out[m1:, :m1] = GB
-    out[m1:, m1:] = G
-    return out
+    return np.block([[RA0 + Dblk @ GB, Dblk @ G], [GB, G]])

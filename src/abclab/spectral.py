@@ -20,10 +20,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import checked_solve, mirror_blocks, mirror_lift, mixed_matmul, rel_residual
+from ._linalg import (mirror_blocks, mirror_lift, mixed_matmul, rel_residual, shifted,
+                      shifted_inverse)
 from .blockops import BlockSystem, reduced_generator
 from .errors import AssumptionError, ConfigurationError, NumericalError, SpectralParameterError
-from .resolvent import PencilEvaluator, dirichlet_operator, pencil, pencil_derivative
+from .resolvent import (PencilEvaluator, _a0_block_resolvent, dirichlet_operator, pencil,
+                        pencil_derivative)
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2.0 fallback
 
@@ -121,8 +123,7 @@ def characteristic_value(evaluator: PencilEvaluator, lam):
     A complex for a scalar lam, a complex array for a 1-D array.
     """
     lam_b = np.atleast_1d(lam)
-    chi = np.linalg.det(lam_b[:, None, None] * np.eye(evaluator.sys.n_b)
-                        - pencil(evaluator, lam_b)).astype(complex)
+    chi = np.linalg.det(shifted(pencil(evaluator, lam_b), lam_b)).astype(complex)
     return chi if np.ndim(lam) else complex(chi[0])
 
 
@@ -145,10 +146,9 @@ def log_derivative(evaluator: PencilEvaluator, lam):
     solve for the whole batch.
     """
     lam_b = np.atleast_1d(lam)
-    eye = np.eye(evaluator.sys.n_b)
-    pcl = lam_b[:, None, None] * eye - pencil(evaluator, lam_b)
-    quotient = np.asarray(_trace_of_quotient(pcl, eye - pencil_derivative(evaluator, lam_b)),
-                          dtype=complex)
+    pcl = shifted(pencil(evaluator, lam_b), lam_b)
+    rhs = shifted(pencil_derivative(evaluator, lam_b), 1.0)     # I - P'(lam)
+    quotient = np.asarray(_trace_of_quotient(pcl, rhs), dtype=complex)
     return quotient if np.ndim(lam) else complex(quotient[0])
 
 
@@ -358,26 +358,18 @@ def special_case_spectrum(sys: BlockSystem, tol: float = 1e-6) -> SpectrumReport
 
     # validate the block-triangular resolvent display at three sample points
     red = reduced_generator(sys)
-    n, nb = sys.n, sys.n_b
+    n = sys.n
     residuals = {}
     for lam in (0.7 + 0.9j, 1.3 + 0.4j, 2.1 + 1.7j):
-        R2 = checked_solve(lam * lam * np.eye(n, dtype=complex) - sys.A0,
-                           np.eye(n, dtype=complex), what="(lam^2 - A0)",
-                           mirror=sys.node_mirror)
-        RB4 = checked_solve(lam * np.eye(nb, dtype=complex) - ops.B4,
-                            np.eye(nb, dtype=complex), what="(lam - B4)")
+        RB4 = shifted_inverse(ops.B4, lam, "(lam - B4)")
         Dn = dirichlet_operator(sys, lam * lam)[:n]
-        display = np.zeros((2 * n + nb, 2 * n + nb), dtype=complex)
-        display[:n, :n] = lam * R2
-        display[:n, n:2 * n] = R2
+        # the (u, v) blocks are those of the restricted block resolvent
+        display = _a0_block_resolvent(sys, lam)
+        display[2 * n:, :2 * n] = 0.0
         display[:n, 2 * n:] = Dn @ RB4
-        display[n:2 * n, :n] = sys.A0 @ R2
-        display[n:2 * n, n:2 * n] = lam * R2
         display[n:2 * n, 2 * n:] = lam * Dn @ RB4
         display[2 * n:, 2 * n:] = RB4
-        dense = checked_solve(lam * np.eye(2 * n + nb, dtype=complex) - red,
-                              np.eye(2 * n + nb, dtype=complex), what="(lam - reduced)",
-                              mirror=_reduced_mirror(sys))
+        dense = shifted_inverse(red, lam, "(lam - reduced)", mirror=_reduced_mirror(sys))
         residuals[f"{lam}"] = rel_residual(display, dense, reference=dense)
 
     return SpectrumReport(

@@ -4,7 +4,7 @@ import pickle
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -187,9 +187,12 @@ def test_stepped_states_match_taylor_on_any_grid(abc1d, data):
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.floats(0.0, 0.2, exclude_min=True), min_size=1, max_size=8, unique=True),
        st.integers(1, 4))
+@example(offsets=[5e-324], extra=2)
 def test_action_steps_serve_every_offset(abc1d, offsets, extra):
     # more steps than planned put the offsets of one call into different
-    # steps, each read off its own step's terms
+    # steps, each read off its own step's terms; at the smallest subnormal
+    # offset the step h underflows to 0 and the action returns s, without a
+    # divide-by-zero warning
     _, sys = abc1d
     offsets = np.array(sorted(offsets))
     op = NonzeroOperator(sys.Acal)

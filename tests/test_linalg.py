@@ -11,7 +11,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -209,7 +209,7 @@ def _mirror_invariant(seed, n_pairs, n_fixed, dtype=complex):
     return half + half[np.ix_(perm, perm)], perm
 
 
-@pytest.mark.parametrize("n_pairs,n_fixed", [(5, 0), (4, 3), (1, 1)])
+@pytest.mark.parametrize("n_pairs,n_fixed", [(5, 0), (4, 3), (1, 1), (0, 3)])
 def test_split_inverse_and_eigenvectors_match_the_full_ones(audit, n_pairs, n_fixed):
     mat, perm = _mirror_invariant(n_pairs + 7 * n_fixed, n_pairs, n_fixed)
     assert la.commutes_with_mirror(mat, perm)
@@ -230,9 +230,12 @@ def test_split_inverse_and_eigenvectors_match_the_full_ones(audit, n_pairs, n_fi
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 6), st.integers(0, 3), st.sampled_from([float, complex]),
        st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+@example(n_pairs=0, n_fixed=3, dtype=float, k=2, seed=0)
+@example(n_pairs=0, n_fixed=1, dtype=complex, k=1, seed=1)
 def test_split_solve_matches_the_full_solve(n_pairs, n_fixed, dtype, k, seed):
     # a thin right-hand side (not the identity), real or complex, against a
-    # well-conditioned mirror-invariant matrix (the shift keeps cond small)
+    # well-conditioned mirror-invariant matrix (the shift keeps cond small);
+    # a permutation without a 2-orbit leaves only the even block
     mat, perm = _mirror_invariant(seed, n_pairs, n_fixed, dtype)
     mat += 4 * perm.size * np.eye(perm.size)
     rhs = _mirror_invariant(seed + 1, n_pairs, n_fixed, dtype)[0][:, :k]
@@ -243,6 +246,8 @@ def test_split_solve_matches_the_full_solve(n_pairs, n_fixed, dtype, k, seed):
     # a single vector splits the same way
     vec = la.checked_solve(mat, rhs[:, 0], "probe", mirror=perm)
     assert np.linalg.norm(vec - ref[:, 0]) <= 1e-13 * np.linalg.norm(ref[:, 0])
+    inv, ref = la.checked_solve(mat, np.eye(perm.size), "probe", mirror=perm), np.linalg.inv(mat)
+    assert np.linalg.norm(inv - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 def test_split_inverse_refuses_as_the_full_solve_does(audit):
@@ -270,3 +275,42 @@ def test_split_inverse_refuses_as_the_full_solve_does(audit):
         split, full = messages(mat)
         assert split == full and split.startswith("probe: condition estimate")
     assert [refused for *_, refused in audit] == [True] * 4
+
+
+def test_shift_has_the_entries_of_sigma_i_minus_m():
+    mat = np.array([[0.0, -0.0, 2.0], [1.0, 0.0, 0.0], [0.5, 3.0, -1.0]])
+    for sigma in (2.0, 0.5 - 1.5j):
+        got = la.shifted(mat, sigma)
+        assert got.dtype == np.result_type(mat, sigma)
+        assert np.array_equal(got, sigma * np.eye(3) - mat)
+        # 0 - (+-0) is +0: no entry of the shift is a negative zero
+        assert not np.any(np.signbit(got.real[got.real == 0]))
+        wide = la.shifted(mat[:2], sigma)
+        assert np.array_equal(wide, sigma * np.eye(2, 3) - mat[:2])
+    stack, sigmas = np.stack([mat, 2 * mat]), np.array([1.0, 2j])
+    assert np.array_equal(la.shifted(stack, sigmas),
+                          [s * np.eye(3) - m for s, m in zip(sigmas, stack)])
+
+
+@pytest.mark.parametrize("split", [False, True])
+@pytest.mark.parametrize("sigma", [1.5, 0.3 + 1.1j])
+def test_shifted_inverse_is_the_inverse_of_the_shift(split, sigma):
+    mat, perm = _mirror_invariant(11, 3, 2, dtype=float)
+    inv = la.shifted_inverse(mat, sigma, "probe", mirror=perm if split else None)
+    ref = np.linalg.inv(sigma * np.eye(perm.size) - mat)
+    # a real sigma and a real matrix give a real inverse
+    assert inv.dtype == (complex if isinstance(sigma, complex) else float)
+    assert np.linalg.norm(inv - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("last", [1.0, 1.0 - 1e-14])
+def test_shifted_inverse_refuses_as_checked_solve_does(last):
+    # sigma = 1 makes the shift exactly singular, or of condition about 2e14
+    mat = np.diag([2.0, 3.0, last])
+    messages = []
+    for solve in (lambda: la.shifted_inverse(mat, 1.0, "probe"),
+                  lambda: la.checked_solve(np.eye(3) - mat, np.eye(3), "probe")):
+        with pytest.raises(NumericalError) as exc:
+            solve()
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]

@@ -12,7 +12,7 @@ from abclab.resolvent import (_factored, block_dirichlet, dirichlet_operator, ex
                               factorization_check, identity_LD, pencil_via_blocks,
                               resolvent_A0_block, resolvent_Acal)
 
-from conftest import wave_system
+from conftest import load, wave_system
 
 
 def sweep_lambdas(count=20):
@@ -172,6 +172,17 @@ def test_resolvent_a0_block(abc1d):
     assert np.linalg.norm((lam * eye - sys.Abb0) @ R - eye, 2) < 1e-9
     dense = np.linalg.solve(lam * eye - sys.Abb0, eye)
     assert np.linalg.norm(R - dense) / np.linalg.norm(dense) < 1e-9
+
+
+@pytest.mark.parametrize("name", ["abc1d", "special", "neutral_strip", "timoshenko-strip-k0"])
+def test_resolvent_a0_vu_block_matches_the_dense_inverse(request, name):
+    # the (v, u) block A0 R2 is formed as lam^2 R2 - I, without a product
+    sys = (ab.build_system(load(name)) if name.endswith("k0")
+           else request.getfixturevalue(name))[1]
+    lam, n, m1 = 1 + 1j, sys.n, 2 * sys.n + sys.n_b
+    vu = resolvent_A0_block(sys, lam)[n:2 * n, :n]
+    dense = np.linalg.inv(lam * np.eye(m1) - sys.Abb0)[n:2 * n, :n]
+    assert np.linalg.norm(vu - dense) <= 1e-12 * np.linalg.norm(dense)
 
 
 def test_factorization_residuals(abc1d):
