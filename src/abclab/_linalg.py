@@ -16,9 +16,10 @@ Numerical Algorithms*, 2nd ed., ch. 15).
 A matrix that commutes exactly with an involutive permutation J (the mirror
 x -> L - x of a symmetric grid) is block-diagonal in the basis of J's even
 and odd vectors (Bossavit, Comput. Methods Appl. Mech. Engrg. 56, 1986).
-``mirror_blocks`` forms the two blocks, ``mirror_lift`` lifts their
-eigenvectors, and ``checked_solve(..., mirror=J)`` solves the two blocks
-instead of the matrix, always guarded on the full matrix.
+``restrict_mirror`` restricts J to dofs it maps onto itself, ``exact_mirror``
+gates it, ``mirror_blocks`` forms the two blocks, ``eig`` and ``eigvals``
+eigensolve them and ``checked_solve(..., mirror=J)`` solves them, always
+guarded on the full matrix.
 """
 
 from __future__ import annotations
@@ -97,16 +98,30 @@ def _is_identity(rhs: np.ndarray) -> bool:
             and bool(np.all(rhs.diagonal() == 1)))
 
 
-def commutes_with_mirror(mat: np.ndarray, perm: np.ndarray) -> bool:
-    """Whether ``mat[perm][:, perm] == mat`` bit for bit, for an involutive
-    permutation ``perm``.
+def restrict_mirror(perm: np.ndarray | None, keep: np.ndarray) -> np.ndarray | None:
+    """``perm`` on the dofs ``keep``, as positions in ``keep``; None when
+    ``perm`` is None or maps a dof of ``keep`` outside it."""
+    if perm is None:
+        return None
+    pos = np.full(perm.size, -1)
+    pos[keep] = np.arange(len(keep))
+    img = pos[perm[keep]]
+    return None if np.any(img < 0) else img
+
+
+def exact_mirror(perm: np.ndarray, *mats: np.ndarray) -> np.ndarray | None:
+    """The involutive permutation ``perm`` when ``mat[perm][:, perm] == mat``
+    bit for bit for every one of ``mats``, else None.
 
     Only the nonzeros are read (an entry that is zero where its mirror image
     is not fails the test at the image), which keeps full-size temporaries
     out.
     """
-    rows, cols = np.divmod(np.flatnonzero(mat != 0), mat.shape[1])
-    return bool(np.array_equal(mat[perm[rows], perm[cols]], mat[rows, cols]))
+    for mat in mats:
+        rows, cols = np.divmod(np.flatnonzero(mat != 0), mat.shape[1])
+        if not np.array_equal(mat[perm[rows], perm[cols]], mat[rows, cols]):
+            return None
+    return perm
 
 
 def _mirror_coords(perm: np.ndarray):
@@ -134,7 +149,7 @@ def _odd_rows(odd: np.ndarray, odd_of: np.ndarray) -> np.ndarray:
 
 def mirror_blocks(mat: np.ndarray, perm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The even and odd blocks of a square ``mat`` that commutes exactly with
-    the involutive permutation J = ``perm`` (``commutes_with_mirror``).
+    the involutive permutation J = ``perm`` (``exact_mirror``).
 
     With one representative r per orbit of J, the basis e_r + e_Jr, e_r - e_Jr
     (e_r alone on a fixed point) block-diagonalizes ``mat``.  It is the
@@ -168,6 +183,26 @@ def mirror_lift(perm: np.ndarray, even_vecs: np.ndarray, odd_vecs: np.ndarray) -
     _, _, even_of, odd_of, sign = _mirror_coords(perm)
     return np.concatenate([even_vecs[even_of], sign[:, None] * _odd_rows(odd_vecs, odd_of)],
                           axis=1)
+
+
+def eigvals(mat: np.ndarray, mirror: np.ndarray | None = None) -> np.ndarray:
+    """Eigenvalues of ``mat``, in no order; with a ``mirror``, those of its two
+    blocks (two half-size eigensolves, about a quarter of the full one)."""
+    if mirror is None:
+        return np.linalg.eigvals(mat)
+    return np.concatenate([np.linalg.eigvals(block) for block in mirror_blocks(mat, mirror)])
+
+
+def eig(mat: np.ndarray, mirror: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of ``mat``, split as in ``eigvals``, vectors lifted by
+    ``mirror_lift``; a failed eigensolve raises NumericalError."""
+    try:
+        if mirror is None:
+            return np.linalg.eig(mat)
+        (val_e, vec_e), (val_o, vec_o) = map(np.linalg.eig, mirror_blocks(mat, mirror))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"dense eigensolve failed: {exc}") from exc
+    return np.concatenate([val_e, val_o]), mirror_lift(mirror, vec_e, vec_o)
 
 
 def _mirror_solve(mat: np.ndarray, rhs: np.ndarray, perm: np.ndarray,
@@ -213,7 +248,7 @@ def checked_solve(mat: np.ndarray, rhs: np.ndarray, what: str = "linear system",
 
     This is the one guarded dense solve.  ``mirror`` is None or an
     involutive permutation J with J mat J = mat exactly
-    (``commutes_with_mirror``); with one, the two half-size blocks of
+    (``exact_mirror``); with one, the two half-size blocks of
     ``mirror_blocks`` are solved instead of ``mat`` (``_mirror_solve``), about
     a quarter of the LU work.  Either way the guard judges the full ``mat``,
     so the refusals and their messages do not depend on the split.

@@ -23,7 +23,8 @@ V = W^{-1/2} Q, V^-1 = Q^T W^{1/2}, and the modal pencil factors X1, X2, Y
 assembly, bounds the condition number of every bordered Dirichlet solve
 (BlockSystem.lift_cond_bound), so that guard needs no SVD.  Where the mirror
 x -> L - x leaves both bordered matrices exactly unchanged, each bordered
-solve takes their two half-size even and odd blocks (BlockSystem.ext_mirror).
+solve takes their two half-size even and odd blocks (BlockSystem.ext_mirror);
+other splits restrict BlockSystem.mirror (``_linalg.restrict_mirror``).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import bordered_dirichlet_solve, checked_solve, commutes_with_mirror, holder_norm
+from ._linalg import bordered_dirichlet_solve, checked_solve, exact_mirror, holder_norm
 from .errors import AssumptionError, ConfigurationError, DimensionError, NumericalError
 from .model import (SYMMETRY_TOL, ModelOperators, freeze_arrays, mirror_symmetrized,
                     weighted_asymmetry)
@@ -65,12 +66,10 @@ class BlockSystem:
     norm_R: float = field(repr=False)
     norm_L: float = field(repr=False)
     kappa_W: float = field(repr=False)       # cond(W^{1/2}) = sqrt(max W / min W)
-    # state permutation J of the mirror x -> L - x, set only when J Acal J = Acal
-    # bit for bit (see assemble_block_generator); None otherwise
+    # the mirror x -> L - x on the state and on the extended dofs (nodes, then
+    # ghosts), each None unless its matrices commute with it bit for bit
+    # (Acal; [-A_max; R] and [-A_max; L], whose bordered solves split by it)
     mirror: np.ndarray | None = field(repr=False)
-    # its permutation of the extended dofs (nodes, then ghosts), set only when
-    # it leaves both [-A_max; R] and [-A_max; L] unchanged bit for bit; the
-    # bordered Dirichlet solves split by it.  None otherwise
     ext_mirror: np.ndarray | None = field(repr=False)
 
     def __post_init__(self):
@@ -96,12 +95,6 @@ class BlockSystem:
     @property
     def _m1(self) -> int:          # size of (u, v, x); the y-rows start here
         return 2 * self.n + self.n_b
-
-    @property
-    def node_mirror(self) -> np.ndarray | None:
-        """The u part of ``mirror``, which leaves A0 (the v-row, u-column
-        block of Acal) exactly unchanged; None when ``mirror`` is."""
-        return None if self.mirror is None else self.mirror[:self.n]
 
     @property
     def Abb0(self) -> np.ndarray:
@@ -186,29 +179,19 @@ def _ghost_maps(ops: ModelOperators):
     return E0, E1
 
 
-def _state_mirror(ops: ModelOperators, Acal: np.ndarray) -> np.ndarray | None:
-    """The mirror's permutation of the state (u, v, x, y) when it leaves Acal
-    exactly unchanged, else None."""
+def _mirrors(ops: ModelOperators, Acal: np.ndarray):
+    """The mirror's permutations of the state (u, v, x, y), gated on Acal, and
+    of the extended dofs, gated on [-A_max; R] and [-A_max; L]: their rows are
+    the nodes, then one per ghost slot, and ghost slot i belongs to Gamma1 dof
+    i, so [node, n + bnd] acts on rows and columns alike."""
     if ops.mirror is None:
-        return None
+        return None, None
     n, _, nb = ops.dims
-    node, bnd, _ = ops.mirror
-    perm = np.concatenate([node, n + node, 2 * n + bnd, 2 * n + nb + bnd])
-    return perm if commutes_with_mirror(Acal, perm) else None
-
-
-def _extended_mirror(ops: ModelOperators) -> np.ndarray | None:
-    """The mirror's permutation of the extended dofs (nodes, then ghosts) when
-    it leaves both bordered matrices [-A_max; R] and [-A_max; L] exactly
-    unchanged, else None.  Their rows are the nodes, then one boundary row
-    per ghost slot, so one permutation acts on rows and columns alike."""
-    if ops.mirror is None:
-        return None
-    node, _, ghost = ops.mirror
-    perm = np.concatenate([node, ops.n + ghost])
-    if all(commutes_with_mirror(np.vstack([ops.A_max, b]), perm) for b in (ops.R, ops.L)):
-        return perm
-    return None
+    node, bnd = ops.mirror
+    state = np.concatenate([node, n + node, 2 * n + bnd, 2 * n + nb + bnd])
+    ext = np.concatenate([node, n + bnd])
+    return (exact_mirror(state, Acal),
+            exact_mirror(ext, *(np.vstack([ops.A_max, b]) for b in (ops.R, ops.L))))
 
 
 def assemble_block_generator(ops: ModelOperators) -> BlockSystem:
@@ -218,7 +201,7 @@ def assemble_block_generator(ops: ModelOperators) -> BlockSystem:
     row B1 + B4 B2, and its computed value is averaged with its mirror image
     (``mirror_symmetrized``).  The mirror's state permutation is stored when
     Acal then commutes with it bit for bit, and its extended-dof permutation
-    when both bordered Dirichlet matrices do (``_extended_mirror``).
+    when both bordered Dirichlet matrices do (``_mirrors``).
     """
     n, _, nb = ops.dims
     E0, E1 = _ghost_maps(ops)
@@ -254,6 +237,7 @@ def assemble_block_generator(ops: ModelOperators) -> BlockSystem:
     a, Q = np.linalg.eigh(0.5 * (H + H.T.conj()))
     V = Q / sq[:, None]
 
+    mirror, ext_mirror = _mirrors(ops, Acal)
     return BlockSystem(
         ops=ops, A0=A0, E0=E0, E1=E1, S_A=S_A, Acal=Acal,
         eig_A0=a, spectral_scale=float(np.max(np.abs(a))) if a.size else 1.0,
@@ -263,7 +247,7 @@ def assemble_block_generator(ops: ModelOperators) -> BlockSystem:
         norm_S_A=holder_norm(S_A), norm_B2=holder_norm(ops.B2),
         norm_A_max=holder_norm(ops.A_max), norm_R=holder_norm(ops.R),
         norm_L=holder_norm(ops.L), kappa_W=float(np.sqrt(np.max(W) / np.min(W))),
-        mirror=_state_mirror(ops, Acal), ext_mirror=_extended_mirror(ops),
+        mirror=mirror, ext_mirror=ext_mirror,
     )
 
 
@@ -274,12 +258,17 @@ def reduced_generator(sys: BlockSystem) -> np.ndarray:
     and the coupled matrix collapses to a 3-block form whose invertibility is
     what the zero-mode diagnostics probe.
     """
-    n, _, nb = sys.dims
     if np.max(np.abs(sys.ops.B3)) > 1e-12:
         raise ConfigurationError(
             "the reduced generator requires B3 = 0 (spring coupling absent)")
-    keep = np.r_[0:2 * n, 2 * n + nb:2 * n + 2 * nb]
+    keep = reduced_dofs(sys)
     return sys.Acal[np.ix_(keep, keep)]
+
+
+def reduced_dofs(sys: BlockSystem) -> np.ndarray:
+    """Positions of the reduced state (u, v, y) in the state (u, v, x, y)."""
+    n, _, nb = sys.dims
+    return np.r_[0:2 * n, 2 * n + nb:2 * n + 2 * nb]
 
 
 def initial_state(f: np.ndarray, g: np.ndarray, h: np.ndarray, j: np.ndarray,

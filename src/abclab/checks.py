@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._linalg import rel_residual, shifted_inverse
+from ._linalg import rel_residual, restrict_mirror, shifted_inverse
 from .blockops import BlockSystem
 from .errors import ConfigurationError
 from .mesh import Mesh
@@ -47,9 +47,9 @@ def _identity_ld(mesh, sys, rep):
 
 
 def _resolvent_a0_formula(mesh, sys, rep):
-    worst, m1 = 0.0, 2 * sys.n + sys.n_b
+    worst = 0.0
     # Abb0 is Acal on (u, v, x), which the mirror maps onto itself
-    mirror = None if sys.mirror is None else sys.mirror[:m1]
+    mirror = restrict_mirror(sys.mirror, np.arange(len(sys.Abb0)))
     for lam in (1 + 1j, 0.6 + 1.7j):
         formula = resolvent_A0_block(sys, lam)
         dense = shifted_inverse(sys.Abb0, lam, "(lam - Abb0)", mirror=mirror)

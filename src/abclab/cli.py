@@ -143,11 +143,16 @@ def cmd_spectrum(config: ScenarioConfig, method: str, out: str, tol: float = 1e-
 # ---------------------------------------------------------------------------
 def cmd_simulate(config: ScenarioConfig, t_final: float, dt: float, out: str,
                  method: str = "exact", seed=None, dump_states: str | None = None) -> int:
-    if t_final <= 0 or dt <= 0:
+    if not (t_final > 0 and dt > 0):
         raise ConfigurationError("t_final and dt must be positive")
+    ratio = t_final / dt
+    n_steps = round(ratio) if np.isfinite(ratio) else 0
+    if n_steps < 1 or abs(ratio - n_steps) > 1e-9 * n_steps:
+        raise ConfigurationError(
+            f"t_final / dt = {ratio:.17g} is not within 1e-9 (relative) of a whole "
+            "number of steps >= 1")
     mesh, sys = build_system(config)
     u0 = initial_state_from_config(config, mesh, sys, seed_override=seed)
-    n_steps = int(round(t_final / dt))
     t_grid = np.linspace(0.0, n_steps * dt, n_steps + 1)
     traj = simulate(sys, u0, t_grid, method=method, mesh=mesh)
 
@@ -235,6 +240,14 @@ def cmd_essential_proxy(config: ScenarioConfig, resolutions, epsilon: float,
     return EXIT_OK if ok else EXIT_NUMERICAL
 
 
+def _resolutions(text: str) -> list[int]:
+    try:
+        return [int(r) for r in text.split(",")]
+    except ValueError:
+        raise ConfigurationError(
+            f"--resolutions must be comma-separated integers, got {text!r}") from None
+
+
 # ---------------------------------------------------------------------------
 # argument parsing / dispatch
 # ---------------------------------------------------------------------------
@@ -302,7 +315,7 @@ def main(argv=None) -> int:
         if args.command == "compare-robin":
             return cmd_compare_robin(config, args.out, seed=args.seed)
         if args.command == "essential-proxy":
-            res = [int(r) for r in args.resolutions.split(",")] if args.resolutions else None
+            res = _resolutions(args.resolutions) if args.resolutions else None
             return cmd_essential_proxy(config, res, args.epsilon, args.out, seed=args.seed)
         raise ConfigurationError(f"unknown command {args.command!r}")
     except (ConfigurationError, AssumptionError, ModelError) as exc:

@@ -20,6 +20,7 @@ from functools import reduce
 
 import numpy as np
 
+from ._linalg import restrict_mirror
 from .errors import ConfigurationError, DimensionError
 
 
@@ -213,24 +214,18 @@ def build_strip_mesh(nx: int, ny: int) -> Mesh:
     )
 
 
-def mirror_images(mesh: Mesh, state_node_idx: np.ndarray) -> tuple[np.ndarray, ...] | None:
+def mirror_images(mesh: Mesh, state_node_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """Positions of the mirror images under x -> L - x (node axis 0 reversed).
 
-    Returns (node_img, bnd_img, ghost_img): the image of each state dof (a
-    mesh node listed in ``state_node_idx``) as a position in that list, of
-    each Gamma1 dof as a position in ``gamma1``, and of each ghost slot as a
-    ghost slot, the one whose inward node is the image of its own inward
-    node; None when some dof has no image among the dofs of its own list.
+    Returns (node_img, bnd_img): the mirror restricted (``restrict_mirror``)
+    to the state dofs (the mesh nodes listed in ``state_node_idx``) and to
+    the Gamma1 dofs, as positions in those lists; None when some dof has no
+    image in its own list.  Ghost slot i belongs to Gamma1 dof i, so
+    ``bnd_img`` is also the ghost slots' image.
     """
     mirror = np.arange(mesh.n_nodes).reshape(mesh.grid_shape[::-1])[..., ::-1].ravel()
-    images = []
-    for nodes in (state_node_idx, mesh.gamma1, mesh.ghost_inward):
-        pos = np.full(mesh.n_nodes, -1)
-        pos[nodes] = np.arange(nodes.size)
-        images.append(pos[mirror[nodes]])
-    if any(np.any(img < 0) for img in images):
-        return None
-    return tuple(images)
+    node_img, bnd_img = (restrict_mirror(mirror, nodes) for nodes in (state_node_idx, mesh.gamma1))
+    return None if node_img is None or bnd_img is None else (node_img, bnd_img)
 
 
 def inner_product(mesh: Mesh, f: np.ndarray, g: np.ndarray,

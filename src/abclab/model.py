@@ -161,10 +161,10 @@ class ModelOperators:
     state_weights: np.ndarray   # quadrature weights of the state dofs
     bnd_weights: np.ndarray
     coeffs: CoefficientSet
-    # (node_img, bnd_img, ghost_img) of mesh.mirror_images: the mirror
-    # x -> L - x on the state node dofs, the Gamma1 dofs and the ghost slots;
+    # (node_img, bnd_img) of mesh.mirror_images: the mirror x -> L - x on
+    # the state node dofs and on the Gamma1 dofs (and so on the ghost slots);
     # None where the dofs lack images
-    mirror: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    mirror: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
         blocks = ("A_max", "R", "L", "B1", "B2", "B3", "B4", "M")
@@ -188,7 +188,7 @@ class ModelOperators:
         """``block`` (Gamma1 rows; Gamma1 or node columns, told apart by
         their count, since n > n_b on every mesh) under the mirror:
         block[J_b, J_b] or block[J_b, J_n]."""
-        node, bnd, _ = self.mirror
+        node, bnd = self.mirror
         return block[np.ix_(bnd, bnd if block.shape[1] == self.n_b else node)]
 
 

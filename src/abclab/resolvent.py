@@ -30,7 +30,7 @@ construction pencil_via_blocks, and the explicit block resolvents and the
 triangular factorization of (lam - Acal) are assembled from it; the one
 inverse there is R2 = (lam^2 - A0)^-1, and A0 R2 = lam^2 R2 - I.  On a
 mirror-exact system the bordered solves (``BlockSystem.ext_mirror``) and R2
-(``BlockSystem.node_mirror``) each solve two half-size blocks
+(``BlockSystem.mirror`` restricted to u) each solve two half-size blocks
 (``_linalg.checked_solve``), guarded on the full matrix.
 
 Admissibility is one rule: lam is refused within the zero radius r0 of zero
@@ -51,8 +51,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import (checked_solve, mixed_matmul, opnorm, rel_residual, shifted,
-                      shifted_inverse)
+from ._linalg import (checked_solve, mixed_matmul, opnorm, rel_residual, restrict_mirror,
+                      shifted, shifted_inverse)
 from .blockops import BlockSystem
 from .errors import DimensionError, SpectralParameterError
 
@@ -173,7 +173,8 @@ def _modal_sum(evaluator: PencilEvaluator, w1: np.ndarray, w2: np.ndarray) -> np
 def _a0_block_resolvent(sys: BlockSystem, lam: complex) -> np.ndarray:
     n, nb = sys.n, sys.n_b
     lam2 = lam * lam
-    R2 = shifted_inverse(sys.A0, lam2, "(lam^2 - A0) resolvent", mirror=sys.node_mirror)
+    R2 = shifted_inverse(sys.A0, lam2, "(lam^2 - A0) resolvent",
+                         mirror=restrict_mirror(sys.mirror, np.arange(n)))
     B2R2 = sys.ops.B2 @ R2
     out = np.zeros((2 * n + nb, 2 * n + nb), dtype=complex)
     out[:n, :n] = out[n:2 * n, n:2 * n] = lam * R2
@@ -274,9 +275,9 @@ def resolvent_A0_block(sys: BlockSystem, lam: complex) -> np.ndarray:
     """Explicit resolvent of the restricted 3x3 block generator.
 
     Rows: (lam R2, R2, 0 / A0 R2, lam R2, 0 / B2 R2, B2 R2 / lam, I / lam)
-    with R2 = (lam^2 - A0)^{-1}, from two half-size blocks when
-    ``sys.node_mirror`` is set; A0 R2 is written as lam^2 R2 - I, equal in
-    exact arithmetic, so no dense product is formed.
+    with R2 = (lam^2 - A0)^{-1}, from two half-size blocks when ``sys.mirror``
+    is set; A0 R2 is written as lam^2 R2 - I, equal in exact arithmetic, so
+    no dense product is formed.
     """
     _check_admissible(sys, lam)
     return _a0_block_resolvent(sys, lam)

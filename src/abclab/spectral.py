@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import (mirror_blocks, mirror_lift, mixed_matmul, rel_residual, shifted,
+from ._linalg import (eig, eigvals, mixed_matmul, rel_residual, restrict_mirror, shifted,
                       shifted_inverse)
-from .blockops import BlockSystem, reduced_generator
+from .blockops import BlockSystem, reduced_dofs, reduced_generator
 from .errors import AssumptionError, ConfigurationError, NumericalError, SpectralParameterError
 from .resolvent import (PencilEvaluator, _a0_block_resolvent, dirichlet_operator, pencil,
                         pencil_derivative)
@@ -43,20 +43,6 @@ class SpectrumReport:
 
     def admissible_mask(self, evaluator: PencilEvaluator) -> np.ndarray:
         return evaluator.is_admissible(self.eigenvalues)
-
-
-def _generator_eig(sys: BlockSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors of Acal, from the even and odd blocks of
-    ``mirror_blocks`` (vectors lifted by ``mirror_lift``) when ``sys.mirror``
-    is set."""
-    try:
-        if sys.mirror is None:
-            return np.linalg.eig(sys.Acal)
-        (val_e, vec_e), (val_o, vec_o) = (np.linalg.eig(block)
-                                          for block in mirror_blocks(sys.Acal, sys.mirror))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"dense eigensolve failed: {exc}") from exc
-    return np.concatenate([val_e, val_o]), mirror_lift(sys.mirror, vec_e, vec_o)
 
 
 # Row order of direct spectra: values rounded to multiples of this fraction of
@@ -85,7 +71,7 @@ def direct_spectrum(evaluator: PencilEvaluator | BlockSystem) -> SpectrumReport:
     """Brute-force dense eigendecomposition of Acal with per-pair residuals.
 
     A mirror-invariant Acal (``sys.mirror`` set) is eigensolved through its
-    even and odd blocks, an exact similarity; each residual
+    even and odd blocks (``_linalg.eig``), an exact similarity; each residual
     ||Acal x - lam x|| / ||x|| is still taken against the full Acal, so the
     certification does not rest on the split.  Rows come in
     ``canonical_order``.  Eigenvalues the evaluator refuses are classified by
@@ -96,7 +82,7 @@ def direct_spectrum(evaluator: PencilEvaluator | BlockSystem) -> SpectrumReport:
     if isinstance(evaluator, BlockSystem):
         evaluator = PencilEvaluator(evaluator)
     sys = evaluator.sys
-    vals, vecs = _generator_eig(sys)
+    vals, vecs = eig(sys.Acal, sys.mirror)
     mv = mixed_matmul(sys.Acal, vecs)
     resid = (np.linalg.norm(mv - vecs * vals[None, :], axis=0)
              / np.linalg.norm(vecs, axis=0))
@@ -358,6 +344,7 @@ def special_case_spectrum(sys: BlockSystem, tol: float = 1e-6) -> SpectrumReport
 
     # validate the block-triangular resolvent display at three sample points
     red = reduced_generator(sys)
+    red_mirror = restrict_mirror(sys.mirror, reduced_dofs(sys))
     n = sys.n
     residuals = {}
     for lam in (0.7 + 0.9j, 1.3 + 0.4j, 2.1 + 1.7j):
@@ -369,7 +356,7 @@ def special_case_spectrum(sys: BlockSystem, tol: float = 1e-6) -> SpectrumReport
         display[:n, 2 * n:] = Dn @ RB4
         display[n:2 * n, 2 * n:] = lam * Dn @ RB4
         display[2 * n:, 2 * n:] = RB4
-        dense = shifted_inverse(red, lam, "(lam - reduced)", mirror=_reduced_mirror(sys))
+        dense = shifted_inverse(red, lam, "(lam - reduced)", mirror=red_mirror)
         residuals[f"{lam}"] = rel_residual(display, dense, reference=dense)
 
     return SpectrumReport(
@@ -403,30 +390,6 @@ def essential_range(values: np.ndarray, weights: np.ndarray) -> list[tuple[float
 # ---------------------------------------------------------------------------
 # Refinement proxies
 # ---------------------------------------------------------------------------
-def _reduced_mirror(sys: BlockSystem) -> np.ndarray | None:
-    """``sys.mirror`` on the reduced generator's state (u, v, y)."""
-    if sys.mirror is None:
-        return None
-    n, nb = sys.n, sys.n_b
-    return np.concatenate([sys.mirror[:2 * n], sys.mirror[2 * n + nb:] - nb])
-
-
-def _generator_eigvals(sys: BlockSystem, reduced: bool = False) -> np.ndarray:
-    """Eigenvalues of ``sys.Acal`` (or the reduced generator), in no order.
-
-    When Acal commutes exactly with the mirror (``sys.mirror`` is set), so
-    does the reduced generator, its principal submatrix on a mirror-closed
-    set of dofs, and the spectrum is that of the even and odd blocks of
-    ``mirror_blocks``: two half-size eigensolves, about a quarter of the full
-    one.  Otherwise the matrix is eigensolved as it stands.
-    """
-    mat = reduced_generator(sys) if reduced else sys.Acal
-    perm = _reduced_mirror(sys) if reduced else sys.mirror
-    if perm is None:
-        return np.linalg.eigvals(mat)
-    return np.concatenate([np.linalg.eigvals(block) for block in mirror_blocks(mat, perm)])
-
-
 def essential_spectrum_proxy(systems, epsilon: float) -> dict:
     """Eigenvalue accumulation near the essential range of -d/m on the strip.
 
@@ -437,10 +400,10 @@ def essential_spectrum_proxy(systems, epsilon: float) -> dict:
     in finite dimensions; only the trend is meaningful, and the report says so.
     Interval models get the finite-boundary answer instead of counts; strip
     systems are always wave or divergence models (the only strip assembly).
-    The eigenvalues come from ``_generator_eigvals``: a strip whose assembly
-    is mirror-exact (``sys.mirror`` set, as on every shipped strip) is split
-    into the even and odd parts of its reduced generator under the mirror
-    x -> 1 - x, an exact similarity that keeps the spectrum.
+    The eigenvalues come from ``_linalg.eigvals``: a strip whose assembly is
+    mirror-exact (``sys.mirror`` set, as on every shipped strip) is split into
+    the even and odd parts of its reduced generator under ``sys.mirror``
+    restricted to (u, v, y), an exact similarity that keeps the spectrum.
     """
     rows = []
     ess_vals = None
@@ -457,7 +420,7 @@ def essential_spectrum_proxy(systems, epsilon: float) -> dict:
             raise ConfigurationError("essential-spectrum proxy requires B3 = 0 (k = 0)")
         rng = essential_range(np.real(np.diag(sys.ops.B4)), sys.ops.bnd_weights)
         ess_vals = [v for v, _ in rng]
-        vals = _generator_eigvals(sys, reduced=True)
+        vals = eigvals(reduced_generator(sys), restrict_mirror(sys.mirror, reduced_dofs(sys)))
         count = int(np.sum([
             np.min([abs(l - v) for v in ess_vals]) <= epsilon for l in vals]))
         rows.append({"nx": mesh.grid_shape[0] - 1, "n_b": sys.n_b, "count": count})
@@ -480,7 +443,7 @@ def compact_resolvent_diagnostic(systems) -> dict:
     For each fixed k the k-th smallest-|lam| eigenvalue must stabilize while
     the spectral radius grows like the stencil stiffness: the discrete
     signature of a compact resolvent / purely discrete spectrum.  Each
-    refinement's eigenvalues come from ``_generator_eigvals``: when Acal
+    refinement's eigenvalues come from ``_linalg.eigvals``: when Acal
     commutes exactly with the mirror x -> L - x (``sys.mirror`` set, as on
     both shipped intervals), its even and odd parts, of about half the size
     each, are eigensolved instead of Acal; the similarity between them is
@@ -492,7 +455,7 @@ def compact_resolvent_diagnostic(systems) -> dict:
     for mesh, sys in systems:
         if mesh.kind != "interval":
             raise ConfigurationError("compact-resolvent diagnostic expects 1D models")
-        vals = _generator_eigvals(sys)
+        vals = eigvals(sys.Acal, sys.mirror)
         # rigid drift modes sit numerically at zero and carry no convergence
         # information; track them separately
         zero_tol = 1e-6 * max(1.0, float(np.max(np.abs(vals))))

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import abclab as ab
-from abclab.blockops import reduced_generator
+import abclab._linalg as la
+from abclab.blockops import reduced_dofs, reduced_generator
 from abclab.errors import AssumptionError, ConfigurationError
 
 from conftest import load, wave_system
@@ -308,13 +309,52 @@ def test_split_lifts_match_the_full_ones(name, nx):
     mesh, sys = ab.build_system(cfg)
     J = sys.ext_mirror
     assert J is not None and not np.array_equal(J, np.arange(J.size))
-    assert J.size == sys.ops.A_max.shape[1] and np.array_equal(J[:sys.n], sys.node_mirror)
+    assert J.size == sys.ops.A_max.shape[1]
+    assert np.array_equal(J[:sys.n], la.restrict_mirror(sys.mirror, np.arange(sys.n)))
     for mu in _LIFT_MUS:
         for flux in (False, True):
             split = sys.dirichlet_lift(mu, flux)
             full = _parent_lift(sys, mu, flux)
             assert split.dtype == full.dtype
             assert np.linalg.norm(split - full) <= 1e-12 * np.linalg.norm(full)
+
+
+@pytest.mark.parametrize("name,nx", [("abc-1d", None), ("special-case", None),
+                                     ("timoshenko-strip", None), ("timoshenko-strip-k0", None),
+                                     ("timoshenko-strip", 24)])
+def test_restricted_mirrors_are_the_hand_built_layouts(name, nx):
+    # the layouts the restriction rule replaced: the u part for A0, the
+    # (u, v, x) part for Abb0, and (u, v, y) for the reduced generator
+    cfg = load(name) if nx is None else _variant(name, {"nx": nx, "ny": nx})
+    mesh, sys = ab.build_system(cfg)
+    J, (n, _, nb) = sys.mirror, sys.dims
+    assert np.array_equal(la.restrict_mirror(J, np.arange(n)), J[:n])
+    assert np.array_equal(la.restrict_mirror(J, np.arange(2 * n + nb)), J[:2 * n + nb])
+    assert np.array_equal(la.restrict_mirror(J, reduced_dofs(sys)),
+                          np.concatenate([J[:2 * n], J[2 * n + nb:] - nb]))
+    # a u dof off the mirror axis, kept with the v dof at its image, is not
+    # mapped onto the kept set
+    r = int(np.flatnonzero(J != np.arange(J.size))[0])
+    assert la.restrict_mirror(J, np.r_[r, n + J[r]]) is None
+
+
+def _old_ghost_images(mesh):
+    """The ghost slots' mirror images as they were built before: the slot
+    whose inward node is the image of the slot's own inward node."""
+    mirror = np.arange(mesh.n_nodes).reshape(mesh.grid_shape[::-1])[..., ::-1].ravel()
+    return la.restrict_mirror(mirror, mesh.ghost_inward)
+
+
+@pytest.mark.parametrize("name", ["abc-1d", "special-case", "timoshenko-strip",
+                                  "timoshenko-strip-k0", "biharmonic"])
+def test_extended_mirror_from_gamma1_is_the_ghost_image_one(name, biharmonic_sys):
+    # ghost slot i belongs to Gamma1 dof i, so [node, n + bnd] is the old
+    # [node, n + ghost] permutation
+    mesh, sys = biharmonic_sys if name == "biharmonic" else ab.build_system(load(name))
+    node, bnd = sys.ops.mirror
+    ghost = _old_ghost_images(mesh)
+    assert np.array_equal(ghost, bnd)
+    assert np.array_equal(sys.ext_mirror, np.concatenate([node, sys.n + ghost]))
 
 
 def test_lifts_without_a_mirror_are_the_unsplit_solve():

@@ -244,6 +244,36 @@ def test_io_error_exit_code(tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize("argv", [
+    ["essential-proxy", "--config", cfg_path("abc-1d"), "--resolutions", "64,x"],
+    # 3.33 steps would stop at t = 0.9; 0.4 steps would write only t = 0
+    ["simulate", "--config", cfg_path("abc-1d"), "--t-final", "1", "--dt", "0.3"],
+    ["simulate", "--config", cfg_path("abc-1d"), "--t-final", "0.004", "--dt", "0.01"],
+], ids=["resolutions", "partial-step", "no-step"])
+def test_malformed_run_exits_2_with_one_line(tmp_path, argv):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "out"
+    done = subprocess.run([sys.executable, "-m", "abclab.cli", *argv, "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: ") and len(done.stderr.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("t_final,dt,rows", [("1", "0.1", 11), ("0.3", "0.1", 4),
+                                             ("1", "1", 2)])
+def test_simulate_takes_whole_steps(tmp_path, t_final, dt, rows):
+    # t_final / dt within 1e-9 of a whole number runs that many steps and ends at t_final
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "--config", cfg_path("abc-1d"), "--t-final", t_final,
+                 "--dt", dt, "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()[1:]
+    assert len(lines) == rows
+    assert float(lines[-1].split(",")[0]) == pytest.approx(float(t_final), rel=1e-12)
+
+
 def test_bad_config_exit_code(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text('{"bogus": 1}')

@@ -4,7 +4,8 @@ Every import sits at module level, so importing a module shows all that it
 depends on.  The library below ``scenario`` (mesh, model, blockops,
 resolvent, spectral, dynamics, and checks, the table of ``verify``) acts on
 assembled objects and never reaches up to the scenario documents or the
-command line.
+command line.  Only ``_linalg`` names the mirror split's internals: every
+other module asks it for a split solve or eigensolve.
 """
 
 import ast
@@ -57,3 +58,26 @@ def test_lower_layers_do_not_import_scenario_or_cli(name):
                      if isinstance(node, (ast.Import, ast.ImportFrom))
                      for mod in _package_modules(node) & UPPER})
     assert upward == []
+
+
+MIRROR_INTERNALS = {"mirror_blocks", "mirror_lift", "_mirror_coords"}
+
+
+def _spelled(node) -> list[str]:
+    """The identifiers a node spells: a name, an attribute, or imported names."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.ImportFrom):
+        return [alias.name for alias in node.names]
+    return []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "_linalg"],
+                         ids=lambda p: p.stem)
+def test_only_linalg_names_the_mirror_split(path):
+    named = sorted({f"{path.name}:{node.lineno} {name}"
+                    for node in ast.walk(_tree(path))
+                    for name in _spelled(node) if name in MIRROR_INTERNALS})
+    assert named == []

@@ -212,7 +212,7 @@ def _mirror_invariant(seed, n_pairs, n_fixed, dtype=complex):
 @pytest.mark.parametrize("n_pairs,n_fixed", [(5, 0), (4, 3), (1, 1), (0, 3)])
 def test_split_inverse_and_eigenvectors_match_the_full_ones(audit, n_pairs, n_fixed):
     mat, perm = _mirror_invariant(n_pairs + 7 * n_fixed, n_pairs, n_fixed)
-    assert la.commutes_with_mirror(mat, perm)
+    assert la.exact_mirror(perm, mat) is perm
     inv = la.checked_solve(mat, np.eye(perm.size, dtype=complex), "probe", mirror=perm)
     ref = np.linalg.inv(mat)
     assert np.linalg.norm(inv - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -225,6 +225,44 @@ def test_split_inverse_and_eigenvectors_match_the_full_ones(audit, n_pairs, n_fi
     vals = np.concatenate([np.linalg.eigvals(even), np.linalg.eigvals(odd)])
     vecs = la.mirror_lift(perm, np.linalg.eig(even)[1], np.linalg.eig(odd)[1])
     assert np.linalg.norm(mat @ vecs - vecs * vals) <= 1e-12 * np.linalg.norm(mat)
+    # eig lifts the same vectors
+    vals, lifted = la.eig(mat, perm)
+    assert lifted.tobytes() == vecs.tobytes()
+    assert np.linalg.norm(mat @ lifted - lifted * vals) <= 1e-12 * np.linalg.norm(mat)
+
+
+def test_exact_mirror_refuses_when_only_the_last_matrix_breaks_it():
+    mat, perm = _mirror_invariant(3, 4, 2)
+    assert la.exact_mirror(perm, mat, mat.real) is perm
+    r = int(np.flatnonzero(perm != np.arange(perm.size))[0])
+    changed, dropped = mat.copy(), mat.copy()
+    changed[r, r] += 1.0
+    # a zero whose image is not zero is caught at the image
+    dropped[r, r] = 0.0
+    for broken in (changed, dropped):
+        assert la.exact_mirror(perm, mat, mat.real, broken) is None
+
+
+def test_restrict_mirror_keeps_positions_in_the_kept_set():
+    perm = np.array([4, 1, 3, 2, 0, 5])        # orbits {0, 4}, {2, 3}, fixed 1 and 5
+    assert la.restrict_mirror(perm, np.array([0, 1, 4])).tolist() == [2, 1, 0]
+    assert la.restrict_mirror(perm, np.array([2, 3, 5])).tolist() == [1, 0, 2]
+    assert la.restrict_mirror(perm, np.arange(6)).tolist() == perm.tolist()
+    # 0 maps to 4, which is not kept
+    assert la.restrict_mirror(perm, np.array([0, 1])) is None
+    assert la.restrict_mirror(None, np.arange(6)) is None
+
+
+@pytest.mark.parametrize("split", [False, True])
+def test_eig_maps_a_failed_eigensolve_to_numerical_error(split, monkeypatch):
+    mat, perm = _mirror_invariant(2, 2, 1)
+
+    def fail(mat):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eig", fail)
+    with pytest.raises(NumericalError, match="dense eigensolve failed"):
+        la.eig(mat, perm if split else None)
 
 
 @settings(max_examples=100, deadline=None)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import abclab as ab
-from abclab.blockops import reduced_generator
+import abclab._linalg as la
+from abclab.blockops import reduced_dofs, reduced_generator
 from abclab.errors import AssumptionError, NumericalError
 from abclab.spectral import beta_separation
 
@@ -321,11 +322,10 @@ def _recorded_eigvals(monkeypatch):
 @pytest.mark.parametrize("name", ["abc1d_cfg", "special_cfg"])
 def test_mirror_split_matches_full_eigensolve(name, request, monkeypatch):
     import abclab.scenario as sc
-    from abclab.spectral import _generator_eigvals
 
     mesh, sys = ab.build_system(sc.override_interval_cells(request.getfixturevalue(name), 256))
     shapes, full_eigvals = _recorded_eigvals(monkeypatch)
-    split = _generator_eigvals(sys)
+    split = la.eigvals(sys.Acal, sys.mirror)
     # (u, v, x, y) on 257 nodes and 2 ends: the even part keeps the middle node
     assert shapes == [(260, 260), (258, 258)]
     full = full_eigvals(sys.Acal)
@@ -337,12 +337,10 @@ def test_mirror_split_matches_full_eigensolve(name, request, monkeypatch):
 
 
 def test_mirror_split_on_biharmonic_interval(biharmonic_sys, monkeypatch):
-    from abclab.spectral import _generator_eigvals
-
     # the state nodes are 1..31 of 0..32, so the mirror maps them onto themselves
     mesh, sys = biharmonic_sys
     shapes, full_eigvals = _recorded_eigvals(monkeypatch)
-    split = _generator_eigvals(sys)
+    split = la.eigvals(sys.Acal, sys.mirror)
     assert shapes == [(34, 34), (32, 32)]
     full = full_eigvals(sys.Acal)
     assert _same_spectrum(split, full, 1e-10 * np.max(np.abs(full)))
@@ -359,37 +357,32 @@ def _one_sided_interval():
                                    _one_sided_interval],
                          ids=["d=1+x", "gamma1-right-only"])
 def test_asymmetric_interval_keeps_the_full_eigensolve(build, monkeypatch):
-    from abclab.spectral import _generator_eigvals
-
     mesh, sys = build()
     shapes, full_eigvals = _recorded_eigvals(monkeypatch)
-    vals = _generator_eigvals(sys)
+    vals = la.eigvals(sys.Acal, sys.mirror)
     assert shapes == [sys.Acal.shape]
     assert vals.tobytes() == full_eigvals(sys.Acal).tobytes()
 
 
 @pytest.mark.parametrize("reduced", [False, True], ids=["Acal", "reduced"])
 def test_shipped_strip_splits_the_eigensolve(reduced, monkeypatch):
-    from abclab.spectral import _generator_eigvals
-
     # the neutral strip's assembly is mirror-exact: nx = 16 puts 9 of the 17
     # columns in the even part, so (u, v, x, y) splits into 324 + 288 dofs
     mesh, sys = ab.build_system(ab.load_config(CONFIG_DIR / "timoshenko-strip-k0.json"))
-    mat = reduced_generator(sys) if reduced else sys.Acal
+    mat, perm = ((reduced_generator(sys), la.restrict_mirror(sys.mirror, reduced_dofs(sys)))
+                 if reduced else (sys.Acal, sys.mirror))
     shapes, full_eigvals = _recorded_eigvals(monkeypatch)
-    split = _generator_eigvals(sys, reduced=reduced)
+    split = la.eigvals(mat, perm)
     assert shapes == ([(315, 315), (280, 280)] if reduced else [(324, 324), (288, 288)])
     full = full_eigvals(mat)
     assert _same_spectrum(split, full, 1e-10 * np.max(np.abs(full)))
 
 
 def test_mirror_split_on_exactly_symmetric_strip(monkeypatch):
-    from abclab.spectral import _generator_eigvals
-
     # nx = 8: 9 columns mirror about the middle one, (u, v, y) of 81, 81, 9 dofs
     mesh, sys = ab.build_system(strip_proxy_cfg())
     shapes, full_eigvals = _recorded_eigvals(monkeypatch)
-    split = _generator_eigvals(sys, reduced=True)
+    split = la.eigvals(reduced_generator(sys), la.restrict_mirror(sys.mirror, reduced_dofs(sys)))
     assert shapes == [(95, 95), (76, 76)]
     full = full_eigvals(reduced_generator(sys))
     assert _same_spectrum(split, full, 1e-10 * np.max(np.abs(full)))
