@@ -291,35 +291,6 @@ def shifted_inverse(mat: np.ndarray, sigma, what: str,
     return checked_solve(shifted(mat, sigma), np.eye(mat.shape[0]), what, mirror=mirror)
 
 
-def bordered_dirichlet_solve(a_max: np.ndarray, bnd: np.ndarray, mu: complex,
-                             cond_bound: float | None = None,
-                             mirror: np.ndarray | None = None) -> np.ndarray:
-    """Columns of the lifting operator for the boundary row operator ``bnd``.
-
-    Solves the square bordered system
-
-        (mu * P_n - A_max) u_ext = 0      (node rows)
-        bnd u_ext            = e_i        (boundary rows)
-
-    where ``P_n`` projects extended dofs (nodes followed by ghosts) onto node
-    dofs.  Returns the (n + g, n_b) matrix whose i-th column is the unique
-    extended field with interior eigen-equation mu and boundary data e_i.
-    ``cond_bound`` bounds the condition number of the bordered matrix (see
-    ``BlockSystem.lift_cond_bound``); without it the exact one is taken.
-    ``mirror`` is a permutation of the extended dofs that leaves
-    [-A_max; bnd] unchanged bit for bit (``BlockSystem.ext_mirror``); the
-    shift mu on the node diagonal keeps that, so the solve splits.
-    """
-    n, next_ = a_max.shape
-    n_b = bnd.shape[0]
-    if bnd.shape[1] != next_:
-        raise NumericalError("bordered solve: boundary operator has wrong extended width")
-    mat = np.concatenate([shifted(a_max, mu), bnd])
-    rhs = np.eye(next_, n_b, k=-n, dtype=mat.dtype)
-    return checked_solve(mat, rhs, what="bordered Dirichlet system", cond_bound=cond_bound,
-                         mirror=mirror)
-
-
 class NonzeroOperator:
     """The nonzeros of a dense matrix, applied at O(nnz) per product.
 

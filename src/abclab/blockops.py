@@ -19,12 +19,13 @@ m1 = 2n + n_b the other blocks are read off it:
 A0 must be self-adjoint in the state quadrature weights W; then one eigh of
 W^{1/2} A0 W^{-1/2} = Q diag(a) Q^T gives A0 = V diag(a) V^-1 with
 V = W^{-1/2} Q, V^-1 = Q^T W^{1/2}, and the modal pencil factors X1, X2, Y
-(see resolvent.pencil).  The same modal data, with a few norms taken once at
-assembly, bounds the condition number of every bordered Dirichlet solve
-(BlockSystem.lift_cond_bound), so that guard needs no SVD.  Where the mirror
-x -> L - x leaves both bordered matrices exactly unchanged, each bordered
-solve takes their two half-size even and odd blocks (BlockSystem.ext_mirror);
-other splits restrict BlockSystem.mirror (``_linalg.restrict_mirror``).
+(see resolvent.pencil).  The one bordered Dirichlet solve is the R-lift
+[mu P_n - A_max; R] u_ext = [0; I] (BlockSystem.dirichlet_lift); the same
+modal data, with a few norms taken once at assembly, bound its condition
+number (BlockSystem.lift_cond_bound), so that guard needs no SVD.  Where the
+mirror x -> L - x leaves [-A_max; R] exactly unchanged, the solve takes its
+two half-size even and odd blocks (BlockSystem.ext_mirror); other splits
+restrict BlockSystem.mirror (``_linalg.restrict_mirror``).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import bordered_dirichlet_solve, checked_solve, exact_mirror, holder_norm
+from ._linalg import checked_solve, exact_mirror, holder_norm, shifted
 from .errors import AssumptionError, ConfigurationError, DimensionError, NumericalError
 from .model import (SYMMETRY_TOL, ModelOperators, freeze_arrays, mirror_symmetrized,
                     weighted_asymmetry)
@@ -57,24 +58,21 @@ class BlockSystem:
     X1: np.ndarray = field(repr=False)       # (n_b, n): (B1 + B4 B2) V
     X2: np.ndarray = field(repr=False)       # (n_b, n): B3 B2 V
     Y: np.ndarray = field(repr=False)        # (n, n_b): V^-1 S_A
-    B2V: np.ndarray = field(repr=False)      # (n_b, n): B2 V
     # holder_norm bounds on 2-norms, for lift_cond_bound
     norm_T: float = field(repr=False)        # T = [[I, 0], [E0, E1]]: (u, y) -> (u, ghosts)
     norm_S_A: float = field(repr=False)
-    norm_B2: float = field(repr=False)
     norm_A_max: float = field(repr=False)
     norm_R: float = field(repr=False)
-    norm_L: float = field(repr=False)
     kappa_W: float = field(repr=False)       # cond(W^{1/2}) = sqrt(max W / min W)
     # the mirror x -> L - x on the state and on the extended dofs (nodes, then
-    # ghosts), each None unless its matrices commute with it bit for bit
-    # (Acal; [-A_max; R] and [-A_max; L], whose bordered solves split by it)
+    # ghosts), each None unless its matrix commutes with it bit for bit
+    # (Acal; [-A_max; R], whose bordered solve splits by it)
     mirror: np.ndarray | None = field(repr=False)
     ext_mirror: np.ndarray | None = field(repr=False)
 
     def __post_init__(self):
         freeze_arrays(self, ("A0", "E0", "E1", "S_A", "Acal", "eig_A0",
-                             "X1", "X2", "Y", "B2V", "mirror", "ext_mirror"))
+                             "X1", "X2", "Y", "mirror", "ext_mirror"))
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -127,44 +125,37 @@ class BlockSystem:
         """Extended field (nodes + ghosts) with ghosts chosen so R u_ext = y."""
         return np.concatenate([u, self.E0 @ u + self.E1 @ y])
 
-    def lift_cond_bound(self, mu: complex, flux: bool = False) -> float:
-        """Upper bound on cond_2 of the bordered matrix M = [mu P_n - A_max; bnd].
+    def lift_cond_bound(self, mu: complex) -> float:
+        """Upper bound on cond_2 of the bordered matrix M = [mu P_n - A_max; R].
 
-        ``bnd`` is R, or L when ``flux``.  Ghost elimination gives M T = K with
-        K = [[mu - A0, -S_A], [C, I]], C = 0 for R and B2 for L.  With
-        r = kappa(W^1/2) / dist(mu, sigma(A0)) >= ||(mu - A0)^-1|| and the
-        Schur complement Z = I + B2 (mu - A0)^-1 S_A of the flux case,
+        Ghost elimination gives M T = K = [[mu - A0, -S_A], [0, I]].  With
+        r = kappa(W^1/2) / dist(mu, sigma(A0)) >= ||(mu - A0)^-1||,
 
-            ||K^-1|| <= r (1 + ||S_A||) + 1                         (R)
-            ||K^-1|| <= r + ||Z^-1|| (1 + r ||S_A||) (1 + r ||B2||)  (L)
+            ||K^-1|| <= r (1 + ||S_A||) + 1,
 
-        and ||M|| <= |mu| + ||A_max|| + ||bnd||, ||M^-1|| <= ||T|| ||K^-1||.
-        O(n) for R; O(n n_b^2) plus one n_b-sized SVD for L.
+        and ||M|| <= |mu| + ||A_max|| + ||R||, ||M^-1|| <= ||T|| ||K^-1||.  O(n).
         """
         dist = float(np.min(np.abs(mu - self.eig_A0)))
         if dist == 0.0:
             return np.inf
         r = self.kappa_W / dist
-        if flux:
-            Z = np.eye(self.n_b) + (self.B2V / (mu - self.eig_A0)) @ self.Y
-            smin = float(np.linalg.svd(Z, compute_uv=False)[-1])
-            if smin == 0.0:
-                return np.inf
-            inv_K = r + (1.0 + r * self.norm_S_A) * (1.0 + r * self.norm_B2) / smin
-            norm_bnd = self.norm_L
-        else:
-            inv_K = r * (1.0 + self.norm_S_A) + 1.0
-            norm_bnd = self.norm_R
-        return (abs(mu) + self.norm_A_max + norm_bnd) * self.norm_T * inv_K
+        inv_K = r * (1.0 + self.norm_S_A) + 1.0
+        return (abs(mu) + self.norm_A_max + self.norm_R) * self.norm_T * inv_K
 
-    def dirichlet_lift(self, mu: complex, flux: bool = False) -> np.ndarray:
-        """Bordered Dirichlet solve for boundary row R (or L when ``flux``),
-        guarded by ``lift_cond_bound``; split into its even and odd halves by
-        ``ext_mirror`` when that is set."""
-        bnd = self.ops.L if flux else self.ops.R
-        return bordered_dirichlet_solve(self.ops.A_max, bnd, mu,
-                                        cond_bound=self.lift_cond_bound(mu, flux),
-                                        mirror=self.ext_mirror)
+    def dirichlet_lift(self, mu: complex) -> np.ndarray:
+        """The Dirichlet lift D_mu: the (n + g, n_b) extended fields u_ext
+        with (mu P_n - A_max) u_ext = 0 and R u_ext = I, where P_n projects
+        the extended dofs (nodes, then ghosts) onto the nodes.
+
+        The bordered solve is guarded by ``lift_cond_bound`` and, when
+        ``ext_mirror`` is set, split into its even and odd halves (the shift
+        mu on the node diagonal keeps the mirror).
+        """
+        n, size = self.ops.A_max.shape
+        mat = np.concatenate([shifted(self.ops.A_max, mu), self.ops.R])
+        rhs = np.eye(size, self.n_b, k=-n, dtype=mat.dtype)
+        return checked_solve(mat, rhs, "bordered Dirichlet system",
+                             cond_bound=self.lift_cond_bound(mu), mirror=self.ext_mirror)
 
 
 def _ghost_maps(ops: ModelOperators):
@@ -181,9 +172,9 @@ def _ghost_maps(ops: ModelOperators):
 
 def _mirrors(ops: ModelOperators, Acal: np.ndarray):
     """The mirror's permutations of the state (u, v, x, y), gated on Acal, and
-    of the extended dofs, gated on [-A_max; R] and [-A_max; L]: their rows are
-    the nodes, then one per ghost slot, and ghost slot i belongs to Gamma1 dof
-    i, so [node, n + bnd] acts on rows and columns alike."""
+    of the extended dofs, gated on [-A_max; R]: its rows are the nodes, then
+    one per ghost slot, and ghost slot i belongs to Gamma1 dof i, so
+    [node, n + bnd] acts on rows and columns alike."""
     if ops.mirror is None:
         return None, None
     n, _, nb = ops.dims
@@ -191,7 +182,7 @@ def _mirrors(ops: ModelOperators, Acal: np.ndarray):
     state = np.concatenate([node, n + node, 2 * n + bnd, 2 * n + nb + bnd])
     ext = np.concatenate([node, n + bnd])
     return (exact_mirror(state, Acal),
-            exact_mirror(ext, *(np.vstack([ops.A_max, b]) for b in (ops.R, ops.L))))
+            exact_mirror(ext, np.vstack([ops.A_max, ops.R])))
 
 
 def assemble_block_generator(ops: ModelOperators) -> BlockSystem:
@@ -201,7 +192,7 @@ def assemble_block_generator(ops: ModelOperators) -> BlockSystem:
     row B1 + B4 B2, and its computed value is averaged with its mirror image
     (``mirror_symmetrized``).  The mirror's state permutation is stored when
     Acal then commutes with it bit for bit, and its extended-dof permutation
-    when both bordered Dirichlet matrices do (``_mirrors``).
+    when the bordered Dirichlet matrix does (``_mirrors``).
     """
     n, _, nb = ops.dims
     E0, E1 = _ghost_maps(ops)
@@ -242,11 +233,10 @@ def assemble_block_generator(ops: ModelOperators) -> BlockSystem:
         ops=ops, A0=A0, E0=E0, E1=E1, S_A=S_A, Acal=Acal,
         eig_A0=a, spectral_scale=float(np.max(np.abs(a))) if a.size else 1.0,
         X1=Bu @ V, X2=ops.B3 @ ops.B2 @ V,
-        Y=Q.T.conj() @ (sq[:, None] * S_A), B2V=ops.B2 @ V,
+        Y=Q.T.conj() @ (sq[:, None] * S_A),
         norm_T=holder_norm(np.block([[np.eye(n), np.zeros((n, nb))], [E0, E1]])),
-        norm_S_A=holder_norm(S_A), norm_B2=holder_norm(ops.B2),
-        norm_A_max=holder_norm(ops.A_max), norm_R=holder_norm(ops.R),
-        norm_L=holder_norm(ops.L), kappa_W=float(np.sqrt(np.max(W) / np.min(W))),
+        norm_S_A=holder_norm(S_A), norm_A_max=holder_norm(ops.A_max),
+        norm_R=holder_norm(ops.R), kappa_W=float(np.sqrt(np.max(W) / np.min(W))),
         mirror=mirror, ext_mirror=ext_mirror,
     )
 

@@ -76,6 +76,11 @@ def _write_csv(path: str, header: list[str], rows):
             writer.writerow([v if isinstance(v, str) else _fmt(v) for v in row])
 
 
+def _require_positive(name: str, value: float) -> None:
+    if not (np.isfinite(value) and value > 0):
+        raise ConfigurationError(f"{name} must be finite and positive, got {value!r}")
+
+
 def _write_json(path: str | None, obj):
     text = json.dumps(obj, indent=2, sort_keys=True, default=_json_default)
     if path is None:
@@ -94,6 +99,7 @@ def _spectrum_rows(report, members):
 
 
 def cmd_spectrum(config: ScenarioConfig, method: str, out: str, tol: float = 1e-6) -> int:
+    _require_positive("--tol", tol)
     mesh, sys = build_system(config)
     ev = PencilEvaluator(sys, config.solver.get("exclusion_radius"))
     header = ["re", "im", "classification", "residual", "gamma_member"]
@@ -107,9 +113,7 @@ def cmd_spectrum(config: ScenarioConfig, method: str, out: str, tol: float = 1e-
         return EXIT_OK if worst < 1e-8 else EXIT_NUMERICAL
 
     direct = direct_spectrum(ev)
-    # direct_spectrum classifies by the evaluator's refusal
-    members = np.array([cls not in ("zero-mode", "a0-branch") for cls in direct.classification],
-                       dtype=bool)
+    members = direct.admissible_mask(ev)
     if method == "direct":
         _write_csv(out, header, _spectrum_rows(direct, members))
         worst = float(np.max(direct.residuals))
@@ -222,6 +226,11 @@ def cmd_compare_robin(config: ScenarioConfig, out: str, seed=None) -> int:
 # ---------------------------------------------------------------------------
 def cmd_essential_proxy(config: ScenarioConfig, resolutions, epsilon: float,
                         out: str | None, seed=None) -> int:
+    _require_positive("--epsilon", epsilon)
+    if resolutions is not None and len(resolutions) < 2:
+        raise ConfigurationError(
+            "essential-proxy compares refinements and needs at least two resolutions, "
+            f"got {len(resolutions)}")
     result = {"metadata": _config_metadata(config, seed)}
     if config.geometry["kind"] == "strip":
         res = resolutions or [8, 16, 32]
@@ -301,6 +310,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ConfigurationError(f"--seed must be a non-negative integer, got {args.seed}")
         config = load_config(args.config)
         for warning in config.warnings:
             print(f"warning: {warning}", file=_sys.stderr)

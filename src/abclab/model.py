@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._linalg import opnorm, shifted_inverse
+from ._linalg import checked_solve, opnorm, shifted_inverse
 from .errors import (AssumptionError, ConfigurationError, DimensionError, ModelError,
                      NumericalError)
 from .expressions import ExpressionError, eval_coeff_expr, parse_expr
@@ -517,9 +517,11 @@ def check_assumptions(sys: BlockSystem) -> tuple[float, float, float]:
     lift D_lambda and returns (lambda0, ||B2 D_lambda0||, worst ratio), where
     lambda0 is the smallest lambda with ||B2 D_lambda|| < 1 (inf, and the
     contraction inf, when there is none) and the worst ratio is the largest
-    ||D_{2 lambda}|| / ||D_lambda|| along the ladder.  The other structural
-    assumptions (ghost rank, symmetry of A0, finite blocks) are refused at
-    assembly.
+    ||D_{2 lambda}|| / ||D_lambda|| along the ladder.  The flux lift is the
+    R-lift renormalized by its own flux, D^{A,L} = D (L D)^-1 with
+    L D = I + B2 D: one guarded n_b-sized solve per rung on top of the
+    bordered one.  The other structural assumptions (ghost rank, symmetry of
+    A0, finite blocks) are refused at assembly.
     """
     n = sys.n
     lam0, contraction_at_lam0 = np.inf, np.inf
@@ -527,7 +529,8 @@ def check_assumptions(sys: BlockSystem) -> tuple[float, float, float]:
     worst_ratio = 0.0
     for kexp in _LADDER_EXPONENTS:
         lam = float(2 ** kexp)
-        D = sys.dirichlet_lift(lam, flux=True)
+        D = sys.dirichlet_lift(lam)
+        D = D @ checked_solve(sys.ops.L @ D, np.eye(sys.n_b), "flux of the lift")
         dnorm = opnorm(D[:n, :])
         contraction = opnorm(sys.ops.B2 @ D[:n, :])
         if prev is not None:

@@ -28,10 +28,13 @@ assembly.  The bordered solve for D_mu is the independent cross-check: the
 lifted block Dirichlet operator on (u, v, x) states gives the second
 construction pencil_via_blocks, and the explicit block resolvents and the
 triangular factorization of (lam - Acal) are assembled from it; the one
-inverse there is R2 = (lam^2 - A0)^-1, and A0 R2 = lam^2 R2 - I.  On a
-mirror-exact system the bordered solves (``BlockSystem.ext_mirror``) and R2
-(``BlockSystem.mirror`` restricted to u) each solve two half-size blocks
-(``_linalg.checked_solve``), guarded on the full matrix.
+inverse there is R2 = (lam^2 - A0)^-1, and A0 R2 = lam^2 R2 - I.  Every
+lift here is the one bordered R-lift ``BlockSystem.dirichlet_lift``; no
+bordered solve runs against L, whose lift the neutral ladder forms as
+D (L D)^-1 (``model.check_assumptions``).  On a mirror-exact system the
+bordered solve (``BlockSystem.ext_mirror``) and R2 (``BlockSystem.mirror``
+restricted to u) each solve two half-size blocks (``_linalg.checked_solve``),
+guarded on the full matrix.
 
 Admissibility is one rule: lam is refused within the zero radius r0 of zero
 ("near-zero", tested first) or when mu = lam^2 is within the exclusion

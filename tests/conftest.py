@@ -18,6 +18,21 @@ def load(name: str) -> ab.ScenarioConfig:
     return ab.load_config(CONFIG_DIR / f"{name}.json")
 
 
+def hand_lift(sys, mu, bnd):
+    """The bordered Dirichlet solve [mu P_n - A_max; bnd] u_ext = [0; I] formed
+    by hand, with the mu I temporary on the node block and one LU of the full
+    matrix: the reference for the split lift and for the lift against L."""
+    a_max = sys.ops.A_max
+    n, size = a_max.shape
+    mat = np.zeros((size, size), dtype=np.result_type(a_max.dtype, type(mu)))
+    mat[:n, :] = -a_max
+    mat[:n, :n] += mu * np.eye(n)
+    mat[n:, :] = bnd
+    rhs = np.zeros((size, bnd.shape[0]), dtype=mat.dtype)
+    rhs[n:, :] = np.eye(bnd.shape[0])
+    return np.linalg.solve(mat, rhs)
+
+
 def wave_system(n_cells=32, c=1.0, rho="1", m="1", d="0", k="0",
                 b1_mode="zero", b3_zero=False):
     text_cfg = ab.parse_config("{}")

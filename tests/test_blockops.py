@@ -7,8 +7,9 @@ import abclab as ab
 import abclab._linalg as la
 from abclab.blockops import reduced_dofs, reduced_generator
 from abclab.errors import AssumptionError, ConfigurationError
+from abclab.model import _LADDER_EXPONENTS, check_assumptions
 
-from conftest import load, wave_system
+from conftest import hand_lift, load, wave_system
 
 
 def test_abb0_flux_row_collapses_to_b2(abc1d):
@@ -281,52 +282,68 @@ def test_mirror_gate_reads_the_inputs(variant):
     assert sys.Acal[2 * n + nb:, :n].tobytes() == (ops.B1 + ops.B4 @ ops.B2).tobytes()
 
 
-# sample points of verify's lifts, and two dyadic points of the flux ladder,
-# where mu is real and so is the bordered matrix
+# sample points of verify's lifts, and two dyadic points of the neutral
+# ladder, where mu is real and so is the bordered matrix
 _LIFT_MUS = ([complex(lam * lam) for lam in (0.8 + 0.9j, 1.5 + 0.3j, 0.35 + 0.13j)]
              + [4.0, 2.0 ** 10])
 
-
-def _parent_lift(sys, mu, flux):
-    """The unsplit bordered solve as it was formed before the split: with the
-    mu I temporary on the node block, and one LU of the full matrix."""
-    a_max, bnd = sys.ops.A_max, (sys.ops.L if flux else sys.ops.R)
-    n, size = a_max.shape
-    mat = np.zeros((size, size), dtype=np.result_type(a_max.dtype, type(mu)))
-    mat[:n, :] = -a_max
-    mat[:n, :n] += mu * np.eye(n)
-    mat[n:, :] = bnd
-    rhs = np.zeros((size, bnd.shape[0]), dtype=mat.dtype)
-    rhs[n:, :] = np.eye(bnd.shape[0])
-    return np.linalg.solve(mat, rhs)
+# the shipped configs and the nx = ny = 24 strip rung
+_LIFT_CASES = [("abc-1d", None), ("special-case", None), ("timoshenko-strip", None),
+               ("timoshenko-strip-k0", None), ("timoshenko-strip", 24)]
 
 
-@pytest.mark.parametrize("name,nx", [("abc-1d", None), ("special-case", None),
-                                     ("timoshenko-strip", None), ("timoshenko-strip-k0", None),
-                                     ("timoshenko-strip", 24)])
-def test_split_lifts_match_the_full_ones(name, nx):
+def _lift_case(name, nx):
     cfg = load(name) if nx is None else _variant(name, {"nx": nx, "ny": nx})
-    mesh, sys = ab.build_system(cfg)
+    return ab.build_system(cfg)
+
+
+@pytest.mark.parametrize("name,nx", _LIFT_CASES)
+def test_split_lifts_match_the_full_ones(name, nx):
+    mesh, sys = _lift_case(name, nx)
     J = sys.ext_mirror
     assert J is not None and not np.array_equal(J, np.arange(J.size))
     assert J.size == sys.ops.A_max.shape[1]
     assert np.array_equal(J[:sys.n], la.restrict_mirror(sys.mirror, np.arange(sys.n)))
     for mu in _LIFT_MUS:
-        for flux in (False, True):
-            split = sys.dirichlet_lift(mu, flux)
-            full = _parent_lift(sys, mu, flux)
-            assert split.dtype == full.dtype
-            assert np.linalg.norm(split - full) <= 1e-12 * np.linalg.norm(full)
+        split = sys.dirichlet_lift(mu)
+        full = hand_lift(sys, mu, sys.ops.R)
+        assert split.dtype == full.dtype
+        assert np.linalg.norm(split - full) <= 1e-12 * np.linalg.norm(full)
 
 
-@pytest.mark.parametrize("name,nx", [("abc-1d", None), ("special-case", None),
-                                     ("timoshenko-strip", None), ("timoshenko-strip-k0", None),
-                                     ("timoshenko-strip", 24)])
+def _reference_ladder(sys):
+    """check_assumptions' three numbers from hand-formed lifts against L,
+    [lam P_n - A_max; L] u_ext = [0; I], instead of the renormalized R-lift."""
+    n, B2 = sys.n, sys.ops.B2
+    lam0, contraction_at_lam0, prev, worst_ratio = np.inf, np.inf, None, 0.0
+    for kexp in _LADDER_EXPONENTS:
+        lam = float(2 ** kexp)
+        D = hand_lift(sys, lam, sys.ops.L)[:n]
+        dnorm, contraction = np.linalg.norm(D, 2), np.linalg.norm(B2 @ D, 2)
+        if prev is not None:
+            worst_ratio = max(worst_ratio, dnorm / prev)
+        prev = dnorm
+        if lam0 == np.inf and contraction < 1.0:
+            lam0, contraction_at_lam0 = lam, contraction
+    return lam0, contraction_at_lam0, worst_ratio
+
+
+@pytest.mark.parametrize("name,nx", _LIFT_CASES)
+def test_ladder_matches_hand_formed_flux_lifts(name, nx):
+    # the ladder's flux lift D (L D)^-1 is the lift against L
+    mesh, sys = _lift_case(name, nx)
+    lam0, contraction, worst_ratio = check_assumptions(sys)
+    ref_lam0, ref_contraction, ref_ratio = _reference_ladder(sys)
+    assert np.isfinite(lam0) and lam0 == ref_lam0
+    assert abs(contraction - ref_contraction) <= 1e-12 * ref_contraction
+    assert abs(worst_ratio - ref_ratio) <= 1e-12 * ref_ratio
+
+
+@pytest.mark.parametrize("name,nx", _LIFT_CASES)
 def test_restricted_mirrors_are_the_hand_built_layouts(name, nx):
     # the layouts the restriction rule replaced: the u part for A0, the
     # (u, v, x) part for Abb0, and (u, v, y) for the reduced generator
-    cfg = load(name) if nx is None else _variant(name, {"nx": nx, "ny": nx})
-    mesh, sys = ab.build_system(cfg)
+    mesh, sys = _lift_case(name, nx)
     J, (n, _, nb) = sys.mirror, sys.dims
     assert np.array_equal(la.restrict_mirror(J, np.arange(n)), J[:n])
     assert np.array_equal(la.restrict_mirror(J, np.arange(2 * n + nb)), J[:2 * n + nb])
@@ -364,8 +381,7 @@ def test_lifts_without_a_mirror_are_the_unsplit_solve():
         "timoshenko-strip", coefficients={"rho": "1 + 1e-12*x", "m": "1 + 1e-12*x"}))
     assert sys.ext_mirror is None
     for mu in _LIFT_MUS:
-        for flux in (False, True):
-            assert sys.dirichlet_lift(mu, flux).tobytes() == _parent_lift(sys, mu, flux).tobytes()
+        assert sys.dirichlet_lift(mu).tobytes() == hand_lift(sys, mu, sys.ops.R).tobytes()
 
 
 @pytest.mark.parametrize("name", ["abc-1d", "special-case", "timoshenko-strip",

@@ -249,7 +249,27 @@ def test_io_error_exit_code(tmp_path):
     # 3.33 steps would stop at t = 0.9; 0.4 steps would write only t = 0
     ["simulate", "--config", cfg_path("abc-1d"), "--t-final", "1", "--dt", "0.3"],
     ["simulate", "--config", cfg_path("abc-1d"), "--t-final", "0.004", "--dt", "0.01"],
-], ids=["resolutions", "partial-step", "no-step"])
+    # one resolution leaves no refinement to compare
+    ["essential-proxy", "--config", cfg_path("abc-1d"), "--resolutions", "64"],
+    ["essential-proxy", "--config", cfg_path("timoshenko-strip-k0"), "--resolutions", "8"],
+    # a tolerance that is not finite and positive, whatever the method
+    ["spectrum", "--config", cfg_path("abc-1d"), "--method", "both", "--tol", "nan"],
+    ["spectrum", "--config", cfg_path("abc-1d"), "--method", "pencil", "--tol", "nan"],
+    ["spectrum", "--config", cfg_path("abc-1d"), "--method", "both", "--tol", "-1"],
+    ["spectrum", "--config", cfg_path("abc-1d"), "--method", "direct", "--tol", "0"],
+    ["essential-proxy", "--config", cfg_path("timoshenko-strip-k0"), "--resolutions", "8,16",
+     "--epsilon", "nan"],
+    ["essential-proxy", "--config", cfg_path("abc-1d"), "--epsilon", "inf"],
+    # a compatible-random seed is a non-negative integer
+    ["simulate", "--config", cfg_path("abc-1d"), "--t-final", "1", "--dt", "0.1",
+     "--seed", "-1"],
+    ["compare-robin", "--config", cfg_path("abc-1d"), "--seed", "-1"],
+    ["verify", "--config", cfg_path("abc-1d"), "--seed", "-1"],
+    ["essential-proxy", "--config", cfg_path("abc-1d"), "--seed", "-1"],
+], ids=["resolutions", "partial-step", "no-step", "one-resolution-interval",
+        "one-resolution-strip", "tol-nan-both", "tol-nan-pencil", "tol-negative",
+        "tol-zero", "epsilon-nan", "epsilon-inf", "seed-simulate", "seed-compare-robin",
+        "seed-verify", "seed-essential-proxy"])
 def test_malformed_run_exits_2_with_one_line(tmp_path, argv):
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ,
