@@ -18,8 +18,10 @@ x -> L - x of a symmetric grid) is block-diagonal in the basis of J's even
 and odd vectors (Bossavit, Comput. Methods Appl. Mech. Engrg. 56, 1986).
 ``restrict_mirror`` restricts J to dofs it maps onto itself, ``exact_mirror``
 gates it, ``mirror_blocks`` forms the two blocks, ``eig`` and ``eigvals``
-eigensolve them and ``checked_solve(..., mirror=J)`` solves them, always
-guarded on the full matrix.
+eigensolve them, ``split_matmul`` multiplies them and
+``checked_solve(..., mirror=J)`` solves them, always guarded on the full
+matrix; ``ShiftedSplit`` keeps the blocks of a matrix for every shift of its
+diagonal, and solves them as ``checked_solve`` would.
 """
 
 from __future__ import annotations
@@ -78,15 +80,16 @@ def holder_norm(a: np.ndarray) -> float:
     return float(np.sqrt(np.max(absa.sum(axis=0)) * np.max(absa.sum(axis=1))))
 
 
-def condition_guard(mat: np.ndarray, bound: float, what: str) -> None:
+def condition_guard(mat, bound: float, what: str) -> None:
     """Refuse ``mat`` when cond_2(mat) > COND_REFUSAL, given ``bound >= cond_2``.
 
     A bound that clears the threshold decides on its own; otherwise the exact
     ``np.linalg.cond`` decides and its value goes into the refusal message.
+    ``mat`` is the matrix or a function that forms it, called only then.
     """
     if bound * _BOUND_MARGIN <= COND_REFUSAL:
         return
-    cond = np.linalg.cond(mat)
+    cond = np.linalg.cond(mat() if callable(mat) else mat)
     if not np.isfinite(cond) or cond > COND_REFUSAL:
         raise NumericalError(f"{what}: condition estimate {cond:.3e} exceeds {COND_REFUSAL:.0e}")
 
@@ -205,39 +208,62 @@ def eig(mat: np.ndarray, mirror: np.ndarray | None = None) -> tuple[np.ndarray, 
     return np.concatenate([val_e, val_o]), mirror_lift(mirror, vec_e, vec_o)
 
 
-def _mirror_solve(mat: np.ndarray, rhs: np.ndarray, perm: np.ndarray,
+def _unblock(perm: np.ndarray, even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """The matrix whose ``mirror_blocks`` are ``even`` and ``odd``:
+
+        X[i, j] = even[even_of[i], even_of[j]] c_j + sign[i] sign[j] odd[odd_of[i], odd_of[j]] / 2
+
+    with c_j = 1/2 on a 2-orbit and 1 on a fixed point (the basis of
+    ``mirror_blocks`` and its inverse, applied on either side).  X is built
+    by rows of its transpose and returned column-major: the last bits of the
+    products and norms later formed from X depend on its layout, and
+    ``verify``'s outputs are those of this one.
+    """
+    _, _, even_of, odd_of, sign = _mirror_coords(perm)
+    scale = np.empty(even.shape[0])
+    scale[even_of] = np.where(sign != 0, 0.5, 1.0)      # c_j, on the even coordinates
+    xt = np.ascontiguousarray((even * scale).T)[even_of].take(even_of, axis=1)
+    pairs = np.flatnonzero(sign > 0)
+    if pairs.size:
+        # row p of ``odd_t`` is the odd part of row r of X^T, and minus that
+        # of row Jr, for the p-th 2-orbit {r, Jr}
+        odd_t = np.ascontiguousarray(odd.T).take(odd_of, axis=1)
+        odd_t *= 0.5 * sign
+        xt[pairs] += odd_t
+        xt[perm[pairs]] -= odd_t
+    return xt.T
+
+
+def _mirror_solve(even: np.ndarray, odd: np.ndarray, rhs: np.ndarray, perm: np.ndarray,
                   identity: bool) -> np.ndarray:
-    """``mat^-1 rhs`` from the two blocks of ``mirror_blocks(mat, perm)``.
+    """``mat^-1 rhs`` from the two blocks ``even, odd = mirror_blocks(mat, perm)``.
 
     The even and odd parts (rhs +- J rhs)/2 of ``rhs``, read at the
     representatives r, are w_e = (rhs[r] + rhs[Jr])/2 (exactly rhs[r] on a
     fixed point) and, on the 2-orbits, w_o = (rhs[r] - rhs[Jr])/2.  The
     block solutions y_e, y_o lift back as
     x[i] = y_e[even_of[i]] + sign[i] y_o[odd_of[i]].  For an ``identity``
-    rhs the blocks are inverted, E and O, and the lift is
-
-        X[i, j] = E[even_of[i], even_of[j]] c_j + sign[i] sign[j] O[odd_of[i], odd_of[j]] / 2
-
-    with c_j = 1/2 on a 2-orbit and 1 on a fixed point.
+    rhs the blocks are inverted and the inverse is ``_unblock``-ed.
     """
-    even, odd = mirror_blocks(mat, perm)
+    if identity:
+        return _unblock(perm, np.linalg.inv(even), np.linalg.inv(odd))
     _, _, even_of, odd_of, sign = _mirror_coords(perm)
-    if not identity:
-        reps, pairs = np.flatnonzero(sign >= 0), np.flatnonzero(sign > 0)
-        y_even = np.linalg.solve(even, 0.5 * (rhs[reps] + rhs[perm[reps]]))
-        y_odd = np.linalg.solve(odd, 0.5 * (rhs[pairs] - rhs[perm[pairs]]))
-        return (y_even[even_of]
-                + sign.reshape((-1,) + (1,) * (rhs.ndim - 1)) * _odd_rows(y_odd, odd_of))
-    even, odd = (np.linalg.solve(b, np.eye(b.shape[0], dtype=b.dtype)) for b in (even, odd))
-    x = even[even_of][:, even_of]
-    x *= np.where(sign != 0, 0.5, 1.0)
-    # column p of ``odd_cols`` is the odd part of column r of X, and minus
-    # that of column Jr, for the p-th 2-orbit {r, Jr}; no full-size gather
-    odd_cols = _odd_rows(odd, odd_of)
-    odd_cols *= (0.5 * sign)[:, None]
-    pairs = np.flatnonzero(sign > 0)
-    x[:, pairs] += odd_cols
-    x[:, perm[pairs]] -= odd_cols
+    reps, pairs = np.flatnonzero(sign >= 0), np.flatnonzero(sign > 0)
+    y_even = np.linalg.solve(even, 0.5 * (rhs[reps] + rhs[perm[reps]]))
+    y_odd = np.linalg.solve(odd, 0.5 * (rhs[pairs] - rhs[perm[pairs]]))
+    return (y_even[even_of]
+            + sign.reshape((-1,) + (1,) * (rhs.ndim - 1)) * _odd_rows(y_odd, odd_of))
+
+
+def _lu(solve, what: str) -> np.ndarray:
+    """``solve()``, with an exactly singular matrix and a non-finite solution
+    refused as NumericalError."""
+    try:
+        x = solve()
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"{what}: exactly singular matrix") from exc
+    if not np.all(np.isfinite(x)):
+        raise NumericalError(f"{what}: non-finite solution")
     return x
 
 
@@ -251,7 +277,9 @@ def checked_solve(mat: np.ndarray, rhs: np.ndarray, what: str = "linear system",
     (``exact_mirror``); with one, the two half-size blocks of
     ``mirror_blocks`` are solved instead of ``mat`` (``_mirror_solve``), about
     a quarter of the LU work.  Either way the guard judges the full ``mat``,
-    so the refusals and their messages do not depend on the split.
+    so the refusals and their messages do not depend on the split.  An
+    identity ``rhs`` is read without a solve against it: ``np.linalg.inv``
+    runs the same LAPACK solve against an identity of its own.
 
     ``cond_bound`` is a certified upper bound on cond_2(mat).  Without one, an
     inverse-forming solve (``rhs`` the identity) bounds it by
@@ -259,17 +287,73 @@ def checked_solve(mat: np.ndarray, rhs: np.ndarray, what: str = "linear system",
     number.
     """
     identity = _is_identity(rhs)
-    try:
-        x = (np.linalg.solve(mat, rhs) if mirror is None
-             else _mirror_solve(mat, rhs, mirror, identity))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"{what}: exactly singular matrix") from exc
-    if not np.all(np.isfinite(x)):
-        raise NumericalError(f"{what}: non-finite solution")
+    if mirror is not None:
+        x = _lu(lambda: _mirror_solve(*mirror_blocks(mat, mirror), rhs, mirror, identity), what)
+    elif identity:
+        x = _lu(lambda: np.linalg.inv(mat).astype(np.result_type(mat, rhs), copy=False), what)
+    else:
+        x = _lu(lambda: np.linalg.solve(mat, rhs), what)
     if cond_bound is None:
         cond_bound = float(np.linalg.norm(mat) * np.linalg.norm(x)) if identity else np.inf
     condition_guard(mat, cond_bound, what)
     return x
+
+
+class ShiftedSplit:
+    """The even and odd blocks of ``base + sigma P`` for every scalar sigma,
+    from one gather.
+
+    ``base`` is square and commutes exactly with the involutive permutation
+    J = ``perm`` (``exact_mirror``); P is the 0/1 diagonal on the dofs
+    ``shifted``, which J maps onto themselves.  The blocks of ``base`` without
+    its diagonal on P are gathered once and kept read-only.  ``blocks(sigma)``
+    writes (sigma + base[r, r]) + stored[p, p] on the diagonal entry p of
+    each shifted representative r: ``mirror_blocks`` sums the entry at (r, r)
+    first and the one at (r, Jr) next, so the blocks equal
+    ``mirror_blocks(base + sigma P, perm)`` bit for bit.
+    """
+
+    def __init__(self, base: np.ndarray, perm: np.ndarray, shifted: np.ndarray):
+        _, _, even_of, odd_of, sign = _mirror_coords(perm)
+        rest = base.copy()
+        rest[shifted, shifted] = 0.0
+        reps = shifted[sign[shifted] >= 0]
+        pairs = reps[sign[reps] > 0]
+        self.perm = perm
+        self._blocks = mirror_blocks(rest, perm)
+        self._diagonals = ((even_of[reps], base[reps, reps]), (odd_of[pairs], base[pairs, pairs]))
+        for arr in (perm,) + self._blocks + tuple(a for d in self._diagonals for a in d):
+            arr.setflags(write=False)
+
+    def blocks(self, sigma) -> list[np.ndarray]:
+        """``mirror_blocks(base + sigma P, perm)``, as new arrays."""
+        out = []
+        for block, (pos, diag) in zip(self._blocks, self._diagonals):
+            block = block.astype(np.result_type(block, sigma))
+            block[pos, pos] = (sigma + diag) + block[pos, pos]
+            out.append(block)
+        return out
+
+    def solve(self, sigma, rhs: np.ndarray, what: str, cond_bound: float,
+              full) -> np.ndarray:
+        """``checked_solve(full(), rhs, what, cond_bound, mirror=perm)`` from the
+        stored blocks, with the same solution and the same refusals bit for
+        bit; ``full()`` forms ``base + sigma P``, only when ``cond_bound`` does
+        not clear the guard."""
+        x = _lu(lambda: _mirror_solve(*self.blocks(sigma), rhs, self.perm, _is_identity(rhs)),
+                what)
+        condition_guard(full, cond_bound, what)
+        return x
+
+
+def split_matmul(a: np.ndarray, b: np.ndarray, mirror: np.ndarray | None) -> np.ndarray:
+    """``a @ b``; when ``mirror`` commutes with both factors bit for bit
+    (``exact_mirror``), as the products of their even and odd blocks, two
+    half-size products (about a quarter of the work), ``_unblock``-ed."""
+    if mirror is None or exact_mirror(mirror, a, b) is None:
+        return a @ b
+    even, odd = (x @ y for x, y in zip(mirror_blocks(a, mirror), mirror_blocks(b, mirror)))
+    return _unblock(mirror, even, odd)
 
 
 def shifted(mat: np.ndarray, sigma, out: np.ndarray | None = None) -> np.ndarray:

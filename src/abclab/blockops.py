@@ -23,9 +23,11 @@ V = W^{-1/2} Q, V^-1 = Q^T W^{1/2}, and the modal pencil factors X1, X2, Y
 [mu P_n - A_max; R] u_ext = [0; I] (BlockSystem.dirichlet_lift); the same
 modal data, with a few norms taken once at assembly, bound its condition
 number (BlockSystem.lift_cond_bound), so that guard needs no SVD.  Where the
-mirror x -> L - x leaves [-A_max; R] exactly unchanged, the solve takes its
-two half-size even and odd blocks (BlockSystem.ext_mirror); other splits
-restrict BlockSystem.mirror (``_linalg.restrict_mirror``).
+mirror x -> L - x leaves [-A_max; R] exactly unchanged, the even and odd
+half-size blocks of [-A_max; R] are gathered once, at assembly
+(BlockSystem.lift_split), and each lift adds its mu on their node diagonals
+and solves the two halves; other splits restrict BlockSystem.mirror
+(``_linalg.restrict_mirror``).
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import checked_solve, exact_mirror, holder_norm, shifted
+from ._linalg import ShiftedSplit, checked_solve, exact_mirror, holder_norm, shifted
 from .errors import AssumptionError, ConfigurationError, DimensionError, NumericalError
 from .model import (SYMMETRY_TOL, ModelOperators, freeze_arrays, mirror_symmetrized,
                     weighted_asymmetry)
@@ -64,15 +66,22 @@ class BlockSystem:
     norm_A_max: float = field(repr=False)
     norm_R: float = field(repr=False)
     kappa_W: float = field(repr=False)       # cond(W^{1/2}) = sqrt(max W / min W)
-    # the mirror x -> L - x on the state and on the extended dofs (nodes, then
-    # ghosts), each None unless its matrix commutes with it bit for bit
-    # (Acal; [-A_max; R], whose bordered solve splits by it)
+    # the mirror x -> L - x on the state, None unless Acal commutes with it
+    # bit for bit; and the blocks of the bordered Dirichlet matrix
+    # [mu P_n - A_max; R] by the mirror on the extended dofs (nodes, then
+    # ghosts), None unless [-A_max; R] commutes with it bit for bit
     mirror: np.ndarray | None = field(repr=False)
-    ext_mirror: np.ndarray | None = field(repr=False)
+    lift_split: ShiftedSplit | None = field(repr=False)
 
     def __post_init__(self):
         freeze_arrays(self, ("A0", "E0", "E1", "S_A", "Acal", "eig_A0",
-                             "X1", "X2", "Y", "mirror", "ext_mirror"))
+                             "X1", "X2", "Y", "mirror"))
+
+    @property
+    def ext_mirror(self) -> np.ndarray | None:
+        """The mirror's permutation of the extended dofs when the bordered
+        Dirichlet solve splits by it, else None."""
+        return None if self.lift_split is None else self.lift_split.perm
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -147,15 +156,23 @@ class BlockSystem:
         with (mu P_n - A_max) u_ext = 0 and R u_ext = I, where P_n projects
         the extended dofs (nodes, then ghosts) onto the nodes.
 
-        The bordered solve is guarded by ``lift_cond_bound`` and, when
-        ``ext_mirror`` is set, split into its even and odd halves (the shift
-        mu on the node diagonal keeps the mirror).
+        The bordered solve is guarded by ``lift_cond_bound``.  When
+        ``lift_split`` is set, mu is added on the node diagonals of the stored
+        even and odd blocks and the two halves are solved; they are the blocks
+        of the full matrix bit for bit, and the full matrix is formed only
+        when the bound does not clear the guard, so the lift and every
+        refusal are those of ``checked_solve(..., mirror=ext_mirror)``.
         """
         n, size = self.ops.A_max.shape
-        mat = np.concatenate([shifted(self.ops.A_max, mu), self.ops.R])
-        rhs = np.eye(size, self.n_b, k=-n, dtype=mat.dtype)
-        return checked_solve(mat, rhs, "bordered Dirichlet system",
-                             cond_bound=self.lift_cond_bound(mu), mirror=self.ext_mirror)
+        rhs = np.eye(size, self.n_b, k=-n, dtype=np.result_type(self.ops.A_max, mu))
+        what, bound = "bordered Dirichlet system", self.lift_cond_bound(mu)
+
+        def full():
+            return np.concatenate([shifted(self.ops.A_max, mu), self.ops.R])
+
+        if self.lift_split is None:
+            return checked_solve(full(), rhs, what, cond_bound=bound)
+        return self.lift_split.solve(mu, rhs, what, bound, full)
 
 
 def _ghost_maps(ops: ModelOperators):
@@ -171,18 +188,21 @@ def _ghost_maps(ops: ModelOperators):
 
 
 def _mirrors(ops: ModelOperators, Acal: np.ndarray):
-    """The mirror's permutations of the state (u, v, x, y), gated on Acal, and
-    of the extended dofs, gated on [-A_max; R]: its rows are the nodes, then
-    one per ghost slot, and ghost slot i belongs to Gamma1 dof i, so
-    [node, n + bnd] acts on rows and columns alike."""
+    """The mirror's permutation of the state (u, v, x, y), gated on Acal, and
+    the blocks of [-A_max; R] by its permutation of the extended dofs, gated
+    on that matrix: its rows are the nodes, then one per ghost slot, and
+    ghost slot i belongs to Gamma1 dof i, so [node, n + bnd] acts on rows and
+    columns alike."""
     if ops.mirror is None:
         return None, None
     n, _, nb = ops.dims
     node, bnd = ops.mirror
     state = np.concatenate([node, n + node, 2 * n + bnd, 2 * n + nb + bnd])
     ext = np.concatenate([node, n + bnd])
-    return (exact_mirror(state, Acal),
-            exact_mirror(ext, np.vstack([ops.A_max, ops.R])))
+    bordered = np.concatenate([-ops.A_max, ops.R])
+    split = (None if exact_mirror(ext, bordered) is None
+             else ShiftedSplit(bordered, ext, np.arange(n)))
+    return exact_mirror(state, Acal), split
 
 
 def assemble_block_generator(ops: ModelOperators) -> BlockSystem:
@@ -191,8 +211,9 @@ def assemble_block_generator(ops: ModelOperators) -> BlockSystem:
     When B1, B2 and B4 are bitwise mirror-invariant, so is the exact boundary
     row B1 + B4 B2, and its computed value is averaged with its mirror image
     (``mirror_symmetrized``).  The mirror's state permutation is stored when
-    Acal then commutes with it bit for bit, and its extended-dof permutation
-    when the bordered Dirichlet matrix does (``_mirrors``).
+    Acal then commutes with it bit for bit, and the blocks of the bordered
+    Dirichlet matrix by its extended-dof permutation when that matrix does
+    (``_mirrors``).
     """
     n, _, nb = ops.dims
     E0, E1 = _ghost_maps(ops)
@@ -228,7 +249,7 @@ def assemble_block_generator(ops: ModelOperators) -> BlockSystem:
     a, Q = np.linalg.eigh(0.5 * (H + H.T.conj()))
     V = Q / sq[:, None]
 
-    mirror, ext_mirror = _mirrors(ops, Acal)
+    mirror, lift_split = _mirrors(ops, Acal)
     return BlockSystem(
         ops=ops, A0=A0, E0=E0, E1=E1, S_A=S_A, Acal=Acal,
         eig_A0=a, spectral_scale=float(np.max(np.abs(a))) if a.size else 1.0,
@@ -237,7 +258,7 @@ def assemble_block_generator(ops: ModelOperators) -> BlockSystem:
         norm_T=holder_norm(np.block([[np.eye(n), np.zeros((n, nb))], [E0, E1]])),
         norm_S_A=holder_norm(S_A), norm_A_max=holder_norm(ops.A_max),
         norm_R=holder_norm(ops.R), kappa_W=float(np.sqrt(np.max(W) / np.min(W))),
-        mirror=mirror, ext_mirror=ext_mirror,
+        mirror=mirror, lift_split=lift_split,
     )
 
 

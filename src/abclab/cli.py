@@ -21,7 +21,7 @@ import sys as _sys
 import numpy as np
 
 from . import __version__
-from .checks import select_checks
+from .checks import run_checks, select_checks
 from .dynamics import robin_comparison, simulate, trajectory_consistency
 from .errors import (AbclabError, AssumptionError, ConfigurationError, ModelError,
                      NumericalError, PhysicsError, SpectralParameterError)
@@ -195,8 +195,7 @@ def cmd_verify(config: ScenarioConfig, checks, out: str | None, seed=None) -> in
     mesh, sys = build_system(config)
     selected = select_checks(config.flags, sys, checks)
     report = VerificationReport(metadata=_config_metadata(config, seed))
-    for check in selected:
-        check.run(mesh, sys, report)
+    run_checks(selected, mesh, sys, report)
     _write_json(out, report.to_dict())
     for line in report.summary_lines():
         print(line)
@@ -231,6 +230,10 @@ def cmd_essential_proxy(config: ScenarioConfig, resolutions, epsilon: float,
         raise ConfigurationError(
             "essential-proxy compares refinements and needs at least two resolutions, "
             f"got {len(resolutions)}")
+    if resolutions is not None and any(a >= b for a, b in zip(resolutions, resolutions[1:])):
+        raise ConfigurationError(
+            f"essential-proxy compares refinements: --resolutions must increase strictly, "
+            f"got {','.join(map(str, resolutions))}")
     result = {"metadata": _config_metadata(config, seed)}
     if config.geometry["kind"] == "strip":
         res = resolutions or [8, 16, 32]

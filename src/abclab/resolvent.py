@@ -28,7 +28,9 @@ assembly.  The bordered solve for D_mu is the independent cross-check: the
 lifted block Dirichlet operator on (u, v, x) states gives the second
 construction pencil_via_blocks, and the explicit block resolvents and the
 triangular factorization of (lam - Acal) are assembled from it; the one
-inverse there is R2 = (lam^2 - A0)^-1, and A0 R2 = lam^2 R2 - I.  Every
+inverse there is R2 = (lam^2 - A0)^-1, and A0 R2 = lam^2 R2 - I.  The
+constructions at one lam can share R2, the block lift and the
+PencilEvaluator through one BlockPieces, which forms each once.  Every
 lift here is the one bordered R-lift ``BlockSystem.dirichlet_lift``; no
 bordered solve runs against L, whose lift the neutral ladder forms as
 D (L D)^-1 (``model.check_assumptions``).  On a mirror-exact system the
@@ -51,11 +53,12 @@ share are unchecked internals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from ._linalg import (checked_solve, mixed_matmul, opnorm, rel_residual, restrict_mirror,
-                      shifted, shifted_inverse)
+                      shifted, shifted_inverse, split_matmul)
 from .blockops import BlockSystem
 from .errors import DimensionError, SpectralParameterError
 
@@ -152,6 +155,46 @@ class PencilEvaluator:
         return ok if ok.ndim else bool(ok)
 
 
+@dataclass(frozen=True, eq=False)
+class BlockPieces:
+    """What the block constructions of one system at one lam share: its
+    PencilEvaluator, R2 = (lam^2 - A0)^-1 and the block Dirichlet lift.
+
+    Each is formed on first use, and the arrays are read-only; nothing else
+    is kept, so a caller that evaluates several constructions at lam
+    (``verify`` does) passes one BlockPieces to each, and drops it when done.
+    """
+
+    sys: BlockSystem
+    lam: complex
+
+    @cached_property
+    def evaluator(self) -> PencilEvaluator:
+        return PencilEvaluator(self.sys)
+
+    @cached_property
+    def R2(self) -> np.ndarray:
+        return _frozen(_r2(self.sys, self.lam))
+
+    @cached_property
+    def lift(self) -> np.ndarray:
+        return _frozen(_block_lift(self.sys, self.lam))
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+def _pieces(sys: BlockSystem, lam: complex, pieces: BlockPieces | None) -> BlockPieces:
+    """``pieces`` when they are those of (sys, lam), fresh ones for None."""
+    if pieces is None:
+        return BlockPieces(sys, lam)
+    if pieces.sys is not sys or pieces.lam != lam:
+        raise ValueError(f"block pieces of another system or lam (lam={lam:.6g})")
+    return pieces
+
+
 # ---------------------------------------------------------------------------
 # Unchecked constructions (callers run the admissibility guard once)
 # ---------------------------------------------------------------------------
@@ -173,11 +216,14 @@ def _modal_sum(evaluator: PencilEvaluator, w1: np.ndarray, w2: np.ndarray) -> np
     return mixed_matmul(weights, evaluator.tables).reshape(-1, nb, nb)
 
 
-def _a0_block_resolvent(sys: BlockSystem, lam: complex) -> np.ndarray:
+def _r2(sys: BlockSystem, lam: complex) -> np.ndarray:
+    return shifted_inverse(sys.A0, lam * lam, "(lam^2 - A0) resolvent",
+                           mirror=restrict_mirror(sys.mirror, np.arange(sys.n)))
+
+
+def _a0_block_resolvent(sys: BlockSystem, lam: complex, R2: np.ndarray) -> np.ndarray:
     n, nb = sys.n, sys.n_b
     lam2 = lam * lam
-    R2 = shifted_inverse(sys.A0, lam2, "(lam^2 - A0) resolvent",
-                         mirror=restrict_mirror(sys.mirror, np.arange(n)))
     B2R2 = sys.ops.B2 @ R2
     out = np.zeros((2 * n + nb, 2 * n + nb), dtype=complex)
     out[:n, :n] = out[n:2 * n, n:2 * n] = lam * R2
@@ -274,16 +320,18 @@ def pencil_via_blocks(evaluator: PencilEvaluator, lam: complex) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Block resolvents
 # ---------------------------------------------------------------------------
-def resolvent_A0_block(sys: BlockSystem, lam: complex) -> np.ndarray:
+def resolvent_A0_block(sys: BlockSystem, lam: complex,
+                       pieces: BlockPieces | None = None) -> np.ndarray:
     """Explicit resolvent of the restricted 3x3 block generator.
 
     Rows: (lam R2, R2, 0 / A0 R2, lam R2, 0 / B2 R2, B2 R2 / lam, I / lam)
     with R2 = (lam^2 - A0)^{-1}, from two half-size blocks when ``sys.mirror``
     is set; A0 R2 is written as lam^2 R2 - I, equal in exact arithmetic, so
-    no dense product is formed.
+    no dense product is formed.  R2 is read from ``pieces`` (those of
+    (sys, lam)) when given.
     """
     _check_admissible(sys, lam)
-    return _a0_block_resolvent(sys, lam)
+    return _a0_block_resolvent(sys, lam, _pieces(sys, lam, pieces).R2)
 
 
 def _factored(Abb0: np.ndarray, E: np.ndarray, F: np.ndarray, Blam: np.ndarray,
@@ -307,8 +355,16 @@ def _factored(Abb0: np.ndarray, E: np.ndarray, F: np.ndarray, Blam: np.ndarray,
     return out
 
 
-def factorization_check(sys: BlockSystem, lam: complex,
-                        mu: complex) -> tuple[float, float, float]:
+def _mirror_averaged(mirror: np.ndarray, block: np.ndarray, rows: np.ndarray,
+                     cols: np.ndarray) -> np.ndarray:
+    """(X + J X J)/2 for the block X at (rows, cols) of a state matrix;
+    mirror-invariant bit for bit, since fl(a + b) = fl(b + a)."""
+    image = block[np.ix_(restrict_mirror(mirror, rows), restrict_mirror(mirror, cols))]
+    return 0.5 * (block + image)
+
+
+def factorization_check(sys: BlockSystem, lam: complex, mu: complex,
+                        pieces: BlockPieces | None = None) -> tuple[float, float, float]:
     """Residuals (i), (ii), (iii) of the triangular factorization of the
     coupled generator, all Frobenius-relative:
 
@@ -317,21 +373,38 @@ def factorization_check(sys: BlockSystem, lam: complex,
                          + (mu - lam)(I - Lfac Mfac)
       (iii) Lfac Mfac equals its displayed closed form.
 
-    The triple products of (i) and (ii) are evaluated block by block
-    (``_factored``); Lfac Mfac stays one dense product, so that (iii) compares
-    it with the display formula rather than with itself.  Lfac and Mfac live
-    only for that product, and one shift omega - Acal is formed at a time.
+    Lfac = I + [[0, 0], [E, 0]] with E = -Bfrak RA0 and Mfac = I + [[0, F],
+    [0, 0]] with F minus the block lift, read from ``pieces`` (those of
+    (sys, lam)) when given.  The triple products of (i) and (ii) are
+    evaluated block by block (``_factored``); Lfac Mfac stays a product of the
+    two matrices, so that (iii) compares it with the display formula rather
+    than with itself.  When Acal commutes with the mirror bit for bit
+    (``sys.mirror``), so does the exact E, and so does the exact F when the
+    bordered Dirichlet matrix does too (``sys.ext_mirror``; the flux row of
+    the lift is (I + B2 D)/lam).  Their computed values, whose products sum
+    in an order the mirror does not keep, are then averaged with their mirror
+    images (the ``mirror_symmetrized`` rule: the inputs decide, never a
+    tolerance), and Lfac Mfac is two half-size products (``split_matmul``,
+    gated on both factors).  The residuals are taken against the full
+    matrices.  Lfac and Mfac live only for that product, and one shift
+    omega - Acal is formed at a time.
     """
-    Blam = pencil(PencilEvaluator(sys), lam)
+    pieces = _pieces(sys, lam, pieces)
+    Blam = pencil(pieces.evaluator, lam)
     m1, size = 2 * sys.n + sys.n_b, sys.state_dim
-    E = -sys.Bfrak @ _a0_block_resolvent(sys, lam)
-    F = -_block_lift(sys, lam)
+    uvx, y = np.arange(m1), np.arange(m1, size)
+    E = -sys.Bfrak @ _a0_block_resolvent(sys, lam, pieces.R2)
+    F = -pieces.lift
+    if sys.mirror is not None:
+        E = _mirror_averaged(sys.mirror, E, y, uvx)
+        if sys.ext_mirror is not None:
+            F = _mirror_averaged(sys.mirror, F, uvx, y)
 
     Lfac = np.eye(size, dtype=complex)
     Lfac[m1:, :m1] = E
     Mfac = np.eye(size, dtype=complex)
     Mfac[:m1, m1:] = F
-    LM = Lfac @ Mfac
+    LM = split_matmul(Lfac, Mfac, sys.mirror)
     del Lfac, Mfac
     display = np.eye(size, dtype=complex)
     display[:m1, m1:] = F
@@ -350,17 +423,20 @@ def factorization_check(sys: BlockSystem, lam: complex,
     return res_i, res_ii, res_iii
 
 
-def resolvent_Acal(sys: BlockSystem, lam: complex) -> np.ndarray:
+def resolvent_Acal(sys: BlockSystem, lam: complex,
+                   pieces: BlockPieces | None = None) -> np.ndarray:
     """Resolvent of the coupled generator assembled from the factorization.
 
     Blocks: [[RA0 + D G Bfrak RA0, D G], [G Bfrak RA0, G]] with
-    G = (lam - P(lam))^{-1}; refuses lambda outside Gamma, distinguishing
-    which membership test failed.
+    G = (lam - P(lam))^{-1} and D the block lift, R2 and D read from
+    ``pieces`` (those of (sys, lam)) when given; refuses lambda outside
+    Gamma, distinguishing which membership test failed.
     """
-    pcl, cond = _regular_pencil(PencilEvaluator(sys), lam)
+    pieces = _pieces(sys, lam, pieces)
+    pcl, cond = _regular_pencil(pieces.evaluator, lam)
     G = checked_solve(pcl, np.eye(sys.n_b, dtype=complex), what="(lam - pencil) resolvent",
                       cond_bound=cond)
-    Dblk = _block_lift(sys, lam)
-    RA0 = _a0_block_resolvent(sys, lam)
+    Dblk = pieces.lift
+    RA0 = _a0_block_resolvent(sys, lam, pieces.R2)
     GB = G @ (sys.Bfrak @ RA0)
     return np.block([[RA0 + Dblk @ GB, Dblk @ G], [GB, G]])

@@ -24,7 +24,7 @@ from ._linalg import (eig, eigvals, mixed_matmul, rel_residual, restrict_mirror,
                       shifted_inverse)
 from .blockops import BlockSystem, reduced_dofs, reduced_generator
 from .errors import AssumptionError, ConfigurationError, NumericalError, SpectralParameterError
-from .resolvent import (PencilEvaluator, _a0_block_resolvent, dirichlet_operator, pencil,
+from .resolvent import (PencilEvaluator, _a0_block_resolvent, _r2, dirichlet_operator, pencil,
                         pencil_derivative)
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2.0 fallback
@@ -351,7 +351,7 @@ def special_case_spectrum(sys: BlockSystem, tol: float = 1e-6) -> SpectrumReport
         RB4 = shifted_inverse(ops.B4, lam, "(lam - B4)")
         Dn = dirichlet_operator(sys, lam * lam)[:n]
         # the (u, v) blocks are those of the restricted block resolvent
-        display = _a0_block_resolvent(sys, lam)
+        display = _a0_block_resolvent(sys, lam, _r2(sys, lam))
         display[2 * n:, :2 * n] = 0.0
         display[:n, 2 * n:] = Dn @ RB4
         display[n:2 * n, 2 * n:] = lam * Dn @ RB4

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import abclab as ab
+import abclab._linalg as la
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -18,10 +19,12 @@ def load(name: str) -> ab.ScenarioConfig:
     return ab.load_config(CONFIG_DIR / f"{name}.json")
 
 
-def hand_lift(sys, mu, bnd):
+def hand_lift(sys, mu, bnd, mirror=None):
     """The bordered Dirichlet solve [mu P_n - A_max; bnd] u_ext = [0; I] formed
-    by hand, with the mu I temporary on the node block and one LU of the full
-    matrix: the reference for the split lift and for the lift against L."""
+    by hand, with the mu I temporary on the node block, and solved by one LU
+    of the full matrix, or with a ``mirror`` by ``checked_solve``'s split of
+    the full matrix: the reference for the split lift, for the lift from the
+    stored blocks and for the lift against L."""
     a_max = sys.ops.A_max
     n, size = a_max.shape
     mat = np.zeros((size, size), dtype=np.result_type(a_max.dtype, type(mu)))
@@ -30,7 +33,9 @@ def hand_lift(sys, mu, bnd):
     mat[n:, :] = bnd
     rhs = np.zeros((size, bnd.shape[0]), dtype=mat.dtype)
     rhs[n:, :] = np.eye(bnd.shape[0])
-    return np.linalg.solve(mat, rhs)
+    if mirror is None:
+        return np.linalg.solve(mat, rhs)
+    return la.checked_solve(mat, rhs, "hand lift", mirror=mirror)
 
 
 def wave_system(n_cells=32, c=1.0, rho="1", m="1", d="0", k="0",

@@ -6,7 +6,7 @@ import pytest
 import abclab as ab
 import abclab._linalg as la
 from abclab.blockops import reduced_dofs, reduced_generator
-from abclab.errors import AssumptionError, ConfigurationError
+from abclab.errors import AssumptionError, ConfigurationError, NumericalError
 from abclab.model import _LADDER_EXPONENTS, check_assumptions
 
 from conftest import hand_lift, load, wave_system
@@ -311,6 +311,58 @@ def test_split_lifts_match_the_full_ones(name, nx):
         assert np.linalg.norm(split - full) <= 1e-12 * np.linalg.norm(full)
 
 
+# an odd strip: the nodes next to the axis are coupled to their images, so the
+# even and odd blocks sum two entries on those diagonals, and the shift must
+# go in before the image's entry (adding mu to the stored sums instead moves
+# 20 diagonal entries by one rounding at nx = 9)
+_STORED_LIFT_CASES = _LIFT_CASES + [("timoshenko-strip", 9)]
+
+
+@pytest.mark.parametrize("name,nx", _STORED_LIFT_CASES)
+def test_stored_block_lifts_are_the_split_solve_bit_for_bit(name, nx):
+    mesh, sys = _lift_case(name, nx)
+    assert sys.lift_split is not None
+    if nx == 9:
+        J, a_max = sys.ext_mirror[:sys.n], sys.ops.A_max
+        off_axis = np.flatnonzero(J != np.arange(sys.n))
+        assert np.count_nonzero(a_max[off_axis, J[off_axis]]) > 0
+    for mu in _LIFT_MUS + [complex(-3.7, 0.2), 2.0 ** 16]:
+        got = sys.dirichlet_lift(mu)
+        ref = hand_lift(sys, mu, sys.ops.R, mirror=sys.ext_mirror)
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("rel,svds", [(1e-9, 0), (1e-11, 1), (1e-13, 1)])
+def test_lift_next_to_the_restricted_spectrum_decides_as_the_full_solve(
+        neutral_strip, monkeypatch, rel, svds):
+    # mu a relative 1e-9 from sigma(A0) clears the bound; at 1e-11 the bound
+    # (3.4e13) does not, and the full matrix's exact condition number
+    # (6.4e11) passes it; at 1e-13 that number (6.4e13) refuses it
+    _, sys = neutral_strip
+    a = sys.eig_A0
+    mu = a[len(a) // 2] * (1 + rel)
+    n, size = sys.ops.A_max.shape
+    full = np.concatenate([la.shifted(sys.ops.A_max, mu), sys.ops.R])
+    rhs = np.eye(size, sys.n_b, k=-n)
+
+    def outcome(solve):
+        try:
+            return solve().tobytes()
+        except NumericalError as exc:
+            return str(exc)
+
+    ref = outcome(lambda: la.checked_solve(full, rhs, "bordered Dirichlet system",
+                                           cond_bound=sys.lift_cond_bound(mu),
+                                           mirror=sys.ext_mirror))
+    conds, cond = [], np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond", lambda mat: conds.append(mat.shape) or cond(mat))
+    assert outcome(lambda: sys.dirichlet_lift(mu)) == ref
+    assert conds == [full.shape] * svds
+    assert isinstance(ref, str) == (rel == 1e-13)
+    assert not isinstance(ref, str) or ref.startswith(
+        "bordered Dirichlet system: condition estimate")
+
+
 def _reference_ladder(sys):
     """check_assumptions' three numbers from hand-formed lifts against L,
     [lam P_n - A_max; L] u_ext = [0; I], instead of the renormalized R-lift."""
@@ -379,7 +431,7 @@ def test_lifts_without_a_mirror_are_the_unsplit_solve():
     # mirror is stored, and each lift is the one full LU, byte for byte
     mesh, sys = ab.build_system(_variant(
         "timoshenko-strip", coefficients={"rho": "1 + 1e-12*x", "m": "1 + 1e-12*x"}))
-    assert sys.ext_mirror is None
+    assert sys.ext_mirror is None and sys.lift_split is None
     for mu in _LIFT_MUS:
         assert sys.dirichlet_lift(mu).tobytes() == hand_lift(sys, mu, sys.ops.R).tobytes()
 

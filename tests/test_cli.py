@@ -59,6 +59,31 @@ def test_check_table(tmp_path, name, check):
     assert all(v["passed"] for v in items.values())
 
 
+@pytest.mark.parametrize("name,nx", [(name, None) for name in CONFIG_NAMES]
+                         + [("timoshenko-strip", 24)])
+def test_each_check_alone_gives_the_values_of_the_full_run(tmp_path, name, nx):
+    # the pieces the block checks share within a run change no number
+    config = cfg_path(name)
+    if nx is not None:
+        data = json.loads(Path(config).read_text())
+        data["geometry"].update(nx=nx, ny=nx)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(data))
+
+    def items(checks):
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--config", str(config), "--checks", checks,
+                     "--out", str(out)]) == 0
+        return json.loads(out.read_text())["items"]
+
+    full = items("all")
+    for check in CHECKS:
+        if check.name in TOLERANCES[name]:
+            for item, entry in items(check.name).items():
+                assert entry == full.pop(item)
+    assert full == {}
+
+
 def test_verify_unknown_check_is_usage_error(capsys):
     for check in ("nonsense", "neutral-ladder"):     # unknown; inapplicable on abc-1d
         code = main(["verify", "--config", cfg_path("abc-1d"), "--checks", check])
@@ -252,6 +277,11 @@ def test_io_error_exit_code(tmp_path):
     # one resolution leaves no refinement to compare
     ["essential-proxy", "--config", cfg_path("abc-1d"), "--resolutions", "64"],
     ["essential-proxy", "--config", cfg_path("timoshenko-strip-k0"), "--resolutions", "8"],
+    # a repeated or decreasing resolution compares no refinement
+    ["essential-proxy", "--config", cfg_path("abc-1d"), "--resolutions", "64,64"],
+    ["essential-proxy", "--config", cfg_path("timoshenko-strip-k0"), "--resolutions", "8,8"],
+    ["essential-proxy", "--config", cfg_path("abc-1d"), "--resolutions", "128,64"],
+    ["essential-proxy", "--config", cfg_path("abc-1d"), "--resolutions", "64,128,128"],
     # a tolerance that is not finite and positive, whatever the method
     ["spectrum", "--config", cfg_path("abc-1d"), "--method", "both", "--tol", "nan"],
     ["spectrum", "--config", cfg_path("abc-1d"), "--method", "pencil", "--tol", "nan"],
@@ -267,7 +297,8 @@ def test_io_error_exit_code(tmp_path):
     ["verify", "--config", cfg_path("abc-1d"), "--seed", "-1"],
     ["essential-proxy", "--config", cfg_path("abc-1d"), "--seed", "-1"],
 ], ids=["resolutions", "partial-step", "no-step", "one-resolution-interval",
-        "one-resolution-strip", "tol-nan-both", "tol-nan-pencil", "tol-negative",
+        "one-resolution-strip", "repeated-resolution-interval", "repeated-resolution-strip",
+        "decreasing-resolutions", "repeated-last-resolution", "tol-nan-both", "tol-nan-pencil", "tol-negative",
         "tol-zero", "epsilon-nan", "epsilon-inf", "seed-simulate", "seed-compare-robin",
         "seed-verify", "seed-essential-proxy"])
 def test_malformed_run_exits_2_with_one_line(tmp_path, argv):

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 import abclab as ab
 from abclab._linalg import rel_residual
 from abclab.errors import AssumptionError, SpectralParameterError
-from abclab.resolvent import (_factored, block_dirichlet, dirichlet_operator, exclusion_radii,
-                              factorization_check, identity_LD, pencil_via_blocks,
-                              resolvent_A0_block, resolvent_Acal)
+from abclab.resolvent import (BlockPieces, _factored, block_dirichlet, dirichlet_operator,
+                              exclusion_radii, factorization_check, identity_LD,
+                              pencil_via_blocks, resolvent_A0_block, resolvent_Acal)
 
 from conftest import hand_lift, load, wave_system
 
@@ -223,6 +223,20 @@ def test_factorization_trivial_when_feedback_absent(special):
     _, sys = special
     assert np.max(np.abs(sys.Bfrak)) == 0.0
     assert max(factorization_check(sys, 1 + 1j, -0.5)) < 1e-8
+
+
+def test_shared_pieces_are_read_only_and_tied_to_their_point(neutral_strip):
+    _, sys = neutral_strip
+    pieces = BlockPieces(sys, 1 + 1j)
+    assert pieces.R2 is pieces.R2 and pieces.lift is pieces.lift
+    for shared in (pieces.R2, pieces.lift):
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0, 0] = 0.0
+    for entry in (lambda p: resolvent_A0_block(sys, 0.6 + 1.7j, p),
+                  lambda p: factorization_check(sys, 0.6 + 1.7j, 2.0, p),
+                  lambda p: resolvent_Acal(dataclasses.replace(sys), 1 + 1j, p)):
+        with pytest.raises(ValueError, match="another system or lam"):
+            entry(pieces)
 
 
 def test_resolvent_acal_formula(abc1d):
