@@ -400,10 +400,11 @@ class NonzeroOperator:
         """mat @ b for a vector b, real or complex."""
         return np.add.reduceat(self.vals * b[self.cols], self._starts)
 
-    def abs_rmatvec(self, w: np.ndarray) -> np.ndarray:
-        """w @ |mat| for a real vector w."""
-        return np.bincount(self.cols, weights=w[self.rows] * self.abs_vals,
-                           minlength=self.shape[1])
+    def abs_rmatvec(self, w: np.ndarray, mags: np.ndarray | None = None) -> np.ndarray:
+        """w @ |mat| for a real vector w, or w @ M for the matrix M that holds
+        the magnitudes ``mags`` (one per stored entry) on mat's nonzeros."""
+        mags = self.abs_vals if mags is None else mags
+        return np.bincount(self.cols, weights=w[self.rows] * mags, minlength=self.shape[1])
 
 
 def rel_residual(lhs: np.ndarray, rhs: np.ndarray, reference: np.ndarray | None = None) -> float:

@@ -21,7 +21,13 @@ and the strip up to nx = ny = 12 stay dense, and the strip from nx = ny = 16
 takes the action.
 
 Both routes are scaled from the same certified upper bounds on
-||A^p||_1^(1/p), read off the row vector 1^T |A|^p (``_power_alphas``).
+||B^p||_1^(1/p), read off the row vector 1^T |B|^p (``_power_alphas``), for
+B = D^-1 A D balanced by a power-of-two diagonal D (``_balance``).  D rounds
+nothing, so a route run on A computes the bits of the same route run on B
+and scaled back, and its backward error is bounded in the balanced norm.
+Balancing evens out the scales of the displacement and velocity blocks: on
+the strip it takes min_p alpha_p from 72.5 to 48.3, near the spectral radius
+45.25, and the 1000-step simulate grid from 4235 matvecs to 2750.
 
 The coupled generator always carries a defective rigid-drift pair at zero, so
 no eigenbasis route is used.  A classical RK4 integrator and, in the tests,
@@ -113,6 +119,8 @@ _POWERS = np.arange(2, ACTION_P_MAX + 1)
 # The backward-error bound in alpha_p holds for degrees m >= p(p-1) - 1
 # (their Theorem 4.2).
 _ADMISSIBLE = _DEGREES[None, :] >= (_POWERS * (_POWERS - 1) - 1)[:, None]
+# The most sweeps ``_balance`` takes; every shipped generator settles in two
+_BALANCE_SWEEPS = 8
 
 
 def taylor_expm(mat: np.ndarray) -> np.ndarray:
@@ -122,7 +130,8 @@ def taylor_expm(mat: np.ndarray) -> np.ndarray:
     products) after scaling A by 2^-s, with s the fewest squarings that bring
     min(alpha_2, alpha_3, alpha_4) to at most theta_16 (Al-Mohy and Higham,
     SIMAX 2009): p <= 4 are the powers admissible at degree 16, and the
-    alpha_p are the certified upper bounds of ``_power_alphas``.  Raises
+    alpha_p are the certified upper bounds of ``_power_alphas``, those of
+    mat balanced by a power-of-two diagonal.  Raises
     NumericalError when that bound or the result leaves the float range.
     """
     n = mat.shape[0]
@@ -174,31 +183,89 @@ def _uniform(gaps: np.ndarray) -> bool:
     return np.allclose(gaps, gaps[0], rtol=1e-10, atol=0.0)
 
 
-def _power_alphas(mat: np.ndarray | NonzeroOperator) -> np.ndarray:
-    """alpha_p = max(d_p, d_{p+1}) for p = 2..ACTION_P_MAX, d_p >= ||mat^p||_1^(1/p).
+def _col_norm(mags: np.ndarray, op: NonzeroOperator) -> float:
+    """1-norm of the matrix with the magnitudes ``mags`` on op's nonzeros."""
+    return float(np.max(np.bincount(op.cols, weights=mags, minlength=op.shape[1])))
 
-    ``mat`` is a dense matrix or its ``NonzeroOperator`` (which ``_flow``
-    builds once and shares with the action).  Entrywise |mat^p| <= |mat|^p,
-    so the largest entry of the row vector w_p = 1^T |mat|^p bounds
-    ||mat^p||_1 from above: p vector-matrix products at O(nnz) each and no
-    dense power.  Every d_p is a certified upper bound, so the backward-error
-    bounds of both exponential routes hold.  w is kept below 2^-k, with
-    2^k >= the dimension, by exact power-of-two rescaling, and the exponents
-    are summed, so no product overflows at any finite scale of mat; a d_p
-    beyond the float range is returned as inf.  Raises NumericalError for
-    non-finite entries.
+
+def _balance(op: NonzeroOperator) -> np.ndarray:
+    """Exponents e of the power-of-two diagonal D = diag(2^e) that balances mat.
+
+    B = D^-1 mat D has the entries mat_ij 2^(e_j - e_i).  A sweep reads the
+    off-diagonal row and column 1-norms r_i and c_i of B from the nonzeros,
+    in O(nnz), and moves every e_i at once by the nearest integer to
+    (x_i - y_i) / 4, where x_i and y_i are the integer exponents that
+    ``np.frexp`` gives r_i and c_i: x_i - y_i is log2(r_i / c_i) to within
+    1, and no logarithm is taken, so nothing warns at any finite scale.
+    That is half the step of Parlett and Reinsch (Numer. Math. 13, 1969),
+    who move one index at a time: when both ends of a coupling i <-> j move
+    together, half steps meet in the middle where full ones would swap the
+    two entries.  An index whose r_i or c_i is zero or infinite stays put.
+    The sweeps stop when no exponent moves, after at most _BALANCE_SWEEPS.
+    D is kept only when it scales every nonzero exactly (no entry of B
+    overflows or loses bits as a subnormal) and lowers the 1-norm, the
+    balancing test of Al-Mohy and Higham (2011, Sec. 3.1); otherwise e = 0.
+    Elementwise ufuncs and ``np.bincount`` only, no BLAS call: D does not
+    depend on the thread count.
+    """
+    n = op.shape[0]
+    off = op.rows != op.cols
+    rows, cols, mags = op.rows[off], op.cols[off], op.abs_vals[off]
+    e = np.zeros(n, dtype=int)
+    # an entry of B that overflows is inf, which stops its indices and fails
+    # the exactness test, so numpy need not also warn
+    with np.errstate(over="ignore"):
+        for _ in range(_BALANCE_SWEEPS):
+            b = np.ldexp(mags, e[cols] - e[rows])
+            r = np.bincount(rows, weights=b, minlength=n)
+            c = np.bincount(cols, weights=b, minlength=n)
+            move = np.rint((np.frexp(r)[1] - np.frexp(c)[1]) / 4).astype(int)
+            move[~((0 < r) & (r < np.inf) & (0 < c) & (c < np.inf))] = 0
+            if not np.any(move):
+                break
+            e += move
+        shift = e[op.cols] - e[op.rows]
+        scaled = np.ldexp(op.abs_vals, shift)
+        exact = np.array_equal(np.ldexp(scaled, -shift), op.abs_vals)
+    if exact and _col_norm(scaled, op) < _col_norm(op.abs_vals, op):
+        return e
+    return np.zeros(n, dtype=int)
+
+
+def _power_alphas(mat: np.ndarray | NonzeroOperator) -> np.ndarray:
+    """alpha_p = max(d_p, d_{p+1}) for p = 2..ACTION_P_MAX, d_p >= ||B^p||_1^(1/p).
+
+    B = D^-1 mat D is mat balanced by the power-of-two diagonal D of
+    ``_balance``.  Scaling by a power of two rounds nothing, so either
+    exponential route, run on mat with a plan certified for B, computes the
+    very bits of running on B and scaling back by D: the alpha_p of B scale
+    both routes, and their backward error is bounded in the balanced norm
+    ||D^-1 . D||_1.  Balancing lowers the alpha_p where the blocks of mat
+    differ in scale, as the displacement and velocity blocks of a wave
+    generator do.  ``mat`` is a dense matrix or its ``NonzeroOperator``
+    (which ``_flow`` builds once and shares with the action).  Entrywise
+    |B^p| <= |B|^p, so the largest entry of the row vector w_p = 1^T |B|^p
+    bounds ||B^p||_1 from above: p vector-matrix products at O(nnz) each
+    and no dense power.  Every d_p is a certified upper bound, so the
+    backward-error bounds of both exponential routes hold.  w is kept below
+    2^-k, with 2^k >= the dimension, by exact power-of-two rescaling, and
+    the exponents are summed, so no product overflows at any finite scale of
+    mat; a d_p beyond the float range is returned as inf.  Raises
+    NumericalError for non-finite entries.
     """
     op = mat if isinstance(mat, NonzeroOperator) else NonzeroOperator(mat)
     if not np.all(np.isfinite(op.vals)):
         raise NumericalError("matrix exponential of a matrix with non-finite entries")
+    e = _balance(op)
+    mags = np.ldexp(op.abs_vals, e[op.cols] - e[op.rows])     # |B| on mat's nonzeros
     k = max(op.shape[0] - 1, 1).bit_length()
     w = np.full(op.shape[0], 2.0 ** -k)
-    log2_scale = k                  # 1^T |mat|^p = w 2^log2_scale
+    log2_scale = k                  # 1^T |B|^p = w 2^log2_scale
     d = np.zeros(ACTION_P_MAX)
     for p in range(1, ACTION_P_MAX + 2):
-        w = op.abs_rmatvec(w)
+        w = op.abs_rmatvec(w, mags)
         top = float(np.max(w))
-        if top == 0.0:          # |mat|^p = 0, so are all higher powers
+        if top == 0.0:          # |B|^p = 0, so are all higher powers
             break
         mantissa, exponent = math.frexp(top)
         w = np.ldexp(w, -exponent - k)
@@ -220,9 +287,9 @@ def _action_plan(t: np.ndarray, alphas: np.ndarray) -> tuple[np.ndarray, np.ndar
     """Degree m and matvec count m*s of the cheapest action plan for each t.
 
     (m, s) minimizes m*s subject to t alpha_p / s <= theta_m over the
-    admissible (p, m) (Al-Mohy and Higham 2011, Alg. 3.2, without shift or
-    balancing).  The count is inf where no finite plan exists (an infinite
-    alpha_p).
+    admissible (p, m) (Al-Mohy and Higham 2011, Alg. 3.2, without the shift;
+    the alpha_p are those of the balanced matrix).  The count is inf where no
+    finite plan exists (an infinite alpha_p).
     """
     # ceil(t alpha_p / theta_m) grows with alpha_p: each degree takes the
     # least alpha_p admissible at it
@@ -325,8 +392,10 @@ def _flow(mat: np.ndarray, s: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
     walked in blocks (``_blocks``): a block is the longest run of times
     within one step's reach theta_55 / min_p alpha_p of its start, and one
     ``_expm_action`` call steps from the start to every time of the block.
-    The power bounds alpha_p and the plans of all blocks are computed once
-    per grid.  A uniform grid (two or more positive gaps, equal to a
+    The power bounds alpha_p, those of mat balanced by a power-of-two
+    diagonal D, and the plans of all blocks are computed once per grid; the
+    backward error of each step is bounded in the balanced norm
+    ||D^-1 . D||_1.  A uniform grid (two or more positive gaps, equal to a
     relative 1e-10) takes the dense route instead when ``_dense_pays``: one
     exponential P of the mean gap, applied by matvecs.  When that grid has
     at least as many positive steps K as the state dimension N, only the

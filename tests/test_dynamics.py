@@ -1,5 +1,9 @@
 import dataclasses
+import os
 import pickle
+import subprocess
+from pathlib import Path
+from sys import executable
 
 import numpy as np
 import pytest
@@ -172,7 +176,7 @@ def test_stepped_states_match_taylor_on_any_grid(abc1d, data):
         gap = data.draw(st.floats(1e-3, 0.1), label="gap")
         positive = gap * np.arange(1, data.draw(st.integers(2, 40), label="K") + 1)
     else:
-        # within abc-1d's reach theta_55 / min_p alpha_p = 0.044
+        # within abc-1d's reach theta_55 / min_p alpha_p = 0.071
         positive = data.draw(st.lists(st.floats(0.0, 0.04, exclude_min=True), min_size=2,
                                       max_size=8, unique=True), label="positive")
     t_grid = np.concatenate([sorted(lead), sorted(positive)])
@@ -245,14 +249,14 @@ def test_blocked_uniform_flow_matches_sequential_steps(data):
 
 def test_blocked_strip_flow_against_scipy(neutral_strip):
     # the simulate grid at T = 10, dt = 0.01, which the strip steps by the
-    # action in blocks of 13 output times
+    # action in blocks of 20 output times
     _, sys = neutral_strip
     t_grid = np.linspace(0.0, 10.0, 1001)
     s0 = np.random.default_rng(7).standard_normal(sys.state_dim)
     states = ab.simulate(sys, s0, t_grid).states
     for k in (1, 8, 9, 500, 1000):
         ref = scipy.linalg.expm(sys.Acal * t_grid[k]) @ s0
-        # rounding accumulates block by block: 4.3e-12 measured at k = 1000
+        # rounding accumulates block by block: 3.2e-12 measured at k = 1000
         assert np.linalg.norm(states[k] - ref) / np.linalg.norm(ref) < 1e-14 * k
 
 
@@ -266,17 +270,123 @@ def exact_power_alphas(mat):
     return np.maximum(d[:-1], d[1:])
 
 
+def balanced(mat, exponents=None):
+    """D^-1 mat D for D = diag(2^exponents), by default those of ``_balance``."""
+    e = dynamics._balance(NonzeroOperator(mat)) if exponents is None else exponents
+    return mat * np.ldexp(1.0, e[None, :] - e[:, None])
+
+
+@pytest.fixture(scope="module")
+def strip_k0():
+    return ab.build_system(load("timoshenko-strip-k0"))
+
+
+SHIPPED = ("abc1d", "special", "neutral_strip", "strip_k0")
+
+
 @pytest.mark.parametrize("generator", ["Acal", "A1cal"])
-@pytest.mark.parametrize("system", ["abc1d", "special", "neutral_strip", "complex_sys",
-                                    "biharmonic_sys", "divergence_sys"])
+@pytest.mark.parametrize("system", SHIPPED + ("complex_sys", "biharmonic_sys", "divergence_sys"))
 def test_power_alphas_bound_exact_alphas(system, generator, request):
+    # the bounds are those of the balanced matrix, which both routes run on
+    # in effect (a power-of-two similarity rounds nothing)
     _, sys = request.getfixturevalue(system)
     mat = getattr(sys, generator)
-    bound, exact = dynamics._power_alphas(mat), exact_power_alphas(mat)
+    bound, exact = dynamics._power_alphas(mat), exact_power_alphas(balanced(mat))
     assert np.all(bound >= exact * (1 - 1e-12))
-    if system in ("abc1d", "special", "neutral_strip"):
+    if system in SHIPPED:
         # the shipped configs: a loose bound would silently inflate the step cost
         assert np.all(bound <= 1.01 * exact)
+
+
+@pytest.mark.parametrize("generator", ["Acal", "A1cal"])
+@pytest.mark.parametrize("system", SHIPPED)
+def test_balancing_is_by_powers_of_two_and_settles_in_two_sweeps(
+        system, generator, request, monkeypatch):
+    _, sys = request.getfixturevalue(system)
+    mat = getattr(sys, generator)
+    e = dynamics._balance(NonzeroOperator(mat))
+    assert e.dtype.kind == "i" and np.any(e)
+    # D = 2^e is exact: each entry is a normal power of two
+    assert np.all(np.frexp(np.ldexp(1.0, e))[0] == 0.5)
+    # the balancing test: D lowers the 1-norm, here by a factor of 10 or more
+    assert 10 * np.linalg.norm(balanced(mat, e), 1) <= np.linalg.norm(mat, 1)
+    monkeypatch.setattr(dynamics, "_BALANCE_SWEEPS", 2)
+    assert np.array_equal(dynamics._balance(NonzeroOperator(mat)), e)
+
+
+def test_balancing_is_independent_of_the_blas_thread_count(tmp_path):
+    # D comes from elementwise ufuncs and bincount, no BLAS call
+    script = tmp_path / "exponents.py"
+    script.write_text(
+        "from sys import argv\n"
+        "import abclab as ab\n"
+        "from abclab import dynamics\n"
+        "from abclab._linalg import NonzeroOperator\n"
+        "_, system = ab.build_system(ab.load_config(argv[1]))\n"
+        "for mat in (system.Acal, system.A1cal):\n"
+        "    print(dynamics._balance(NonzeroOperator(mat)).tolist())\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        outputs.append(subprocess.run(
+            [executable, str(script), str(CONFIG_DIR / "timoshenko-strip.json")],
+            env=env, check=True, capture_output=True, text=True, timeout=300).stdout)
+    assert outputs[0] == outputs[1] and outputs[0].count("\n") == 2
+
+
+def test_balancing_refuses_a_scaling_that_loses_an_entry():
+    # balancing index 0 against index 1 by 2^(+-498) would take the entry
+    # 1e-300 of row 0 to about 1e-450, below the float range: D is refused
+    mat = np.array([[0.0, 1e300, 1e-300], [1e-300, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    assert not np.any(dynamics._balance(NonzeroOperator(mat)))
+    assert np.all(dynamics._power_alphas(mat) >= exact_power_alphas(mat) * (1 - 1e-12))
+    # without that entry, D is exact and balances the pair to within a factor 4
+    mat[0, 2] = 0.0
+    pair = balanced(mat)[:2, :2]
+    assert 0.25 <= pair[0, 1] / pair[1, 0] <= 4.0
+
+
+def action_plan(mat, t_grid):
+    """Blocks and matvecs of the action's plan for a grid of positive times,
+    planned as ``_flow`` plans them."""
+    alphas = dynamics._power_alphas(mat)
+    ends = dynamics._blocks(t_grid, 0, float(dynamics.THETA[-1]) / float(np.min(alphas)))
+    _, matvecs = dynamics._action_plan(np.diff(t_grid[ends - 1], prepend=0.0), alphas)
+    return ends.size, int(np.sum(matvecs))
+
+
+SIMULATE_GRID = np.linspace(0.01, 10.0, 1000)     # `simulate --t-final 10 --dt 0.01`
+
+
+# matvecs of the action's plans before balancing: (simulate grid, compare-robin
+# grids of Acal and A1cal together)
+_UNBALANCED_MATVECS = {"abc1d": (13750, 3050), "special": (6126, 1642),
+                       "neutral_strip": (4235, 980), "strip_k0": (4235, 980)}
+
+
+@pytest.mark.parametrize("system", SHIPPED)
+def test_balancing_cuts_the_planned_matvecs(system, request):
+    _, sys = request.getfixturevalue(system)
+    simulate = action_plan(sys.Acal, SIMULATE_GRID)
+    robin = sum(action_plan(mat, ROBIN_GRID)[1] for mat in (sys.Acal, sys.A1cal))
+    before = _UNBALANCED_MATVECS[system]
+    assert simulate[1] <= before[0] and robin <= before[1]
+    if system == "neutral_strip":
+        # the strip of the benchmark: 77 blocks and 4235 matvecs unbalanced
+        assert simulate[0] <= 55 and simulate[1] <= 2900
+
+
+def test_balancing_plans_no_more_than_lapack_gebal(neutral_strip, monkeypatch):
+    # LAPACK's gebal balances by powers of two as well, one index at a time
+    _, sys = neutral_strip
+    ours = action_plan(sys.Acal, SIMULATE_GRID)
+    _, (scale, _) = scipy.linalg.matrix_balance(sys.Acal, permute=False, separate=True)
+    mantissa, exponent = np.frexp(scale)
+    assert np.all(mantissa == 0.5)
+    monkeypatch.setattr(dynamics, "_balance", lambda op: exponent - 1)
+    assert ours[1] <= action_plan(sys.Acal, SIMULATE_GRID)[1]
 
 
 # nonzero magnitudes of at least 1e-3 keep the dense reference's ninth powers
@@ -289,7 +399,8 @@ _ENTRIES = st.one_of(st.just(0.0), st.floats(1e-3, 10.0), st.floats(-10.0, -1e-3
     arrays(float, (n, n), elements=_ENTRIES),
     arrays(complex, (n, n), elements=st.builds(complex, _ENTRIES, _ENTRIES)))))
 def test_power_alphas_bound_random_matrices(mat):
-    assert np.all(dynamics._power_alphas(mat) >= exact_power_alphas(mat) * (1 - 1e-12))
+    bound = dynamics._power_alphas(mat)
+    assert np.all(bound >= exact_power_alphas(balanced(mat)) * (1 - 1e-12))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

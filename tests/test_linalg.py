@@ -178,6 +178,8 @@ def test_nonzero_operator_matches_dense_products(operands):
         assert np.all(np.abs(got - a @ b) <= n * eps * (np.abs(a) @ np.abs(b)))
         ref = w @ np.abs(a)
         assert np.all(np.abs(op.abs_rmatvec(w) - ref) <= n * eps * ref)
+        # other magnitudes on the same nonzeros: here twice those of a
+        assert np.all(np.abs(op.abs_rmatvec(w, 2 * op.abs_vals) - 2 * ref) <= 2 * n * eps * ref)
 
 
 @settings(max_examples=50, deadline=None)
@@ -371,6 +373,34 @@ def test_inverse_is_the_solve_against_an_identity_bit_for_bit(n, dtype):
               for b in la.mirror_blocks(mat, perm)]
     split = la.checked_solve(mat, np.eye(perm.size), mirror=perm)
     assert split.tobytes() == la._unblock(perm, *solved).tobytes()
+
+
+@pytest.mark.parametrize("n_pairs,n_fixed", [(5, 0), (4, 3), (0, 3)])
+def test_unblock_is_the_column_major_dense_reconstruction(n_pairs, n_fixed):
+    # the last bits of the BLAS products and norms that verify forms from an
+    # _unblock-ed matrix follow its layout, so verify's bytes rest on it being
+    # column-major (a C-ordered variant moved two verify values on every
+    # shipped config)
+    mat, perm = _mirror_invariant(n_pairs + 5, n_pairs, n_fixed)
+    even, odd = la.mirror_blocks(mat, perm)
+    # the basis of mirror_blocks, built by hand: e_r + e_Jr (e_r on a fixed
+    # point) for each representative r = min(i, Ji) in increasing order, then
+    # e_r - e_Jr for the representatives of the 2-orbits
+    reps = [r for r in range(perm.size) if r <= perm[r]]
+    pairs = [r for r in reps if perm[r] != r]
+    basis = np.zeros((perm.size, perm.size))
+    for col, r in enumerate(reps):
+        basis[[r, perm[r]], col] = 1.0
+    for col, r in enumerate(pairs, start=len(reps)):
+        basis[[r, perm[r]], col] = 1.0, -1.0
+    blocks = np.zeros(mat.shape, dtype=mat.dtype)
+    blocks[:len(reps), :len(reps)] = even
+    blocks[len(reps):, len(reps):] = odd
+    ref = basis @ blocks @ np.linalg.inv(basis)
+    got = la._unblock(perm, even, odd)
+    assert got.flags.f_contiguous and not got.flags.c_contiguous
+    assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
+    assert np.linalg.norm(got - mat) <= 1e-14 * np.linalg.norm(mat)
 
 
 @pytest.mark.parametrize("n_pairs,n_fixed", [(5, 0), (4, 3), (0, 3)])
