@@ -18,10 +18,9 @@ x -> L - x of a symmetric grid) is block-diagonal in the basis of J's even
 and odd vectors (Bossavit, Comput. Methods Appl. Mech. Engrg. 56, 1986).
 ``restrict_mirror`` restricts J to dofs it maps onto itself, ``exact_mirror``
 gates it, ``mirror_blocks`` forms the two blocks, ``eig`` and ``eigvals``
-eigensolve them, ``split_matmul`` multiplies them and
-``checked_solve(..., mirror=J)`` solves them, always guarded on the full
-matrix; ``ShiftedSplit`` keeps the blocks of a matrix for every shift of its
-diagonal, and solves them as ``checked_solve`` would.
+eigensolve them and ``checked_solve(..., mirror=J)`` solves them, always
+guarded on the full matrix; ``ShiftedSplit`` keeps the blocks of a matrix for
+every shift of its diagonal, and solves them as ``checked_solve`` would.
 """
 
 from __future__ import annotations
@@ -344,16 +343,6 @@ class ShiftedSplit:
                 what)
         condition_guard(full, cond_bound, what)
         return x
-
-
-def split_matmul(a: np.ndarray, b: np.ndarray, mirror: np.ndarray | None) -> np.ndarray:
-    """``a @ b``; when ``mirror`` commutes with both factors bit for bit
-    (``exact_mirror``), as the products of their even and odd blocks, two
-    half-size products (about a quarter of the work), ``_unblock``-ed."""
-    if mirror is None or exact_mirror(mirror, a, b) is None:
-        return a @ b
-    even, odd = (x @ y for x, y in zip(mirror_blocks(a, mirror), mirror_blocks(b, mirror)))
-    return _unblock(mirror, even, odd)
 
 
 def shifted(mat: np.ndarray, sigma, out: np.ndarray | None = None) -> np.ndarray:

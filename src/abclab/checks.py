@@ -168,10 +168,13 @@ CHECKS = (
 
 def select_checks(flags: dict, sys: BlockSystem, names=None) -> list[Check]:
     """The named checks (all applicable ones for ``"all"``); refuses a name
-    that is unknown or does not apply under ``flags`` to ``sys``."""
+    that is repeated, unknown or does not apply under ``flags`` to ``sys``."""
     available = {check.name: check for check in CHECKS if check.applies(flags, sys)}
     if names in (None, "all", ["all"]):
         return list(available.values())
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ConfigurationError(f"check(s) named more than once: {repeated}")
     unknown = [name for name in names if name not in available]
     if unknown:
         raise ConfigurationError(f"unknown or inapplicable check(s) {unknown}; "

@@ -27,7 +27,8 @@ K n n_b temporary.  Systems whose A0 is not weighted-symmetric are refused at
 assembly.  The bordered solve for D_mu is the independent cross-check: the
 lifted block Dirichlet operator on (u, v, x) states gives the second
 construction pencil_via_blocks, and the explicit block resolvents and the
-triangular factorization of (lam - Acal) are assembled from it; the one
+triangular factorization of (lam - Acal) are assembled from it, the
+factorization block by block with neither dense factor formed; the one
 inverse there is R2 = (lam^2 - A0)^-1, and A0 R2 = lam^2 R2 - I.  The
 constructions at one lam can share R2, the block lift and the
 PencilEvaluator through one BlockPieces, which forms each once.  Every
@@ -57,8 +58,8 @@ from functools import cached_property
 
 import numpy as np
 
-from ._linalg import (checked_solve, mixed_matmul, opnorm, rel_residual, restrict_mirror,
-                      shifted, shifted_inverse, split_matmul)
+from ._linalg import (checked_solve, mixed_matmul, opnorm, restrict_mirror, shifted,
+                      shifted_inverse)
 from .blockops import BlockSystem
 from .errors import DimensionError, SpectralParameterError
 
@@ -355,12 +356,12 @@ def _factored(Abb0: np.ndarray, E: np.ndarray, F: np.ndarray, Blam: np.ndarray,
     return out
 
 
-def _mirror_averaged(mirror: np.ndarray, block: np.ndarray, rows: np.ndarray,
-                     cols: np.ndarray) -> np.ndarray:
-    """(X + J X J)/2 for the block X at (rows, cols) of a state matrix;
-    mirror-invariant bit for bit, since fl(a + b) = fl(b + a)."""
-    image = block[np.ix_(restrict_mirror(mirror, rows), restrict_mirror(mirror, cols))]
-    return 0.5 * (block + image)
+def _shift_residual(sys: BlockSystem, omega: complex, rhs: np.ndarray) -> float:
+    """Frobenius residual of omega - Acal = ``rhs`` relative to
+    max(1, ||omega - Acal||_F); ``rhs`` is overwritten with rhs - (omega - Acal)."""
+    lhs = shifted(sys.Acal, omega)
+    rhs -= lhs
+    return float(np.linalg.norm(rhs)) / max(1.0, float(np.linalg.norm(lhs)))
 
 
 def factorization_check(sys: BlockSystem, lam: complex, mu: complex,
@@ -371,55 +372,40 @@ def factorization_check(sys: BlockSystem, lam: complex, mu: complex,
       (i)   lam - Acal = Lfac diag(lam - Abb0, lam - P(lam)) Mfac
       (ii)  mu  - Acal = Lfac diag(mu - Abb0, mu - P(lam)) Mfac
                          + (mu - lam)(I - Lfac Mfac)
-      (iii) Lfac Mfac equals its displayed closed form.
+      (iii) Lfac Mfac equals its displayed closed form [[I, F], [E, I + E F]].
 
     Lfac = I + [[0, 0], [E, 0]] with E = -Bfrak RA0 and Mfac = I + [[0, F],
     [0, 0]] with F minus the block lift, read from ``pieces`` (those of
-    (sys, lam)) when given.  The triple products of (i) and (ii) are
-    evaluated block by block (``_factored``); Lfac Mfac stays a product of the
-    two matrices, so that (iii) compares it with the display formula rather
-    than with itself.  When Acal commutes with the mirror bit for bit
-    (``sys.mirror``), so does the exact E, and so does the exact F when the
-    bordered Dirichlet matrix does too (``sys.ext_mirror``; the flux row of
-    the lift is (I + B2 D)/lam).  Their computed values, whose products sum
-    in an order the mirror does not keep, are then averaged with their mirror
-    images (the ``mirror_symmetrized`` rule: the inputs decide, never a
-    tolerance), and Lfac Mfac is two half-size products (``split_matmul``,
-    gated on both factors).  The residuals are taken against the full
-    matrices.  Lfac and Mfac live only for that product, and one shift
-    omega - Acal is formed at a time.
+    (sys, lam)) when given.  Every term is formed from blocks, and neither
+    factor is: the triple products of (i) and (ii) come from ``_factored``,
+    and the correction of (ii) is added to its blocks.  Of Lfac Mfac only
+    the (y, y) block, the thin product [E, I] [F; I], is not a copy of I, E
+    or F, so (iii) compares it with I + E F, relative to the display's norm
+    taken from its blocks: an identity of block multiplication, true for
+    any E and F, which checks the rounding of the product's one inner sum.
+    Past the block resolvent RA0 that E is read from, the only state-size
+    arrays are ``_factored``'s output and the shift omega - Acal, one of each
+    at a time.
     """
     pieces = _pieces(sys, lam, pieces)
     Blam = pencil(pieces.evaluator, lam)
-    m1, size = 2 * sys.n + sys.n_b, sys.state_dim
-    uvx, y = np.arange(m1), np.arange(m1, size)
+    m1 = 2 * sys.n + sys.n_b
+    eye = np.eye(sys.n_b)
     E = -sys.Bfrak @ _a0_block_resolvent(sys, lam, pieces.R2)
     F = -pieces.lift
-    if sys.mirror is not None:
-        E = _mirror_averaged(sys.mirror, E, y, uvx)
-        if sys.ext_mirror is not None:
-            F = _mirror_averaged(sys.mirror, F, uvx, y)
 
-    Lfac = np.eye(size, dtype=complex)
-    Lfac[m1:, :m1] = E
-    Mfac = np.eye(size, dtype=complex)
-    Mfac[:m1, m1:] = F
-    LM = split_matmul(Lfac, Mfac, sys.mirror)
-    del Lfac, Mfac
-    display = np.eye(size, dtype=complex)
-    display[:m1, m1:] = F
-    display[m1:, :m1] = E
-    display[m1:, m1:] += E @ F
-    res_iii = rel_residual(LM, display, reference=display)
-    del display
+    lm_yy = np.concatenate([E, eye], axis=1) @ np.concatenate([F, eye])
+    display_yy = E @ F + eye
+    display_norm = float(np.sqrt(m1 + sum(np.linalg.norm(b) ** 2 for b in (E, F, display_yy))))
+    res_iii = float(np.linalg.norm(lm_yy - display_yy)) / max(1.0, display_norm)
 
-    lhs = shifted(sys.Acal, lam)
-    res_i = rel_residual(_factored(sys.Abb0, E, F, Blam, lam), lhs, reference=lhs)
-    lhs = shifted(sys.Acal, mu)
-    rhs = shifted(LM, 1.0, out=LM)     # I - LM, in place
-    rhs *= mu - lam
-    rhs += _factored(sys.Abb0, E, F, Blam, mu)
-    res_ii = rel_residual(rhs, lhs, reference=lhs)
+    res_i = _shift_residual(sys, lam, _factored(sys.Abb0, E, F, Blam, lam))
+    rhs = _factored(sys.Abb0, E, F, Blam, mu)
+    shift = mu - lam                   # (mu - lam)(I - Lfac Mfac), block by block
+    rhs[:m1, m1:] -= shift * F
+    rhs[m1:, :m1] -= shift * E
+    rhs[m1:, m1:] += shift * (eye - lm_yy)
+    res_ii = _shift_residual(sys, mu, rhs)
     return res_i, res_ii, res_iii
 
 

@@ -296,11 +296,13 @@ def test_io_error_exit_code(tmp_path):
     ["compare-robin", "--config", cfg_path("abc-1d"), "--seed", "-1"],
     ["verify", "--config", cfg_path("abc-1d"), "--seed", "-1"],
     ["essential-proxy", "--config", cfg_path("abc-1d"), "--seed", "-1"],
+    # a check named twice would run twice, the second run's items replacing the first's
+    ["verify", "--config", cfg_path("abc-1d"), "--checks", "factorization,factorization"],
 ], ids=["resolutions", "partial-step", "no-step", "one-resolution-interval",
         "one-resolution-strip", "repeated-resolution-interval", "repeated-resolution-strip",
         "decreasing-resolutions", "repeated-last-resolution", "tol-nan-both", "tol-nan-pencil", "tol-negative",
         "tol-zero", "epsilon-nan", "epsilon-inf", "seed-simulate", "seed-compare-robin",
-        "seed-verify", "seed-essential-proxy"])
+        "seed-verify", "seed-essential-proxy", "repeated-check"])
 def test_malformed_run_exits_2_with_one_line(tmp_path, argv):
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ,

@@ -401,19 +401,3 @@ def test_unblock_is_the_column_major_dense_reconstruction(n_pairs, n_fixed):
     assert got.flags.f_contiguous and not got.flags.c_contiguous
     assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
     assert np.linalg.norm(got - mat) <= 1e-14 * np.linalg.norm(mat)
-
-
-@pytest.mark.parametrize("n_pairs,n_fixed", [(5, 0), (4, 3), (0, 3)])
-def test_split_product_is_the_product(n_pairs, n_fixed):
-    a, perm = _mirror_invariant(n_pairs + 3, n_pairs, n_fixed)
-    half = np.random.default_rng(n_fixed).standard_normal((perm.size,) * 2) * (1 - 0.5j)
-    b = half + half[np.ix_(perm, perm)]
-    assert la.exact_mirror(perm, a, b) is perm
-    got, ref = la.split_matmul(a, b, perm), a @ b
-    assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
-    # no mirror, or a factor off the mirror, gives the one dense product
-    assert la.split_matmul(a, b, None).tobytes() == ref.tobytes()
-    if n_pairs:
-        r = int(np.flatnonzero(perm != np.arange(perm.size))[0])
-        b[r, r] += 1.0
-        assert la.split_matmul(a, b, perm).tobytes() == (a @ b).tobytes()

@@ -1,4 +1,9 @@
 import dataclasses
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -223,6 +228,56 @@ def test_factorization_trivial_when_feedback_absent(special):
     _, sys = special
     assert np.max(np.abs(sys.Bfrak)) == 0.0
     assert max(factorization_check(sys, 1 + 1j, -0.5)) < 1e-8
+
+
+def _lm_product_gap(config: str) -> float:
+    """|(iii) - the residual of the unsplit dense Lfac @ Mfac against the
+    dense display| on a shipped config."""
+    system = ab.build_system(load(config))[1]
+    lam = 1 + 1j
+    m1, size = 2 * system.n + system.n_b, system.state_dim
+    E = -system.Bfrak @ resolvent_A0_block(system, lam)
+    F = -block_dirichlet(system, lam)
+    Lfac = np.eye(size, dtype=complex)
+    Lfac[m1:, :m1] = E
+    Mfac = np.eye(size, dtype=complex)
+    Mfac[:m1, m1:] = F
+    display = np.eye(size, dtype=complex)
+    display[:m1, m1:] = F
+    display[m1:, :m1] = E
+    display[m1:, m1:] += E @ F
+    dense = rel_residual(Lfac @ Mfac, display, reference=display)
+    return abs(factorization_check(system, lam, 2.0)[2] - dense)
+
+
+@pytest.mark.parametrize("config,atol", [("abc-1d", 0.0), ("special-case", 0.0),
+                                         ("timoshenko-strip", 1e-18)])
+def test_lm_product_is_the_dense_products_residual(config, atol):
+    # (iii) sums only the (y, y) block of Lfac Mfac.  The dense product sums
+    # it in an order that follows the BLAS thread count (on abc-1d its
+    # residual reads 0.0 at one thread and 4.7e-18 at two), so the
+    # comparison runs in a process pinned to one thread
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(tests.parent / "src"), str(tests),
+                                                       os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", "from test_resolvent import _lm_product_gap; "
+                           f"print(repr(_lm_product_gap({config!r})))"],
+                          env=env, check=True, capture_output=True, text=True, timeout=300)
+    assert float(done.stdout) <= atol
+
+
+def test_factorization_forms_no_state_size_product(neutral_strip):
+    # _factored's output and one shift omega - Acal set the peak; the two
+    # dense factors and their product would add about two more
+    _, sys = neutral_strip
+    tracemalloc.start()
+    try:
+        factorization_check(sys, 1 + 1j, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * sys.state_dim ** 2 * 16
 
 
 def test_shared_pieces_are_read_only_and_tied_to_their_point(neutral_strip):
