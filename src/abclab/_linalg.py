@@ -5,22 +5,25 @@ through its nonzeros for the matvecs of the exponential's action.
 
 Everything here is desk scale: square systems of a few hundred unknowns,
 solved by LU with partial pivoting, with a condition refusal threshold
-instead of iterative refinement.  ``checked_solve`` is the one guarded dense
+instead of iterative refinement.  ``checked_solve`` is the guarded dense
 solve, ``shifted`` forms every shift sigma - M and ``shifted_inverse`` every
-(sigma - M)^-1.  The guard costs O(N^2): each solve carries a certified upper
-bound on its 2-norm condition number, and only a bound that does not clear the
-threshold is settled by the exact (SVD) condition number, so the refusals
-are the ones the SVD alone would make (Higham, *Accuracy and Stability of
-Numerical Algorithms*, 2nd ed., ch. 15).
+(sigma - M)^-1, guarded as ``checked_solve`` guards an inverse.  The guard
+costs O(N^2): each solve carries a certified upper bound on its 2-norm
+condition number, and only a bound that does not clear the threshold is
+settled by the exact (SVD) condition number, so the refusals are the ones
+the SVD alone would make (Higham, *Accuracy and Stability of Numerical
+Algorithms*, 2nd ed., ch. 15).
 
 A matrix that commutes exactly with an involutive permutation J (the mirror
 x -> L - x of a symmetric grid) is block-diagonal in the basis of J's even
 and odd vectors (Bossavit, Comput. Methods Appl. Mech. Engrg. 56, 1986).
 ``restrict_mirror`` restricts J to dofs it maps onto itself, ``exact_mirror``
 gates it, ``mirror_blocks`` forms the two blocks, ``eig`` and ``eigvals``
-eigensolve them and ``checked_solve(..., mirror=J)`` solves them, always
-guarded on the full matrix; ``ShiftedSplit`` keeps the blocks of a matrix for
-every shift of its diagonal, and solves them as ``checked_solve`` would.
+eigensolve them, and ``checked_solve(..., mirror=J)``,
+``shifted_inverse(..., mirror=J)`` and ``ShiftedSplit`` solve them through
+the one split solve ``_mirror_solve``, always guarded on the full matrix;
+``ShiftedSplit`` keeps the blocks of a matrix for every shift of its
+diagonal, and solves them as ``checked_solve`` would.
 """
 
 from __future__ import annotations
@@ -38,6 +41,11 @@ COND_REFUSAL = 1e12
 # and cond = 1e12); the exact condition number decides that band.
 _BOUND_MARGIN = 2.0
 
+# Rows per pass where a state-size array is rewritten in place (``_unstack``)
+# or filled from its even and odd parts (``mirror_lift``): the temporaries
+# stay a few hundred kB at desk scale.
+_ROWS = 64
+
 
 def opnorm(a: np.ndarray) -> float:
     """Spectral (2-) norm."""
@@ -54,21 +62,30 @@ def mixed_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     imaginary parts of the complex factor (side by side on the right, one
     above the other on the left) gives the same result from one real product;
     the sums run in another order, so the two agree to rounding.  No
-    temporary is larger than the complex result.
+    temporary is larger than the complex result, and on the right the real
+    product becomes the result in place (``_unstack``).
     """
     if np.iscomplexobj(b) and not np.iscomplexobj(a):
-        m = b.shape[1]
-        out = a @ np.concatenate([b.real, b.imag], axis=1)
-        re, im = out[:, :m], out[:, m:]
-    elif np.iscomplexobj(a) and not np.iscomplexobj(b):
+        return _unstack(a @ np.concatenate([b.real, b.imag], axis=1))
+    if np.iscomplexobj(a) and not np.iscomplexobj(b):
         k = a.shape[0]
         out = np.concatenate([a.real, a.imag]) @ b
-        re, im = out[:k], out[k:]
-    else:
-        return a @ b
-    res = np.empty(re.shape, dtype=np.result_type(a, b))
-    res.real, res.imag = re, im
-    return res
+        res = np.empty((k, b.shape[1]), dtype=np.result_type(a, b))
+        res.real, res.imag = out[:k], out[k:]
+        return res
+    return a @ b
+
+
+def _unstack(parts: np.ndarray) -> np.ndarray:
+    """The complex (N, m) array re + i im from a real C-contiguous (N, 2m)
+    array [re | im], written over its memory _ROWS rows at a time: the same
+    entries as a new array, with no state-size temporary."""
+    m = parts.shape[1] // 2
+    for lo in range(0, parts.shape[0], _ROWS):
+        rows = parts[lo:lo + _ROWS]
+        re_im = rows.copy()
+        rows[:, 0::2], rows[:, 1::2] = re_im[:, :m], re_im[:, m:]
+    return parts.view(np.result_type(parts.dtype, np.complex64))
 
 
 def holder_norm(a: np.ndarray) -> float:
@@ -181,10 +198,20 @@ def mirror_blocks(mat: np.ndarray, perm: np.ndarray) -> tuple[np.ndarray, np.nda
 def mirror_lift(perm: np.ndarray, even_vecs: np.ndarray, odd_vecs: np.ndarray) -> np.ndarray:
     """State vectors of columns in the even and odd coordinates of
     ``mirror_blocks``' basis: x[i] = w[even_of[i]] for an even column w, and
-    x[i] = sign[i] w[odd_of[i]] for an odd one (zero on fixed points)."""
+    x[i] = sign[i] w[odd_of[i]] for an odd one (zero on fixed points).
+
+    The rows are gathered into the output _ROWS at a time, so no temporary
+    near the output's size is formed.
+    """
     _, _, even_of, odd_of, sign = _mirror_coords(perm)
-    return np.concatenate([even_vecs[even_of], sign[:, None] * _odd_rows(odd_vecs, odd_of)],
-                          axis=1)
+    n_even = even_vecs.shape[1]
+    out = np.empty((perm.size, n_even + odd_vecs.shape[1]),
+                   dtype=np.result_type(even_vecs, odd_vecs))
+    for lo in range(0, perm.size, _ROWS):
+        rows = slice(lo, lo + _ROWS)
+        out[rows, :n_even] = even_vecs[even_of[rows]]
+        out[rows, n_even:] = sign[rows, None] * _odd_rows(odd_vecs, odd_of[rows])
+    return out
 
 
 def eigvals(mat: np.ndarray, mirror: np.ndarray | None = None) -> np.ndarray:
@@ -207,45 +234,78 @@ def eig(mat: np.ndarray, mirror: np.ndarray | None = None) -> tuple[np.ndarray, 
     return np.concatenate([val_e, val_o]), mirror_lift(mirror, vec_e, vec_o)
 
 
+def eig_residuals(mat: np.ndarray, mirror: np.ndarray | None = None
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues of ``eig(mat, mirror)`` and the residual
+    ||mat x - lam x|| / ||x|| of each eigenpair, taken against the full mat.
+
+    mat X is ``mixed_matmul``'s product; for a real mat and complex X, X is
+    stacked as [Re X | Im X] and dropped, and the product and X are both
+    ``_unstack``-ed from real arrays in place, so that past the eigensolve
+    no more than three N^2 complex arrays are live at once: X or the
+    residuals, with the two temporaries of their norms, or X's parts and
+    the product.
+    """
+    vals, vecs = eig(mat, mirror)
+    vec_norms = np.linalg.norm(vecs, axis=0)
+    if np.iscomplexobj(vecs) and not np.iscomplexobj(mat):
+        parts = np.concatenate([vecs.real, vecs.imag], axis=1)
+        del vecs
+        mv = _unstack(mat @ parts)
+        vecs = _unstack(parts)
+        del parts                       # vecs now holds the one reference to it
+    else:
+        mv = mixed_matmul(mat, vecs)
+    vecs *= vals[None, :]
+    mv -= vecs
+    del vecs
+    return vals, np.linalg.norm(mv, axis=0) / vec_norms
+
+
 def _unblock(perm: np.ndarray, even: np.ndarray, odd: np.ndarray) -> np.ndarray:
     """The matrix whose ``mirror_blocks`` are ``even`` and ``odd``:
 
         X[i, j] = even[even_of[i], even_of[j]] c_j + sign[i] sign[j] odd[odd_of[i], odd_of[j]] / 2
 
     with c_j = 1/2 on a 2-orbit and 1 on a fixed point (the basis of
-    ``mirror_blocks`` and its inverse, applied on either side).  X is built
-    by rows of its transpose and returned column-major: the last bits of the
-    products and norms later formed from X depend on its layout, and
-    ``verify``'s outputs are those of this one.
+    ``mirror_blocks`` and its inverse, applied on either side).  X^T is
+    gathered by one ``np.ix_`` and the odd part added onto its rows, and X
+    is returned column-major: the last bits of the products and norms later
+    formed from X depend on its layout, and ``verify``'s outputs are those
+    of this one.  Past the output, the temporaries are the scaled even block,
+    a quarter of N^2 entries, then the gathered odd part and the rows it is
+    added to, a half each.
     """
     _, _, even_of, odd_of, sign = _mirror_coords(perm)
     scale = np.empty(even.shape[0])
     scale[even_of] = np.where(sign != 0, 0.5, 1.0)      # c_j, on the even coordinates
-    xt = np.ascontiguousarray((even * scale).T)[even_of].take(even_of, axis=1)
+    xt = (even * scale).T[np.ix_(even_of, even_of)]
     pairs = np.flatnonzero(sign > 0)
     if pairs.size:
         # row p of ``odd_t`` is the odd part of row r of X^T, and minus that
         # of row Jr, for the p-th 2-orbit {r, Jr}
-        odd_t = np.ascontiguousarray(odd.T).take(odd_of, axis=1)
+        odd_t = odd.T[:, odd_of]
         odd_t *= 0.5 * sign
         xt[pairs] += odd_t
         xt[perm[pairs]] -= odd_t
     return xt.T
 
 
-def _mirror_solve(even: np.ndarray, odd: np.ndarray, rhs: np.ndarray, perm: np.ndarray,
-                  identity: bool) -> np.ndarray:
-    """``mat^-1 rhs`` from the two blocks ``even, odd = mirror_blocks(mat, perm)``.
+def _mirror_solve(blocks: list[np.ndarray], rhs: np.ndarray | None,
+                  perm: np.ndarray) -> np.ndarray:
+    """``mat^-1 rhs`` from the list ``[even, odd]`` of ``mirror_blocks(mat, perm)``.
 
-    The even and odd parts (rhs +- J rhs)/2 of ``rhs``, read at the
-    representatives r, are w_e = (rhs[r] + rhs[Jr])/2 (exactly rhs[r] on a
-    fixed point) and, on the 2-orbits, w_o = (rhs[r] - rhs[Jr])/2.  The
-    block solutions y_e, y_o lift back as
-    x[i] = y_e[even_of[i]] + sign[i] y_o[odd_of[i]].  For an ``identity``
-    rhs the blocks are inverted and the inverse is ``_unblock``-ed.
+    For ``rhs`` None or an identity, the blocks are inverted, each popped
+    from the list as it is (so a caller that keeps no other reference frees
+    it), and the inverse is ``_unblock``-ed.  Otherwise the even and odd
+    parts (rhs +- J rhs)/2 of ``rhs``, read at the representatives r, are
+    w_e = (rhs[r] + rhs[Jr])/2 (exactly rhs[r] on a fixed point) and, on the
+    2-orbits, w_o = (rhs[r] - rhs[Jr])/2.  The block solutions y_e, y_o lift
+    back as x[i] = y_e[even_of[i]] + sign[i] y_o[odd_of[i]].
     """
-    if identity:
-        return _unblock(perm, np.linalg.inv(even), np.linalg.inv(odd))
+    if rhs is None or _is_identity(rhs):
+        return _unblock(perm, *[np.linalg.inv(blocks.pop(0)) for _ in range(2)])
+    even, odd = blocks
     _, _, even_of, odd_of, sign = _mirror_coords(perm)
     reps, pairs = np.flatnonzero(sign >= 0), np.flatnonzero(sign > 0)
     y_even = np.linalg.solve(even, 0.5 * (rhs[reps] + rhs[perm[reps]]))
@@ -287,7 +347,7 @@ def checked_solve(mat: np.ndarray, rhs: np.ndarray, what: str = "linear system",
     """
     identity = _is_identity(rhs)
     if mirror is not None:
-        x = _lu(lambda: _mirror_solve(*mirror_blocks(mat, mirror), rhs, mirror, identity), what)
+        x = _lu(lambda: _mirror_solve(list(mirror_blocks(mat, mirror)), rhs, mirror), what)
     elif identity:
         x = _lu(lambda: np.linalg.inv(mat).astype(np.result_type(mat, rhs), copy=False), what)
     else:
@@ -339,8 +399,7 @@ class ShiftedSplit:
         stored blocks, with the same solution and the same refusals bit for
         bit; ``full()`` forms ``base + sigma P``, only when ``cond_bound`` does
         not clear the guard."""
-        x = _lu(lambda: _mirror_solve(*self.blocks(sigma), rhs, self.perm, _is_identity(rhs)),
-                what)
+        x = _lu(lambda: _mirror_solve(self.blocks(sigma), rhs, self.perm), what)
         condition_guard(full, cond_bound, what)
         return x
 
@@ -359,9 +418,30 @@ def shifted(mat: np.ndarray, sigma, out: np.ndarray | None = None) -> np.ndarray
 
 def shifted_inverse(mat: np.ndarray, sigma, what: str,
                     mirror: np.ndarray | None = None) -> np.ndarray:
-    """(sigma - mat)^-1 by ``checked_solve`` against a real identity, guarded
-    on the full shifted matrix; real for a real mat and a real sigma."""
-    return checked_solve(shifted(mat, sigma), np.eye(mat.shape[0]), what, mirror=mirror)
+    """(sigma - mat)^-1 with the refusals of ``checked_solve`` against an
+    identity, guarded on the full shifted matrix; real for a real mat and a
+    real sigma.
+
+    The shift S = sigma - mat is formed once.  With a ``mirror`` its two
+    blocks are gathered, ||S||_F is kept for the guard's bound
+    ||S||_F ||S^-1||_F and S is dropped before ``_mirror_solve`` (the split
+    inverse of ``checked_solve``) inverts the blocks, each dropped as soon
+    as it is inverted; S is formed again only when that bound does not
+    clear the guard.  No identity right-hand side is formed: ``np.linalg.inv``
+    runs LAPACK's solve against one of its own.  For an N x N mat the split
+    route peaks near 2.5 N^2 entries, the output included (the output, the
+    inverted blocks and ``_unblock``'s two half-size temporaries).
+    """
+    full = shifted(mat, sigma)
+    norm = float(np.linalg.norm(full))
+    if mirror is None:
+        x = _lu(lambda: np.linalg.inv(full), what)
+    else:
+        blocks = list(mirror_blocks(full, mirror))
+        del full
+        x = _lu(lambda: _mirror_solve(blocks, None, mirror), what)
+    condition_guard(lambda: shifted(mat, sigma), norm * float(np.linalg.norm(x)), what)
+    return x
 
 
 class NonzeroOperator:
@@ -396,8 +476,9 @@ class NonzeroOperator:
         return np.bincount(self.cols, weights=w[self.rows] * mags, minlength=self.shape[1])
 
 
-def rel_residual(lhs: np.ndarray, rhs: np.ndarray, reference: np.ndarray | None = None) -> float:
-    """Frobenius residual of ``lhs == rhs`` relative to max(1, ||reference||_F)."""
-    ref = lhs if reference is None else reference
-    denom = max(1.0, float(np.linalg.norm(ref)))
-    return float(np.linalg.norm(lhs - rhs)) / denom
+def rel_norm(diff: np.ndarray, reference: np.ndarray) -> float:
+    """||diff||_F relative to max(1, ||reference||_F): the residual of
+    ``lhs == rhs`` for diff = lhs - rhs.  A caller that owns ``lhs`` forms
+    the difference in place (``lhs -= rhs``), so the residual adds no array
+    (0 N^2) and its norm is that of ``lhs - rhs`` bit for bit."""
+    return float(np.linalg.norm(diff)) / max(1.0, float(np.linalg.norm(reference)))

@@ -69,11 +69,21 @@ def _config_metadata(config: ScenarioConfig, seed) -> dict:
 
 
 def _write_csv(path: str, header: list[str], rows):
+    """CSV in ``csv``'s default dialect.  A row of floats only (numpy's
+    float64 included) is written by one printf-style format string, with the
+    bytes ``csv.writer`` and ``_fmt`` give it: %.17g formats float(x) as
+    ``_fmt`` does, no such field needs quoting, and the row ends in
+    ``"\\r\\n"``.  Any other row, or one not as long as the header, goes
+    through ``_fmt`` and ``csv.writer``."""
+    floats = ",".join(["%.17g"] * len(header)) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([v if isinstance(v, str) else _fmt(v) for v in row])
+            if len(row) == len(header) and all(isinstance(v, float) for v in row):
+                fh.write(floats % tuple(row))
+            else:
+                writer.writerow([v if isinstance(v, str) else _fmt(v) for v in row])
 
 
 def _require_positive(name: str, value: float) -> None:

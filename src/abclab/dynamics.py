@@ -119,6 +119,13 @@ _POWERS = np.arange(2, ACTION_P_MAX + 1)
 # The backward-error bound in alpha_p holds for degrees m >= p(p-1) - 1
 # (their Theorem 4.2).
 _ADMISSIBLE = _DEGREES[None, :] >= (_POWERS * (_POWERS - 1) - 1)[:, None]
+# The most matvecs the action's plans for one grid may need in all.  This is
+# a cost cap, not an accuracy limit: at 2.5-35 us per matvec (134 to 2244
+# states, one thread of a 2-core x86-64 host) 2^22 matvecs take 10 s to
+# 2.5 min, and a plan past it would run for hours (a rotation of norm 1e10
+# over [0, 0.35] plans 2e10).  The largest shipped plan is 7860 matvecs
+# (abc-1d simulate).
+ACTION_MATVEC_MAX = 2 ** 22
 # The most sweeps ``_balance`` takes; every shipped generator settles in two
 _BALANCE_SWEEPS = 8
 
@@ -401,8 +408,8 @@ def _flow(mat: np.ndarray, s: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
     at least as many positive steps K as the state dimension N, only the
     first _BLOCK steps are matvecs: every later block of _BLOCK rows is the
     block _BLOCK rows before it times (P^T)^_BLOCK, formed by three
-    squarings.  Raises NumericalError when a block's plan needs 2^53
-    matvecs or more, beyond what double precision resolves (an infinite
+    squarings.  Raises NumericalError before any step when the action's
+    plans need more than ACTION_MATVEC_MAX matvecs in all (an infinite
     alpha_p among them), and when a state of either route overflows.
     """
     t = np.maximum(t_grid, 0.0)
@@ -440,8 +447,10 @@ def _flow(mat: np.ndarray, s: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
             if not np.all(np.isfinite(states)):
                 raise NumericalError("dense flow of the matrix exponential overflowed")
             return states
-        if not np.all(matvecs < 2.0 ** 53):
-            raise NumericalError("action of the matrix exponential needs 2^53 matvecs or more")
+        planned = float(np.sum(matvecs))
+        if not planned <= ACTION_MATVEC_MAX:
+            raise NumericalError(f"action of the matrix exponential plans {planned:.3g} "
+                                 f"matvecs, more than ACTION_MATVEC_MAX = {ACTION_MATVEC_MAX}")
         lo, start = i0, 0.0
         for hi, m, steps in zip(ends.tolist(), degrees.tolist(),
                                 (matvecs // degrees).astype(int).tolist()):

@@ -36,8 +36,8 @@ lift here is the one bordered R-lift ``BlockSystem.dirichlet_lift``; no
 bordered solve runs against L, whose lift the neutral ladder forms as
 D (L D)^-1 (``model.check_assumptions``).  On a mirror-exact system the
 bordered solve (``BlockSystem.ext_mirror``) and R2 (``BlockSystem.mirror``
-restricted to u) each solve two half-size blocks (``_linalg.checked_solve``),
-guarded on the full matrix.
+restricted to u) each solve two half-size blocks (``_linalg.ShiftedSplit``
+and ``_linalg.shifted_inverse``), guarded on the full matrix.
 
 Admissibility is one rule: lam is refused within the zero radius r0 of zero
 ("near-zero", tested first) or when mu = lam^2 is within the exclusion
@@ -58,8 +58,8 @@ from functools import cached_property
 
 import numpy as np
 
-from ._linalg import (checked_solve, mixed_matmul, opnorm, restrict_mirror, shifted,
-                      shifted_inverse)
+from ._linalg import (checked_solve, mixed_matmul, opnorm, rel_norm, restrict_mirror,
+                      shifted, shifted_inverse)
 from .blockops import BlockSystem
 from .errors import DimensionError, SpectralParameterError
 
@@ -222,18 +222,36 @@ def _r2(sys: BlockSystem, lam: complex) -> np.ndarray:
                            mirror=restrict_mirror(sys.mirror, np.arange(sys.n)))
 
 
-def _a0_block_resolvent(sys: BlockSystem, lam: complex, R2: np.ndarray) -> np.ndarray:
+def _a0_block_resolvent(sys: BlockSystem, lam: complex, R2: np.ndarray,
+                        out: np.ndarray | None = None, add: bool = False) -> np.ndarray:
+    """The restricted block resolvent RA0, into a new array, or written into
+    ``out`` (shaped like Abb0), or added onto ``out`` when ``add``: each
+    entry then is out + RA0 bit for bit, the zero blocks included.  One
+    n x n temporary is live at a time."""
     n, nb = sys.n, sys.n_b
-    lam2 = lam * lam
+    if out is None:
+        out = np.empty((2 * n + nb, 2 * n + nb), dtype=complex)
+    u, v, x = slice(0, n), slice(n, 2 * n), slice(2 * n, None)
+
+    def put(rows, cols, block):
+        if add:
+            out[rows, cols] += block
+        else:
+            out[rows, cols] = block
+
+    put(u, u, lam * R2)
+    put(v, v, lam * R2)
+    put(u, v, R2)
+    a0_r2 = lam * lam * R2                        # A0 R2 = lam^2 R2 - I, no product
+    a0_r2[np.diag_indices(n)] -= 1.0
+    put(v, u, a0_r2)
+    del a0_r2
     B2R2 = sys.ops.B2 @ R2
-    out = np.zeros((2 * n + nb, 2 * n + nb), dtype=complex)
-    out[:n, :n] = out[n:2 * n, n:2 * n] = lam * R2
-    out[:n, n:2 * n] = R2
-    out[n:2 * n, :n] = lam2 * R2                  # A0 R2 = lam^2 R2 - I, no product
-    out[n:2 * n, :n][np.diag_indices(n)] -= 1.0
-    out[2 * n:, :n] = B2R2
-    out[2 * n:, n:2 * n] = B2R2 / lam
-    out[2 * n:, 2 * n:] = np.eye(nb) / lam
+    put(x, u, B2R2)
+    put(x, v, B2R2 / lam)
+    put(x, x, np.eye(nb) / lam)
+    put(u, x, 0.0)
+    put(v, x, 0.0)
     return out
 
 
@@ -335,6 +353,17 @@ def resolvent_A0_block(sys: BlockSystem, lam: complex,
     return _a0_block_resolvent(sys, lam, _pieces(sys, lam, pieces).R2)
 
 
+def _boundary_row(sys: BlockSystem, lam: complex, R2: np.ndarray) -> np.ndarray:
+    """Bfrak RA0 without RA0: Bfrak = [Bu, 0, B3] meets only the first and
+    last block rows of RA0, so Bfrak RA0 = [lam W, W, B3/lam] with
+    W = (Bu + B3 B2/lam) R2, an n_b-row product.  It equals the dense
+    product to rounding."""
+    n = sys.n
+    Bu, B3 = sys.Bfrak[:, :n], sys.Bfrak[:, 2 * n:]
+    W = (Bu + (B3 @ sys.ops.B2) / lam) @ R2
+    return np.concatenate([lam * W, W, B3 / lam], axis=1)
+
+
 def _factored(Abb0: np.ndarray, E: np.ndarray, F: np.ndarray, Blam: np.ndarray,
               omega: complex) -> np.ndarray:
     """Lfac diag(omega - Abb0, omega - Blam) Mfac, evaluated block by block.
@@ -361,7 +390,7 @@ def _shift_residual(sys: BlockSystem, omega: complex, rhs: np.ndarray) -> float:
     max(1, ||omega - Acal||_F); ``rhs`` is overwritten with rhs - (omega - Acal)."""
     lhs = shifted(sys.Acal, omega)
     rhs -= lhs
-    return float(np.linalg.norm(rhs)) / max(1.0, float(np.linalg.norm(lhs)))
+    return rel_norm(rhs, lhs)
 
 
 def factorization_check(sys: BlockSystem, lam: complex, mu: complex,
@@ -376,22 +405,24 @@ def factorization_check(sys: BlockSystem, lam: complex, mu: complex,
 
     Lfac = I + [[0, 0], [E, 0]] with E = -Bfrak RA0 and Mfac = I + [[0, F],
     [0, 0]] with F minus the block lift, read from ``pieces`` (those of
-    (sys, lam)) when given.  Every term is formed from blocks, and neither
-    factor is: the triple products of (i) and (ii) come from ``_factored``,
-    and the correction of (ii) is added to its blocks.  Of Lfac Mfac only
-    the (y, y) block, the thin product [E, I] [F; I], is not a copy of I, E
-    or F, so (iii) compares it with I + E F, relative to the display's norm
-    taken from its blocks: an identity of block multiplication, true for
-    any E and F, which checks the rounding of the product's one inner sum.
-    Past the block resolvent RA0 that E is read from, the only state-size
-    arrays are ``_factored``'s output and the shift omega - Acal, one of each
-    at a time.
+    (sys, lam)) when given, and Bfrak RA0 from ``_boundary_row``, so RA0 is
+    not formed.  Every term is formed from blocks, and neither factor is:
+    the triple products of (i) and (ii) come from ``_factored``, and the
+    correction of (ii) is added to its blocks.  Of Lfac Mfac only the (y, y)
+    block, the thin product [E, I] [F; I], is not a copy of I, E or F, so
+    (iii) compares it with I + E F, relative to the display's norm taken
+    from its blocks: an identity of block multiplication, true for any E
+    and F, which checks the rounding of the product's one inner sum.  The
+    only state-size arrays are ``_factored``'s output and the shift
+    omega - Acal, one of each at a time: the peak is about 2.5 N^2 complex
+    entries on the strip, the shared pieces included (N the state
+    dimension).
     """
     pieces = _pieces(sys, lam, pieces)
     Blam = pencil(pieces.evaluator, lam)
     m1 = 2 * sys.n + sys.n_b
     eye = np.eye(sys.n_b)
-    E = -sys.Bfrak @ _a0_block_resolvent(sys, lam, pieces.R2)
+    E = -_boundary_row(sys, lam, pieces.R2)
     F = -pieces.lift
 
     lm_yy = np.concatenate([E, eye], axis=1) @ np.concatenate([F, eye])
@@ -416,13 +447,25 @@ def resolvent_Acal(sys: BlockSystem, lam: complex,
     Blocks: [[RA0 + D G Bfrak RA0, D G], [G Bfrak RA0, G]] with
     G = (lam - P(lam))^{-1} and D the block lift, R2 and D read from
     ``pieces`` (those of (sys, lam)) when given; refuses lambda outside
-    Gamma, distinguishing which membership test failed.
+    Gamma, distinguishing which membership test failed.  The blocks are
+    written into one preallocated output: RA0 first, read for G Bfrak RA0,
+    then overwritten by D G Bfrak RA0 and added back from R2, entry for
+    entry the sum RA0 + D G Bfrak RA0.  No other state-size array is formed:
+    the peak is about 1.3 N^2 complex entries on the strip, the output
+    included (N the state dimension).
     """
     pieces = _pieces(sys, lam, pieces)
     pcl, cond = _regular_pencil(pieces.evaluator, lam)
     G = checked_solve(pcl, np.eye(sys.n_b, dtype=complex), what="(lam - pencil) resolvent",
                       cond_bound=cond)
     Dblk = pieces.lift
-    RA0 = _a0_block_resolvent(sys, lam, pieces.R2)
-    GB = G @ (sys.Bfrak @ RA0)
-    return np.block([[RA0 + Dblk @ GB, Dblk @ G], [GB, G]])
+    m1 = 2 * sys.n + sys.n_b
+    out = np.empty((sys.state_dim, sys.state_dim), dtype=complex)
+    top = out[:m1, :m1]
+    GB = G @ (sys.Bfrak @ _a0_block_resolvent(sys, lam, pieces.R2, out=top))
+    np.matmul(Dblk, GB, out=top)
+    _a0_block_resolvent(sys, lam, pieces.R2, out=top, add=True)
+    out[:m1, m1:] = Dblk @ G
+    out[m1:, :m1] = GB
+    out[m1:, m1:] = G
+    return out

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,16 @@ def hand_lift(sys, mu, bnd, mirror=None):
     if mirror is None:
         return np.linalg.solve(mat, rhs)
     return la.checked_solve(mat, rhs, "hand lift", mirror=mirror)
+
+
+def traced_peak(run) -> int:
+    """The peak, in bytes, of the memory tracemalloc traces while ``run()`` runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def wave_system(n_cells=32, c=1.0, rho="1", m="1", d="0", k="0",

@@ -169,6 +169,23 @@ def test_simulate_extends_no_state(tmp_path, monkeypatch):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
+def test_csv_float_rows_have_the_bytes_of_the_field_formatter(tmp_path):
+    # the format-string path for rows of floats writes what csv.writer and
+    # _fmt write; a mixed or short row takes the field path
+    from abclab.cli import _fmt, _write_csv
+
+    rows = [[0.1, -0.0, 1e300, np.float64(2.0) / 3.0], [float("inf"), float("nan"), 5e-324, 1.0],
+            [1.5, 2, None, True], [0.25, "x", 3.0, 4.0], [7.0, 8.0]]
+    header = ["a", "b", "c", "d"]
+    _write_csv(str(tmp_path / "fast.csv"), header, rows)
+    with open(tmp_path / "ref.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([v if isinstance(v, str) else _fmt(v) for v in row])
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 def test_compare_robin(tmp_path):
     out = tmp_path / "robin.csv"
     code = main(["compare-robin", "--config", cfg_path("abc-1d"), "--out", str(out)])

@@ -420,12 +420,14 @@ def test_overflow_is_numerical_error():
     big = 1e300 * np.eye(3)
     with pytest.raises(NumericalError, match="overflowed"):
         taylor_expm(big)
-    # the action route refuses a plan it cannot resolve, and stops at the
-    # first step whose result overflows
-    with pytest.raises(NumericalError, match=r"2\^53 matvecs"):
-        dynamics._flow(big, np.ones(3), ROBIN_GRID)
+    # the action route refuses a plan past its matvec cap before stepping
+    # (5.6e300 and 5.6e10 matvecs), and stops at the first step whose result
+    # overflows (e^{1e4 t} at t = 0.071, on a plan of 5.6e4 matvecs)
+    for scale in (1e300, 1e10):
+        with pytest.raises(NumericalError, match="matvecs, more than ACTION_MATVEC_MAX"):
+            dynamics._flow(scale * np.eye(3), np.ones(3), ROBIN_GRID)
     with pytest.raises(NumericalError, match="overflowed"):
-        dynamics._flow(1e10 * np.eye(3), np.ones(3), ROBIN_GRID)
+        dynamics._flow(1e4 * np.eye(3), np.ones(3), ROBIN_GRID)
     # the dense route of a uniform grid refuses states that grow past the range
     with pytest.raises(NumericalError, match="dense flow .* overflowed"):
         dynamics._flow(500.0 * np.eye(3), np.ones(3), np.linspace(0.0, 10.0, 1001))
@@ -454,8 +456,33 @@ def test_overflow_is_numerical_error():
         assert np.all(dynamics._power_alphas(mat) == np.inf)
         with pytest.raises(NumericalError, match="float range"):
             taylor_expm(mat)
-        with pytest.raises(NumericalError, match=r"2\^53 matvecs"):
+        with pytest.raises(NumericalError, match="plans inf matvecs"):
             dynamics._flow(mat, np.ones(4), ROBIN_GRID)
+
+
+def test_action_refuses_a_plan_past_its_cap_before_stepping():
+    # a rotation of norm 1e10 keeps every state finite, so only the cap stops
+    # it: its plan over [0, 0.35] is 2e10 matvecs, hours of stepping.  The
+    # call runs in a child process, so that a missing cap fails on the
+    # timeout instead of hanging the suite
+    code = ("import time, numpy as np\n"
+            "from abclab import dynamics\n"
+            "mat = 1e10 * np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])\n"
+            "t0 = time.perf_counter()\n"
+            "try:\n"
+            "    dynamics._flow(mat, np.ones(3), np.array([0.1, 0.3, 0.35]))\n"
+            "except dynamics.NumericalError as exc:\n"
+            "    print(time.perf_counter() - t0, exc)\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([executable, "-c", code], env=env, check=True, capture_output=True,
+                          text=True, timeout=60)
+    seconds, message = done.stdout.split(" ", 1)
+    assert float(seconds) < 1.0
+    assert message.startswith("action of the matrix exponential plans 1.95e+10 matvecs")
+    # the largest shipped plan (abc-1d simulate) stays far below the cap
+    assert dynamics.ACTION_MATVEC_MAX >= 100 * 7860
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

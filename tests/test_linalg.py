@@ -356,6 +356,43 @@ def test_shifted_inverse_refuses_as_checked_solve_does(last):
     assert messages[0] == messages[1]
 
 
+@pytest.mark.parametrize("odd_pivot", [0.0, 2.0 ** -47])
+def test_split_shifted_inverse_refuses_as_the_solve_of_the_shift_does(monkeypatch, odd_pivot):
+    # the split shifted inverse drops the shift once its blocks are gathered
+    # and forms it again only for the SVD; it refuses with the message of
+    # checked_solve on the formed shift and an identity, for an exactly
+    # singular shift (an odd null vector: +1, -1 on one 2-orbit) and for one
+    # of condition about 1e15.  Integer entries keep the shift exact
+    mat, perm = _mirror_invariant(5, 3, 2, dtype=float)
+    mat = np.rint(mat)
+    r = int(np.flatnonzero(perm != np.arange(perm.size))[0])
+    mat[:, r] = mat[:, perm[r]] = 0.0
+    mat[r, r] = mat[perm[r], perm[r]] = odd_pivot
+    mat = 2.0 * np.eye(perm.size) - mat        # so that 2 - mat is the matrix built above
+    assert la.exact_mirror(perm, mat) is perm
+    formed = []
+    shifted = la.shifted
+    monkeypatch.setattr(la, "shifted", lambda *args: formed.append(1) or shifted(*args))
+    messages = []
+    for solve in (lambda: la.shifted_inverse(mat, 2.0, "probe", mirror=perm),
+                  lambda: la.checked_solve(shifted(mat, 2.0), np.eye(perm.size), "probe",
+                                           mirror=perm)):
+        with pytest.raises(NumericalError) as exc:
+            solve()
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    if odd_pivot:
+        assert messages[0].startswith("probe: condition estimate")
+        assert len(formed) == 2          # once for the blocks, once for the SVD
+    else:
+        assert messages[0] == "probe: exactly singular matrix"
+        assert len(formed) == 1
+    # a regular shift is formed once
+    formed.clear()
+    la.shifted_inverse(mat, 2.0 + 1j, "probe", mirror=perm)
+    assert len(formed) == 1
+
+
 @pytest.mark.parametrize("n", [145, 300])
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_inverse_is_the_solve_against_an_identity_bit_for_bit(n, dtype):

@@ -11,7 +11,7 @@ from abclab.blockops import reduced_dofs, reduced_generator
 from abclab.errors import AssumptionError, NumericalError
 from abclab.spectral import beta_separation
 
-from conftest import CONFIG_DIR, wave_system
+from conftest import CONFIG_DIR, traced_peak, wave_system
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +178,24 @@ def test_special_case_equals_reduced_direct(special):
     d1 = max(np.min(np.abs(direct - v)) for v in srep.eigenvalues)
     d2 = max(np.min(np.abs(srep.eigenvalues - v)) for v in direct)
     assert max(d1, d2) < 1e-6
+
+
+def test_direct_spectrum_holds_three_state_size_arrays(neutral_strip):
+    # the eigenvectors or their [re | im] parts, the product and one working
+    # array at most (traced 2.2 N^2); the full temporaries of the residual
+    # vectors and the complex copy of the real product took it to 4.0
+    _, sys = neutral_strip
+    peak = traced_peak(lambda: ab.direct_spectrum(sys))
+    assert peak <= 3 * sys.state_dim ** 2 * 16
+
+
+def test_special_case_display_pairs_are_dropped_one_by_one(special):
+    # the dense inverse, the display and the reduced generator (traced
+    # 3.4 N^2 at N = 70, where the lifts and small blocks weigh more); a
+    # pair kept alive while the next one is formed took it to 6.8
+    _, sys = special
+    peak = traced_peak(lambda: ab.special_case_spectrum(sys))
+    assert peak <= 4 * sys.state_dim ** 2 * 16
 
 
 def test_special_case_branch_structure(special):
