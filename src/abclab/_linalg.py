@@ -24,6 +24,17 @@ eigensolve them, and ``checked_solve(..., mirror=J)``,
 the one split solve ``_mirror_solve``, always guarded on the full matrix;
 ``ShiftedSplit`` keeps the blocks of a matrix for every shift of its
 diagonal, and solves them as ``checked_solve`` would.
+
+A matrix that acts on a grid of columns as the same reflected-Neumann
+second difference in every column (the strip whose coefficients are
+constant along x) is block-diagonal in the DCT-I vectors cos(pi k j / nx)
+along the columns, nx + 1 blocks of one column's size (Strang, SIAM Review
+41, 1999); the mirror split is its first step, the even and odd modes.
+``restrict_modes`` restricts the basis to a subset of the dofs,
+``mode_blocks`` forms the blocks from the matrix's nonzeros, and ``eigvals``
+and ``eig_residuals`` eigensolve them in one stacked call, the vectors
+lifted back by ``mode_lift``.  No module but this one touches the blocks of
+either split.
 """
 
 from __future__ import annotations
@@ -42,7 +53,7 @@ COND_REFUSAL = 1e12
 _BOUND_MARGIN = 2.0
 
 # Rows per pass where a state-size array is rewritten in place (``_unstack``)
-# or filled from its even and odd parts (``mirror_lift``): the temporaries
+# or filled from its blocks (``mirror_lift``, ``mode_lift``): the temporaries
 # stay a few hundred kB at desk scale.
 _ROWS = 64
 
@@ -214,17 +225,111 @@ def mirror_lift(perm: np.ndarray, even_vecs: np.ndarray, odd_vecs: np.ndarray) -
     return out
 
 
-def eigvals(mat: np.ndarray, mirror: np.ndarray | None = None) -> np.ndarray:
-    """Eigenvalues of ``mat``, in no order; with a ``mirror``, those of its two
-    blocks (two half-size eigensolves, about a quarter of the full one)."""
+def restrict_modes(modes: np.ndarray | None, keep: np.ndarray) -> np.ndarray | None:
+    """``modes`` on the dofs ``keep``, each kept row renumbered by its rank
+    among the kept rows; None when ``modes`` is None or the kept dofs do not
+    hold the same rows in every column."""
+    if modes is None:
+        return None
+    col, row = modes[:, keep]
+    kept, row = np.unique(row, return_inverse=True)
+    # the (column, row) pairs are distinct, so this count means every pair
+    if col.size != (modes[0].max() + 1) * kept.size:
+        return None
+    return np.stack([col, row])
+
+
+def _cosines(ncol: int) -> tuple[np.ndarray, np.ndarray]:
+    """T[j, k] = cos(pi k j / nx) on nx + 1 = ``ncol`` columns, and its
+    inverse (2/nx) D T D with D = diag(1/2, 1, ..., 1, 1/2)."""
+    nx = ncol - 1
+    j = np.arange(ncol)
+    cos = np.cos(np.pi * (np.outer(j, j) % (2 * nx)) / nx)
+    d = np.ones(ncol)
+    d[0] = d[-1] = 0.5
+    return cos, (2.0 / nx) * (d[:, None] * cos * d)
+
+
+def mode_blocks(mat: np.ndarray, modes: np.ndarray) -> np.ndarray:
+    """The (nx + 1, b, b) stack of the diagonal blocks of T^-1 mat T, where T
+    takes mode k of the column block (a b-vector w) to the state
+    x[i] = cos(pi k col[i] / nx) w[row[i]], with ``col, row = modes``.
+
+    When mat is the same reflected-Neumann operator in every column
+    (``blockops.cosine_modes``), the DCT-I vectors diagonalize it exactly
+    (Strang, SIAM Review 41, 1999) and T^-1 mat T is block-diagonal up to
+    rounding; the couplings between modes are not formed.  Each block is
+    one ``np.bincount`` over the nonzeros of mat, so no temporary near
+    mat's size is formed.
+    """
+    col, row = modes
+    cos, cos_inv = _cosines(int(col.max()) + 1)
+    ncol, size = cos.shape[0], int(row.max()) + 1
+    rows, cols = np.divmod(np.flatnonzero(mat != 0), mat.shape[1])
+    vals = mat[rows, cols]
+    # entry (k, row[r], row[c]) gathers T^-1[k, col[r]] mat[r, c] T[col[c], k]
+    weights = cos_inv[:, col[rows]] * cos[col[cols]].T
+    cell = (np.arange(ncol)[:, None] * size + row[rows]) * size + row[cols]
+
+    def gather(part):
+        return np.bincount(cell.ravel(), (weights * part).ravel(), ncol * size * size)
+
+    blocks = gather(vals.real) + 1j * gather(vals.imag) if np.iscomplexobj(vals) else gather(vals)
+    return blocks.reshape(ncol, size, size)
+
+
+def _mode_eig(mat: np.ndarray, modes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues of ``mode_blocks(mat, modes)`` by one stacked eigensolve,
+    mode by mode; the block eigenvectors; and the norm of each lifted
+    vector, read off the blocks: sum_j cos(pi k j / nx)^2 ||w||^2 over the
+    columns j, since every column holds the block's every row."""
+    try:
+        vals, vecs = np.linalg.eig(mode_blocks(mat, modes))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"dense eigensolve failed: {exc}") from exc
+    cos, _ = _cosines(vecs.shape[0])
+    norms = np.linalg.norm(cos, axis=0)[:, None] * np.linalg.norm(vecs, axis=1)
+    return vals.ravel(), vecs, norms.ravel()
+
+
+def mode_lift(modes: np.ndarray, *parts: np.ndarray) -> np.ndarray:
+    """The state vectors of block eigenvectors, side by side, one set per
+    (nx + 1, b, b) stack in ``parts``: column k b + p of a set holds
+    x[i] = cos(pi k col[i] / nx) parts[k, row[i], p].
+
+    Given the real and imaginary parts of complex vectors, this is the real
+    [Re X | Im X] array.  The rows are filled _ROWS at a time, so no
+    temporary near the output's size is formed.
+    """
+    col, row = modes
+    cos, _ = _cosines(parts[0].shape[0])
+    width = parts[0].shape[0] * parts[0].shape[2]
+    out = np.empty((col.size, len(parts) * width), dtype=np.result_type(*parts))
+    for lo in range(0, col.size, _ROWS):
+        rows = slice(lo, lo + _ROWS)
+        scale = cos[col[rows]][:, :, None]
+        for i, part in enumerate(parts):
+            out[rows, i * width:(i + 1) * width] = (
+                scale * part[:, row[rows]].transpose(1, 0, 2)).reshape(-1, width)
+    return out
+
+
+def eigvals(mat: np.ndarray, mirror: np.ndarray | None = None,
+            modes: np.ndarray | None = None) -> np.ndarray:
+    """Eigenvalues of ``mat``, in no order; with ``modes``, those of its
+    ``mode_blocks`` (one stacked eigensolve of nx + 1 small blocks); else
+    with a ``mirror``, those of its two blocks (two half-size eigensolves,
+    about a quarter of the full one)."""
+    if modes is not None:
+        return np.linalg.eigvals(mode_blocks(mat, modes)).ravel()
     if mirror is None:
         return np.linalg.eigvals(mat)
     return np.concatenate([np.linalg.eigvals(block) for block in mirror_blocks(mat, mirror)])
 
 
 def eig(mat: np.ndarray, mirror: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of ``mat``, split as in ``eigvals``, vectors lifted by
-    ``mirror_lift``; a failed eigensolve raises NumericalError."""
+    """Eigenpairs of ``mat``, split by a ``mirror`` as in ``eigvals``, vectors
+    lifted by ``mirror_lift``; a failed eigensolve raises NumericalError."""
     try:
         if mirror is None:
             return np.linalg.eig(mat)
@@ -234,27 +339,35 @@ def eig(mat: np.ndarray, mirror: np.ndarray | None = None) -> tuple[np.ndarray, 
     return np.concatenate([val_e, val_o]), mirror_lift(mirror, vec_e, vec_o)
 
 
-def eig_residuals(mat: np.ndarray, mirror: np.ndarray | None = None
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """The eigenvalues of ``eig(mat, mirror)`` and the residual
-    ||mat x - lam x|| / ||x|| of each eigenpair, taken against the full mat.
+def eig_residuals(mat: np.ndarray, mirror: np.ndarray | None = None,
+                  modes: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenpairs of ``mat``, split by ``modes`` (``mode_blocks``, one
+    stacked eigensolve) or else by ``mirror`` (``eig``), and the residual
+    ||mat x - lam x|| / ||x|| of each, taken against the full mat.
 
     mat X is ``mixed_matmul``'s product; for a real mat and complex X, X is
-    stacked as [Re X | Im X] and dropped, and the product and X are both
+    stacked as [Re X | Im X] (lifted straight into that array by
+    ``mode_lift``, or stacked and dropped), and the product and X are both
     ``_unstack``-ed from real arrays in place, so that past the eigensolve
     no more than three N^2 complex arrays are live at once: X or the
     residuals, with the two temporaries of their norms, or X's parts and
     the product.
     """
-    vals, vecs = eig(mat, mirror)
-    vec_norms = np.linalg.norm(vecs, axis=0)
+    if modes is None:
+        vals, vecs = eig(mat, mirror)
+        vec_norms = np.linalg.norm(vecs, axis=0)
+    else:
+        vals, vecs, vec_norms = _mode_eig(mat, modes)
     if np.iscomplexobj(vecs) and not np.iscomplexobj(mat):
-        parts = np.concatenate([vecs.real, vecs.imag], axis=1)
+        parts = (np.concatenate([vecs.real, vecs.imag], axis=1) if modes is None
+                 else mode_lift(modes, vecs.real, vecs.imag))
         del vecs
         mv = _unstack(mat @ parts)
         vecs = _unstack(parts)
         del parts                       # vecs now holds the one reference to it
     else:
+        if modes is not None:
+            vecs = mode_lift(modes, vecs)
         mv = mixed_matmul(mat, vecs)
     vecs *= vals[None, :]
     mv -= vecs

@@ -27,7 +27,10 @@ mirror x -> L - x leaves [-A_max; R] exactly unchanged, the even and odd
 half-size blocks of [-A_max; R] are gathered once, at assembly
 (BlockSystem.lift_split), and each lift adds its mu on their node diagonals
 and solves the two halves; other splits restrict BlockSystem.mirror
-(``_linalg.restrict_mirror``).
+(``_linalg.restrict_mirror``).  On a strip whose coefficients are constant
+along x, the state also splits by the cosine modes along x
+(BlockSystem.modes, ``cosine_modes``): the dense eigensolves take nx + 1
+blocks of one column's size (``_linalg.mode_blocks``).
 """
 
 from __future__ import annotations
@@ -38,8 +41,9 @@ import numpy as np
 
 from ._linalg import ShiftedSplit, checked_solve, exact_mirror, holder_norm, shifted
 from .errors import AssumptionError, ConfigurationError, DimensionError, NumericalError
-from .model import (SYMMETRY_TOL, ModelOperators, freeze_arrays, mirror_symmetrized,
-                    weighted_asymmetry)
+from .mesh import Mesh
+from .model import (SYMMETRY_TOL, ModelOperators, default_boundary_laplacian, freeze_arrays,
+                    mirror_symmetrized, weighted_asymmetry)
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,10 +76,14 @@ class BlockSystem:
     # ghosts), None unless [-A_max; R] commutes with it bit for bit
     mirror: np.ndarray | None = field(repr=False)
     lift_split: ShiftedSplit | None = field(repr=False)
+    # (2, N): the grid column of each state dof and its row within the
+    # column's block, None unless the model separates by cosine modes along
+    # x (``cosine_modes``)
+    modes: np.ndarray | None = field(repr=False)
 
     def __post_init__(self):
         freeze_arrays(self, ("A0", "E0", "E1", "S_A", "Acal", "eig_A0",
-                             "X1", "X2", "Y", "mirror"))
+                             "X1", "X2", "Y", "mirror", "modes"))
 
     @property
     def ext_mirror(self) -> np.ndarray | None:
@@ -205,7 +213,36 @@ def _mirrors(ops: ModelOperators, Acal: np.ndarray):
     return exact_mirror(state, Acal), split
 
 
-def assemble_block_generator(ops: ModelOperators) -> BlockSystem:
+def cosine_modes(mesh: Mesh, ops: ModelOperators) -> np.ndarray | None:
+    """The cosine-mode basis of the state (u, v, x, y) of ``ops`` on ``mesh``:
+    row 0 holds the grid column (x index) of every state dof, row 1 its row
+    within the column's block, 2(ny + 1) + 2 of them (u by height, then v,
+    then x, then y).  None unless the model separates by cosine modes.
+
+    It does when the mesh is a strip and every sampled coefficient is equal
+    bit for bit along x: every operator along x is then the same
+    reflected-Neumann second difference (the interior stencil, the Gamma0
+    reflection and the neutral M, ``default_boundary_laplacian``), which the
+    DCT-I vectors diagonalize (``_linalg.mode_blocks``).  The inputs decide,
+    never a tolerance, in O(N).
+    """
+    if mesh.kind != "strip" or not (ops.M is None
+                                    or np.array_equal(ops.M, default_boundary_laplacian(mesh))):
+        return None
+    nxp, nyp = mesh.grid_shape
+    co = ops.coeffs
+    if not all(np.all(v == v[0]) for v in (co.rho, co.m, co.d, co.k)):
+        return None
+    if co.a is not None and not np.all(co.a.reshape(nyp, nxp) == co.a[::nxp, None]):
+        return None
+    height, col = np.divmod(ops.state_node_idx, nxp)
+    bnd_col, bnd = mesh.gamma1 % nxp, np.ones(ops.n_b, dtype=int)
+    return np.stack([np.concatenate([col, col, bnd_col, bnd_col]),
+                     np.concatenate([height, nyp + height, 2 * nyp * bnd, (2 * nyp + 1) * bnd])])
+
+
+def assemble_block_generator(ops: ModelOperators,
+                             modes: np.ndarray | None = None) -> BlockSystem:
     """Build the coupled generator Acal and the modal data of its restriction.
 
     When B1, B2 and B4 are bitwise mirror-invariant, so is the exact boundary
@@ -213,7 +250,7 @@ def assemble_block_generator(ops: ModelOperators) -> BlockSystem:
     (``mirror_symmetrized``).  The mirror's state permutation is stored when
     Acal then commutes with it bit for bit, and the blocks of the bordered
     Dirichlet matrix by its extended-dof permutation when that matrix does
-    (``_mirrors``).
+    (``_mirrors``).  ``modes`` is stored as it is given (``cosine_modes``).
     """
     n, _, nb = ops.dims
     E0, E1 = _ghost_maps(ops)
@@ -258,7 +295,7 @@ def assemble_block_generator(ops: ModelOperators) -> BlockSystem:
         norm_T=holder_norm(np.block([[np.eye(n), np.zeros((n, nb))], [E0, E1]])),
         norm_S_A=holder_norm(S_A), norm_A_max=holder_norm(ops.A_max),
         norm_R=holder_norm(ops.R), kappa_W=float(np.sqrt(np.max(W) / np.min(W))),
-        mirror=mirror, lift_split=lift_split,
+        mirror=mirror, lift_split=lift_split, modes=modes,
     )
 
 

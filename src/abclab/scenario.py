@@ -27,7 +27,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .blockops import BlockSystem, assemble_block_generator, initial_state
+from .blockops import BlockSystem, assemble_block_generator, cosine_modes, initial_state
 from .errors import ConfigurationError
 from .expressions import eval_coeff_expr, parse_expr
 from .mesh import Mesh, build_interval_mesh, build_strip_mesh
@@ -244,7 +244,8 @@ def build_mesh(config: ScenarioConfig) -> Mesh:
 
 
 def build_system(config: ScenarioConfig) -> tuple[Mesh, BlockSystem]:
-    """Mesh, coefficients, operators (with flags applied) and block assembly."""
+    """Mesh, coefficients, operators (with flags applied) and block assembly,
+    with the cosine-mode basis where the model separates by it."""
     mesh = build_mesh(config)
     coeffs = sample_coefficients(config, mesh)
     if config.model == "biharmonic":
@@ -256,7 +257,7 @@ def build_system(config: ScenarioConfig) -> tuple[Mesh, BlockSystem]:
     if config.flags["neutral"]:
         M = default_boundary_laplacian(mesh)
         ops = apply_neutral_transform(ops, M)
-    return mesh, assemble_block_generator(ops)
+    return mesh, assemble_block_generator(ops, cosine_modes(mesh, ops))
 
 
 def initial_state_from_config(config: ScenarioConfig, mesh: Mesh, sys: BlockSystem,

@@ -12,6 +12,11 @@ four edges of a winding box, and the live seeds of one Newton iteration
 (each seed keeps its own exclusion, failure and certification record).
 Essential-spectrum statements survive only as refinement
 trends in finite dimensions and are reported as such, never as point values.
+
+Every dense eigensolve here goes through ``_linalg`` and takes the largest
+exact split the system stores: the cosine modes along x of a strip whose
+coefficients are constant along x (``sys.modes``, nx + 1 small blocks), else
+the mirror x -> L - x (``sys.mirror``, two half-size blocks), else none.
 """
 
 from __future__ import annotations
@@ -20,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import (eig_residuals, eigvals, rel_norm, restrict_mirror, shifted,
-                      shifted_inverse)
+from ._linalg import (eig_residuals, eigvals, rel_norm, restrict_mirror, restrict_modes,
+                      shifted, shifted_inverse)
 from .blockops import BlockSystem, reduced_dofs, reduced_generator
 from .errors import AssumptionError, ConfigurationError, NumericalError, SpectralParameterError
 from .resolvent import (PencilEvaluator, _a0_block_resolvent, _r2, dirichlet_operator, pencil,
@@ -70,12 +75,17 @@ def canonical_order(vals: np.ndarray) -> np.ndarray:
 def direct_spectrum(evaluator: PencilEvaluator | BlockSystem) -> SpectrumReport:
     """Brute-force dense eigendecomposition of Acal with per-pair residuals.
 
-    A mirror-invariant Acal (``sys.mirror`` set) is eigensolved through its
-    even and odd blocks (``_linalg.eig``), an exact similarity; each residual
-    ||Acal x - lam x|| / ||x|| is still taken against the full Acal, so the
-    certification does not rest on the split.  ``_linalg.eig_residuals``
-    does both and keeps no spare state-size array: the peak is about
-    2.2 N^2 complex entries on the strip (N the state dimension).  Rows come
+    A strip that separates by cosine modes (``sys.modes`` set: its
+    coefficients are equal bit for bit along x) is eigensolved through the
+    nx + 1 diagonal blocks of T^-1 Acal T, T the DCT-I vectors along x, in
+    one stacked eigensolve (``_linalg.mode_blocks``); any other
+    mirror-invariant Acal (``sys.mirror`` set) through its even and odd
+    blocks (``_linalg.eig``).  Both are exact similarities, and each
+    residual ||Acal x - lam x|| / ||x|| is still taken against the full
+    Acal, so the certification does not rest on the split.
+    ``_linalg.eig_residuals`` does both and keeps no spare state-size array:
+    the peak is about 2.2 N^2 complex entries on the strip (N the state
+    dimension), on either split.  Rows come
     in ``canonical_order``.  Eigenvalues the evaluator refuses are
     classified by the failed test (``zero-mode`` or ``a0-branch``), so
     ``pencil-root`` and ``b4-branch`` rows are exactly its admissible ones; a
@@ -84,7 +94,7 @@ def direct_spectrum(evaluator: PencilEvaluator | BlockSystem) -> SpectrumReport:
     if isinstance(evaluator, BlockSystem):
         evaluator = PencilEvaluator(evaluator)
     sys = evaluator.sys
-    vals, resid = eig_residuals(sys.Acal, sys.mirror)
+    vals, resid = eig_residuals(sys.Acal, sys.mirror, sys.modes)
     order = canonical_order(vals)
     vals, resid = vals[order], resid[order]
     eig_b4 = np.linalg.eigvals(sys.ops.B4)
@@ -403,10 +413,12 @@ def essential_spectrum_proxy(systems, epsilon: float) -> dict:
     in finite dimensions; only the trend is meaningful, and the report says so.
     Interval models get the finite-boundary answer instead of counts; strip
     systems are always wave or divergence models (the only strip assembly).
-    The eigenvalues come from ``_linalg.eigvals``: a strip whose assembly is
-    mirror-exact (``sys.mirror`` set, as on every shipped strip) is split into
-    the even and odd parts of its reduced generator under ``sys.mirror``
-    restricted to (u, v, y), an exact similarity that keeps the spectrum.
+    The eigenvalues come from ``_linalg.eigvals``, through an exact
+    similarity that keeps the spectrum: on a strip that separates by cosine
+    modes (``sys.modes`` set, as on both shipped strips) the reduced
+    generator's nx + 1 mode blocks, with ``sys.modes`` restricted to
+    (u, v, y) (``_linalg.restrict_modes``); else, on a mirror-exact strip,
+    its even and odd parts under ``sys.mirror`` restricted the same way.
     """
     rows = []
     ess_vals = None
@@ -423,7 +435,9 @@ def essential_spectrum_proxy(systems, epsilon: float) -> dict:
             raise ConfigurationError("essential-spectrum proxy requires B3 = 0 (k = 0)")
         rng = essential_range(np.real(np.diag(sys.ops.B4)), sys.ops.bnd_weights)
         ess_vals = [v for v, _ in rng]
-        vals = eigvals(reduced_generator(sys), restrict_mirror(sys.mirror, reduced_dofs(sys)))
+        keep = reduced_dofs(sys)
+        vals = eigvals(reduced_generator(sys), restrict_mirror(sys.mirror, keep),
+                       restrict_modes(sys.modes, keep))
         count = int(np.sum([
             np.min([abs(l - v) for v in ess_vals]) <= epsilon for l in vals]))
         rows.append({"nx": mesh.grid_shape[0] - 1, "n_b": sys.n_b, "count": count})

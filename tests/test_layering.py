@@ -4,8 +4,9 @@ Every import sits at module level, so importing a module shows all that it
 depends on.  The library below ``scenario`` (mesh, model, blockops,
 resolvent, spectral, dynamics, and checks, the table of ``verify``) acts on
 assembled objects and never reaches up to the scenario documents or the
-command line.  Only ``_linalg`` names the mirror split's internals: every
-other module asks it for a split solve or eigensolve.
+command line.  Only ``_linalg`` names the internals of the mirror split and
+of the cosine-mode split: every other module asks it for a split solve or
+eigensolve.
 """
 
 import ast
@@ -60,7 +61,8 @@ def test_lower_layers_do_not_import_scenario_or_cli(name):
     assert upward == []
 
 
-MIRROR_INTERNALS = {"mirror_blocks", "mirror_lift", "_mirror_coords"}
+MIRROR_INTERNALS = {"mirror_blocks", "mirror_lift", "_mirror_coords",
+                    "mode_blocks", "mode_lift", "_mode_eig", "_cosines"}
 
 
 def _spelled(node) -> list[str]:

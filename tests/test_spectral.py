@@ -7,7 +7,7 @@ import pytest
 
 import abclab as ab
 import abclab._linalg as la
-from abclab.blockops import reduced_dofs, reduced_generator
+from abclab.blockops import cosine_modes, reduced_dofs, reduced_generator
 from abclab.errors import AssumptionError, NumericalError
 from abclab.spectral import beta_separation
 
@@ -337,6 +337,13 @@ def _recorded_eigvals(monkeypatch):
     return shapes, real
 
 
+def _recorded_eig(monkeypatch):
+    shapes = []
+    real = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda mat: shapes.append(mat.shape) or real(mat))
+    return shapes
+
+
 @pytest.mark.parametrize("name", ["abc1d_cfg", "special_cfg"])
 def test_mirror_split_matches_full_eigensolve(name, request, monkeypatch):
     import abclab.scenario as sc
@@ -414,16 +421,118 @@ def test_split_direct_spectrum_agrees_with_the_full_eigensolve(name, monkeypatch
     # with a Jordan block (the zero modes) moves by at most about
     # sqrt(r ||Acal||) under it, every other one by less
     mesh, sys = ab.build_system(ab.load_config(CONFIG_DIR / f"{name}.json"))
-    shapes = []
-    real_eig = np.linalg.eig
-    monkeypatch.setattr(np.linalg, "eig", lambda mat: shapes.append(mat.shape) or real_eig(mat))
+    shapes = _recorded_eig(monkeypatch)
     split = ab.direct_spectrum(sys)
-    assert len(shapes) == 2 and sum(rows for rows, _ in shapes) == sys.state_dim
-    full = ab.direct_spectrum(dataclasses.replace(sys, mirror=None))
-    assert shapes[2:] == [sys.Acal.shape]
+    # the strips take the cosine modes (one stacked eigensolve of nx + 1
+    # blocks), the intervals the mirror's two halves
+    if name.startswith("timoshenko-strip"):
+        assert len(shapes) == 1 and np.prod(shapes[0][:2]) == sys.state_dim
+    else:
+        assert len(shapes) == 2 and sum(rows for rows, _ in shapes) == sys.state_dim
+    full = ab.direct_spectrum(dataclasses.replace(sys, mirror=None, modes=None))
+    assert shapes[-1] == sys.Acal.shape
     norm = np.linalg.norm(sys.Acal, 2)
     resid = np.maximum(np.maximum(split.residuals, full.residuals),
                        sys.state_dim * np.finfo(float).eps * norm)
     assert split.classification == full.classification
     assert np.all(np.abs(split.eigenvalues - full.eigenvalues) <= np.sqrt(resid * norm))
     assert np.max(split.residuals) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# cosine-mode split of the x-constant strip
+# ---------------------------------------------------------------------------
+def _strip(name="timoshenko-strip", **geometry):
+    cfg = ab.load_config(CONFIG_DIR / f"{name}.json")
+    return ab.build_system(dataclasses.replace(cfg, geometry={**cfg.geometry, **geometry}))
+
+
+@pytest.mark.parametrize("name, geometry", [
+    ("timoshenko-strip", {}), ("timoshenko-strip-k0", {}),
+    ("timoshenko-strip", {"nx": 24, "ny": 24}), ("timoshenko-strip", {"nx": 12, "ny": 20})],
+    ids=["strip", "k0", "nx24", "nx12-ny20"])
+def test_mode_split_matches_the_unsplit_eigensolve(name, geometry, monkeypatch):
+    # tolerance, stated before measuring: both eigensolves are backward
+    # stable, each pair exact for Acal + E with ||E|| <= N eps ||Acal||, so a
+    # well-conditioned eigenvalue moves by about tol = N eps ||Acal|| on
+    # either route (2-norm bounded by holder_norm).  The defective zero pair
+    # (a Jordan block) splits to about sqrt(tol ||Acal||) instead: it is
+    # matched as a cluster, the same count within that radius of zero on
+    # both routes, and every other eigenvalue is matched both ways within tol
+    mesh, sys = _strip(name, **geometry)
+    nx, ny = mesh.grid_shape[0] - 1, mesh.grid_shape[1] - 1
+    assert sys.modes is not None
+    shapes = _recorded_eig(monkeypatch)
+    split = ab.direct_spectrum(sys)
+    assert shapes == [(nx + 1, 2 * (ny + 1) + 2, 2 * (ny + 1) + 2)]
+    full = np.linalg.eigvals(sys.Acal)
+    norm = la.holder_norm(sys.Acal)
+    tol = sys.state_dim * np.finfo(float).eps * norm
+    cluster = np.sqrt(tol * norm)
+    vals = split.eigenvalues
+    near = np.abs(vals) <= cluster
+    assert np.sum(near) == np.sum(np.abs(full) <= cluster) >= 1
+    assert _same_spectrum(vals[~near], full[np.abs(full) > cluster], tol)
+    assert np.max(split.residuals) < tol
+
+
+def test_mode_split_of_the_reduced_generator(monkeypatch):
+    # (u, v, y) keeps rows 0..2 ny + 1 and 2 ny + 3 of every column, so the
+    # rule restricts the modes to 17 blocks of 35 rows
+    mesh, sys = _strip("timoshenko-strip-k0")
+    keep = reduced_dofs(sys)
+    modes = la.restrict_modes(sys.modes, keep)
+    assert modes.shape == (2, keep.size) and set(modes[1]) == set(range(35))
+    shapes, full_eigvals = _recorded_eigvals(monkeypatch)
+    split = la.eigvals(reduced_generator(sys), modes=modes)
+    assert shapes == [(17, 35, 35)]
+    full = full_eigvals(reduced_generator(sys))
+    assert _same_spectrum(split, full, 1e-10 * np.max(np.abs(full)))
+    # a subset that leaves a column without one of the rows the others keep
+    assert la.restrict_modes(sys.modes, keep[1:]) is None
+    assert la.restrict_modes(None, keep) is None
+
+
+@pytest.mark.parametrize("d, shapes", [
+    ("1 - 0.5*cos(6.283185307179586*(x - 0.5))", [(324, 324), (288, 288)]),
+    ("1 + 0.5*cos(6.283185307179586*x)", [(612, 612)])], ids=["mirror-exact", "rounded"])
+def test_x_varying_strip_falls_back_to_the_mirror(d, shapes, monkeypatch):
+    # d = 1 + cos(2 pi x)/2 varies along Gamma1: no modes.  Written about the
+    # middle, its samples are mirror images bit for bit (x - 0.5 is exact on
+    # the grid and cos is even), so the eigensolve takes the mirror halves;
+    # written in x, 2 pi x and 2 pi (1 - x) round differently, so no split
+    cfg = ab.load_config(CONFIG_DIR / "timoshenko-strip-k0.json")
+    mesh, sys = ab.build_system(
+        dataclasses.replace(cfg, coefficients={**cfg.coefficients, "d": d}))
+    assert sys.modes is None and (sys.mirror is not None) == (len(shapes) == 2)
+    recorded = _recorded_eig(monkeypatch)
+    rep = ab.direct_spectrum(sys)
+    assert recorded == shapes
+    assert np.max(rep.residuals) < 1e-8
+
+
+def test_y_varying_coefficient_keeps_the_modes(monkeypatch):
+    # a diffusion field that varies only with height is the same operator
+    # in every column
+    cfg = ab.parse_config(json.dumps({
+        "geometry": {"kind": "strip", "nx": 8, "ny": 6}, "model": "divergence",
+        "coefficients": {"a": "1 + 0.5*y", "rho": "1", "m": "1", "d": "1", "k": "1"},
+        "flags": {"neutral": True}}))
+    mesh, sys = ab.build_system(cfg)
+    assert sys.modes is not None
+    shapes = _recorded_eig(monkeypatch)
+    rep = ab.direct_spectrum(sys)
+    assert shapes == [(9, 16, 16)]
+    full = np.linalg.eigvals(sys.Acal)
+    nonzero = np.abs(full) > 1e-6
+    assert _same_spectrum(rep.eigenvalues[np.abs(rep.eigenvalues) > 1e-6], full[nonzero],
+                          1e-10 * np.max(np.abs(full)))
+    # the same field varying along x does not
+    cfg = dataclasses.replace(cfg, coefficients={**cfg.coefficients, "a": "1 + 0.5*x"})
+    assert ab.build_system(cfg)[1].modes is None
+
+
+@pytest.mark.parametrize("fixture", ["abc1d", "special", "biharmonic_sys", "divergence_sys"])
+def test_intervals_never_get_modes(fixture, request):
+    mesh, sys = request.getfixturevalue(fixture)
+    assert sys.modes is None and cosine_modes(mesh, sys.ops) is None
