@@ -33,8 +33,12 @@ along the columns, nx + 1 blocks of one column's size (Strang, SIAM Review
 ``restrict_modes`` restricts the basis to a subset of the dofs,
 ``mode_blocks`` forms the blocks from the matrix's nonzeros, and ``eigvals``
 and ``eig_residuals`` eigensolve them in one stacked call, the vectors
-lifted back by ``mode_lift``.  No module but this one touches the blocks of
-either split.
+lifted back by ``mode_lift``.  ``shifted_inverse(..., modes=...)`` inverts
+them in one stacked call, lifted back by ``_mode_unblock``, and
+``ShiftedModes`` keeps them for every shift of a diagonal and solves them
+through ``_mode_solve``, both guarded on the full matrix.  Where a system
+has modes they are taken first, and the mirror otherwise.  No module but
+this one touches the blocks of either split.
 """
 
 from __future__ import annotations
@@ -427,6 +431,44 @@ def _mirror_solve(blocks: list[np.ndarray], rhs: np.ndarray | None,
             + sign.reshape((-1,) + (1,) * (rhs.ndim - 1)) * _odd_rows(y_odd, odd_of))
 
 
+def _mode_unblock(modes: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """The matrix whose ``mode_blocks`` are the (nx + 1, b, b) stack ``inv``,
+    T blockdiag(inv) T^-1:
+
+        X[i, j] = sum_k cos(pi k col[i] / nx) inv[k, row[i], row[j]] T^-1[k, col[j]]
+
+    X is returned column-major, as ``_unblock`` returns its, and filled a
+    _ROWS column slab at a time: the slab's block columns, scaled by T^-1,
+    are lifted by one product with the cosines and gathered into the
+    output's rows, so no temporary nears the output's size.
+    """
+    col, row = modes
+    cos, cos_inv = _cosines(inv.shape[0])
+    ncol, size = inv.shape[:2]
+    out = np.empty((col.size, col.size), dtype=inv.dtype, order="F")
+    for lo in range(0, col.size, _ROWS):
+        cols = slice(lo, lo + _ROWS)
+        scaled = inv[:, :, row[cols]] * cos_inv[:, None, col[cols]]
+        out[:, cols] = mixed_matmul(cos, scaled.reshape(ncol, -1)).reshape(ncol, size, -1)[col, row]
+    return out
+
+
+def _mode_solve(blocks: np.ndarray, rhs: np.ndarray, modes: np.ndarray) -> np.ndarray:
+    """``mat^-1 rhs`` from the stack ``blocks = mode_blocks(mat, modes)``:
+    the rows of ``rhs`` are gathered into the (nx + 1, b, m) stack by column
+    and row, T^-1 is applied along the columns by one product, the blocks
+    are solved by one stacked ``np.linalg.solve``, and T is applied back by
+    one product."""
+    col, row = modes
+    cos, cos_inv = _cosines(blocks.shape[0])
+    ncol, size = blocks.shape[:2]
+    gathered = np.empty((ncol, size) + rhs.shape[1:], dtype=rhs.dtype)
+    gathered[col, row] = rhs
+    coeffs = mixed_matmul(cos_inv, gathered.reshape(ncol, -1)).reshape(ncol, size, -1)
+    solved = np.linalg.solve(blocks, coeffs)
+    return mixed_matmul(cos, solved.reshape(ncol, -1)).reshape(gathered.shape)[col, row]
+
+
 def _lu(solve, what: str) -> np.ndarray:
     """``solve()``, with an exactly singular matrix and a non-finite solution
     refused as NumericalError."""
@@ -517,6 +559,37 @@ class ShiftedSplit:
         return x
 
 
+class ShiftedModes:
+    """The ``mode_blocks`` of ``base + sigma P`` for every scalar sigma, from
+    one gather: the cosine-mode sibling of ``ShiftedSplit``.
+
+    ``base`` is square and separates by ``modes``; P is the 0/1 diagonal on
+    the dofs ``shifted``, which hold the same rows in every column, so
+    T^-1 P T is P exactly.  The stack of ``base`` is gathered once and kept
+    read-only; each solve adds sigma on the diagonal entries of the shifted
+    rows of a copy, the blocks of base + sigma P up to rounding.
+    """
+
+    def __init__(self, base: np.ndarray, modes: np.ndarray, shifted: np.ndarray):
+        self.modes = modes
+        self._stack = mode_blocks(base, modes)
+        self._rows = np.unique(modes[1, shifted])
+        for arr in (modes, self._stack, self._rows):
+            arr.setflags(write=False)
+
+    def solve(self, sigma, rhs: np.ndarray, what: str, cond_bound: float,
+              full) -> np.ndarray:
+        """The solution of (base + sigma P) x = rhs from the stored stack
+        (``_mode_solve``), with the refusals of ``checked_solve(full(), rhs,
+        what, cond_bound)``: the guard judges the full matrix, which
+        ``full()`` forms only when ``cond_bound`` does not clear it."""
+        stack = self._stack.astype(np.result_type(self._stack, sigma))
+        stack[:, self._rows, self._rows] += sigma
+        x = _lu(lambda: _mode_solve(stack, rhs, self.modes), what)
+        condition_guard(full, cond_bound, what)
+        return x
+
+
 def shifted(mat: np.ndarray, sigma, out: np.ndarray | None = None) -> np.ndarray:
     """sigma - mat for a matrix (sigma [I 0] - mat if wide) or a (K, N, N) stack
     with one sigma each, into ``out`` if given: 0 - mat, then sigma added on
@@ -530,24 +603,32 @@ def shifted(mat: np.ndarray, sigma, out: np.ndarray | None = None) -> np.ndarray
 
 
 def shifted_inverse(mat: np.ndarray, sigma, what: str,
-                    mirror: np.ndarray | None = None) -> np.ndarray:
+                    mirror: np.ndarray | None = None,
+                    modes: np.ndarray | None = None) -> np.ndarray:
     """(sigma - mat)^-1 with the refusals of ``checked_solve`` against an
     identity, guarded on the full shifted matrix; real for a real mat and a
     real sigma.
 
-    The shift S = sigma - mat is formed once.  With a ``mirror`` its two
-    blocks are gathered, ||S||_F is kept for the guard's bound
-    ||S||_F ||S^-1||_F and S is dropped before ``_mirror_solve`` (the split
-    inverse of ``checked_solve``) inverts the blocks, each dropped as soon
-    as it is inverted; S is formed again only when that bound does not
-    clear the guard.  No identity right-hand side is formed: ``np.linalg.inv``
-    runs LAPACK's solve against one of its own.  For an N x N mat the split
-    route peaks near 2.5 N^2 entries, the output included (the output, the
-    inverted blocks and ``_unblock``'s two half-size temporaries).
+    The shift S = sigma - mat is formed once.  With ``modes`` its nx + 1
+    ``mode_blocks`` are gathered, or else with a ``mirror`` its two blocks;
+    ||S||_F is kept for the guard's bound ||S||_F ||S^-1||_F and S is
+    dropped before the blocks are inverted: by one stacked ``np.linalg.inv``,
+    ``_mode_unblock``-ed, or by ``_mirror_solve`` (the split inverse of
+    ``checked_solve``), each block dropped as soon as it is inverted.  S is
+    formed again only when that bound does not clear the guard.  No
+    identity right-hand side is formed: ``np.linalg.inv`` runs LAPACK's
+    solve against one of its own.  For an N x N mat the mirror route peaks
+    near 2.5 N^2 entries, the output included (the output, the inverted
+    blocks and ``_unblock``'s two half-size temporaries), the mode route
+    near N^2 (S, then the output).
     """
     full = shifted(mat, sigma)
     norm = float(np.linalg.norm(full))
-    if mirror is None:
+    if modes is not None:
+        blocks = mode_blocks(full, modes)
+        del full
+        x = _lu(lambda: _mode_unblock(modes, np.linalg.inv(blocks)), what)
+    elif mirror is None:
         x = _lu(lambda: np.linalg.inv(full), what)
     else:
         blocks = list(mirror_blocks(full, mirror))

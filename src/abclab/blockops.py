@@ -22,15 +22,18 @@ V = W^{-1/2} Q, V^-1 = Q^T W^{1/2}, and the modal pencil factors X1, X2, Y
 (see resolvent.pencil).  The one bordered Dirichlet solve is the R-lift
 [mu P_n - A_max; R] u_ext = [0; I] (BlockSystem.dirichlet_lift); the same
 modal data, with a few norms taken once at assembly, bound its condition
-number (BlockSystem.lift_cond_bound), so that guard needs no SVD.  Where the
-mirror x -> L - x leaves [-A_max; R] exactly unchanged, the even and odd
-half-size blocks of [-A_max; R] are gathered once, at assembly
-(BlockSystem.lift_split), and each lift adds its mu on their node diagonals
-and solves the two halves; other splits restrict BlockSystem.mirror
-(``_linalg.restrict_mirror``).  On a strip whose coefficients are constant
-along x, the state also splits by the cosine modes along x
-(BlockSystem.modes, ``cosine_modes``): the dense eigensolves take nx + 1
-blocks of one column's size (``_linalg.mode_blocks``).
+number (BlockSystem.lift_cond_bound), so that guard needs no SVD.  On a
+strip whose coefficients are constant along x, the state splits by the
+cosine modes along x (BlockSystem.modes, ``cosine_modes``): the dense
+eigensolves and inverses take nx + 1 blocks of one column's size
+(``_linalg.mode_blocks``), and so does the bordered solve, whose blocks of
+[-A_max; R] are gathered once, at assembly (BlockSystem.lift_split, a
+``_linalg.ShiftedModes``).  Elsewhere, where the mirror x -> L - x leaves
+[-A_max; R] exactly unchanged, its even and odd half-size blocks are
+gathered instead (a ``_linalg.ShiftedSplit``); either way each lift adds
+its mu on the node diagonals of the stored blocks and solves them.  Other
+splits restrict BlockSystem.modes or BlockSystem.mirror to their dofs
+(``_linalg.restrict_modes``, ``_linalg.restrict_mirror``).
 """
 
 from __future__ import annotations
@@ -39,7 +42,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import ShiftedSplit, checked_solve, exact_mirror, holder_norm, shifted
+from ._linalg import (ShiftedModes, ShiftedSplit, checked_solve, exact_mirror, holder_norm,
+                      restrict_modes, shifted)
 from .errors import AssumptionError, ConfigurationError, DimensionError, NumericalError
 from .mesh import Mesh
 from .model import (SYMMETRY_TOL, ModelOperators, default_boundary_laplacian, freeze_arrays,
@@ -72,10 +76,11 @@ class BlockSystem:
     kappa_W: float = field(repr=False)       # cond(W^{1/2}) = sqrt(max W / min W)
     # the mirror x -> L - x on the state, None unless Acal commutes with it
     # bit for bit; and the blocks of the bordered Dirichlet matrix
-    # [mu P_n - A_max; R] by the mirror on the extended dofs (nodes, then
-    # ghosts), None unless [-A_max; R] commutes with it bit for bit
+    # [mu P_n - A_max; R] on the extended dofs (nodes, then ghosts): by the
+    # cosine modes when ``modes`` is set, else by the mirror when
+    # [-A_max; R] commutes with it bit for bit, else None
     mirror: np.ndarray | None = field(repr=False)
-    lift_split: ShiftedSplit | None = field(repr=False)
+    lift_split: ShiftedModes | ShiftedSplit | None = field(repr=False)
     # (2, N): the grid column of each state dof and its row within the
     # column's block, None unless the model separates by cosine modes along
     # x (``cosine_modes``)
@@ -89,7 +94,7 @@ class BlockSystem:
     def ext_mirror(self) -> np.ndarray | None:
         """The mirror's permutation of the extended dofs when the bordered
         Dirichlet solve splits by it, else None."""
-        return None if self.lift_split is None else self.lift_split.perm
+        return self.lift_split.perm if isinstance(self.lift_split, ShiftedSplit) else None
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -165,11 +170,14 @@ class BlockSystem:
         the extended dofs (nodes, then ghosts) onto the nodes.
 
         The bordered solve is guarded by ``lift_cond_bound``.  When
-        ``lift_split`` is set, mu is added on the node diagonals of the stored
-        even and odd blocks and the two halves are solved; they are the blocks
-        of the full matrix bit for bit, and the full matrix is formed only
-        when the bound does not clear the guard, so the lift and every
-        refusal are those of ``checked_solve(..., mirror=ext_mirror)``.
+        ``lift_split`` is set, mu is added on the node diagonals of its
+        stored blocks and they are solved: the nx + 1 cosine-mode blocks of
+        one column's extended dofs on a strip with ``modes``, else the even
+        and odd halves, which are the blocks of the full matrix bit for bit,
+        so that lift is that of ``checked_solve(..., mirror=ext_mirror)``.
+        Either way the full matrix is formed only when the bound does not
+        clear the guard, which judges it, so every refusal is that of the
+        unsplit ``checked_solve``.
         """
         n, size = self.ops.A_max.shape
         rhs = np.eye(size, self.n_b, k=-n, dtype=np.result_type(self.ops.A_max, mu))
@@ -195,21 +203,27 @@ def _ghost_maps(ops: ModelOperators):
     return E0, E1
 
 
-def _mirrors(ops: ModelOperators, Acal: np.ndarray):
+def _splits(ops: ModelOperators, Acal: np.ndarray, modes: np.ndarray | None):
     """The mirror's permutation of the state (u, v, x, y), gated on Acal, and
-    the blocks of [-A_max; R] by its permutation of the extended dofs, gated
-    on that matrix: its rows are the nodes, then one per ghost slot, and
-    ghost slot i belongs to Gamma1 dof i, so [node, n + bnd] acts on rows and
-    columns alike."""
-    if ops.mirror is None:
-        return None, None
+    the blocks of [-A_max; R]: its rows are the nodes, then one per ghost
+    slot, and ghost slot i belongs to Gamma1 dof i, so the extended dofs are
+    the u dofs, then the x dofs, on rows and columns alike.  With ``modes``
+    they are its cosine-mode blocks (``modes`` restricted to u and x);
+    else, when that matrix commutes bit for bit with the mirror's
+    permutation [node, n + bnd] of the extended dofs, its two halves."""
     n, _, nb = ops.dims
+    bordered = np.concatenate([-ops.A_max, ops.R])
+    split = None
+    if modes is not None:
+        split = ShiftedModes(bordered, restrict_modes(modes, np.r_[0:n, 2 * n:2 * n + nb]),
+                             np.arange(n))
+    if ops.mirror is None:
+        return None, split
     node, bnd = ops.mirror
     state = np.concatenate([node, n + node, 2 * n + bnd, 2 * n + nb + bnd])
     ext = np.concatenate([node, n + bnd])
-    bordered = np.concatenate([-ops.A_max, ops.R])
-    split = (None if exact_mirror(ext, bordered) is None
-             else ShiftedSplit(bordered, ext, np.arange(n)))
+    if split is None and exact_mirror(ext, bordered) is not None:
+        split = ShiftedSplit(bordered, ext, np.arange(n))
     return exact_mirror(state, Acal), split
 
 
@@ -249,8 +263,9 @@ def assemble_block_generator(ops: ModelOperators,
     row B1 + B4 B2, and its computed value is averaged with its mirror image
     (``mirror_symmetrized``).  The mirror's state permutation is stored when
     Acal then commutes with it bit for bit, and the blocks of the bordered
-    Dirichlet matrix by its extended-dof permutation when that matrix does
-    (``_mirrors``).  ``modes`` is stored as it is given (``cosine_modes``).
+    Dirichlet matrix by its extended-dof permutation when that matrix does,
+    or by the cosine modes when ``modes`` is given (``_splits``).  ``modes``
+    is stored as it is given (``cosine_modes``).
     """
     n, _, nb = ops.dims
     E0, E1 = _ghost_maps(ops)
@@ -286,7 +301,7 @@ def assemble_block_generator(ops: ModelOperators,
     a, Q = np.linalg.eigh(0.5 * (H + H.T.conj()))
     V = Q / sq[:, None]
 
-    mirror, lift_split = _mirrors(ops, Acal)
+    mirror, lift_split = _splits(ops, Acal, modes)
     return BlockSystem(
         ops=ops, A0=A0, E0=E0, E1=E1, S_A=S_A, Acal=Acal,
         eig_A0=a, spectral_scale=float(np.max(np.abs(a))) if a.size else 1.0,

@@ -536,13 +536,6 @@ def energy(state: np.ndarray, sys: BlockSystem, mesh: Mesh) -> float | np.ndarra
     return float(e[0]) if np.ndim(state) == 1 else e
 
 
-def boundary_dissipation(state: np.ndarray, sys: BlockSystem) -> float:
-    """Instantaneous expected energy decay rate: sum d |Lu|^2 w on Gamma1."""
-    ldot = _boundary_velocity(state, sys)
-    return float(np.sum(np.real(sys.ops.coeffs.d) * sys.ops.bnd_weights
-                        * np.real(np.conjugate(ldot) * ldot)))
-
-
 # ---------------------------------------------------------------------------
 # Simulation
 # ---------------------------------------------------------------------------

@@ -34,10 +34,13 @@ constructions at one lam can share R2, the block lift and the
 PencilEvaluator through one BlockPieces, which forms each once.  Every
 lift here is the one bordered R-lift ``BlockSystem.dirichlet_lift``; no
 bordered solve runs against L, whose lift the neutral ladder forms as
-D (L D)^-1 (``model.check_assumptions``).  On a mirror-exact system the
-bordered solve (``BlockSystem.ext_mirror``) and R2 (``BlockSystem.mirror``
-restricted to u) each solve two half-size blocks (``_linalg.ShiftedSplit``
-and ``_linalg.shifted_inverse``), guarded on the full matrix.
+D (L D)^-1 (``model.check_assumptions``).  On a strip with cosine modes
+(``BlockSystem.modes``) the bordered solve and R2 (the modes restricted to
+u) each solve nx + 1 blocks of one column's size (``_linalg.ShiftedModes``
+and ``_linalg.shifted_inverse``); on another mirror-exact system they solve
+two half-size blocks (``BlockSystem.ext_mirror``, and
+``BlockSystem.mirror`` restricted to u).  Either way the guard judges the
+full matrix.
 
 Admissibility is one rule: lam is refused within the zero radius r0 of zero
 ("near-zero", tested first) or when mu = lam^2 is within the exclusion
@@ -59,7 +62,7 @@ from functools import cached_property
 import numpy as np
 
 from ._linalg import (checked_solve, mixed_matmul, opnorm, rel_norm, restrict_mirror,
-                      shifted, shifted_inverse)
+                      restrict_modes, shifted, shifted_inverse)
 from .blockops import BlockSystem
 from .errors import DimensionError, SpectralParameterError
 
@@ -218,8 +221,10 @@ def _modal_sum(evaluator: PencilEvaluator, w1: np.ndarray, w2: np.ndarray) -> np
 
 
 def _r2(sys: BlockSystem, lam: complex) -> np.ndarray:
+    u = np.arange(sys.n)
     return shifted_inverse(sys.A0, lam * lam, "(lam^2 - A0) resolvent",
-                           mirror=restrict_mirror(sys.mirror, np.arange(sys.n)))
+                           mirror=restrict_mirror(sys.mirror, u),
+                           modes=restrict_modes(sys.modes, u))
 
 
 def _a0_block_resolvent(sys: BlockSystem, lam: complex, R2: np.ndarray,

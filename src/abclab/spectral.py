@@ -353,13 +353,14 @@ def special_case_spectrum(sys: BlockSystem, tol: float = 1e-6) -> SpectrumReport
 
     # validate the block-triangular resolvent display at three sample points
     red = reduced_generator(sys)
-    red_mirror = restrict_mirror(sys.mirror, reduced_dofs(sys))
+    keep = reduced_dofs(sys)
+    red_mirror, red_modes = restrict_mirror(sys.mirror, keep), restrict_modes(sys.modes, keep)
     n = sys.n
     residuals = {}
     for lam in (0.7 + 0.9j, 1.3 + 0.4j, 2.1 + 1.7j):
         # dense first, and each pair dropped before the next: past the dense
         # inverse's own peak, the pair and the reduced generator are live
-        dense = shifted_inverse(red, lam, "(lam - reduced)", mirror=red_mirror)
+        dense = shifted_inverse(red, lam, "(lam - reduced)", mirror=red_mirror, modes=red_modes)
         RB4 = shifted_inverse(ops.B4, lam, "(lam - B4)")
         Dn = dirichlet_operator(sys, lam * lam)[:n]
         # the (u, v) blocks are those of the restricted block resolvent

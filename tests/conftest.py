@@ -12,6 +12,8 @@ import pytest
 
 import abclab as ab
 import abclab._linalg as la
+from abclab.blockops import BlockSystem
+from abclab.dynamics import _boundary_velocity
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -37,6 +39,13 @@ def hand_lift(sys, mu, bnd, mirror=None):
     if mirror is None:
         return np.linalg.solve(mat, rhs)
     return la.checked_solve(mat, rhs, "hand lift", mirror=mirror)
+
+
+def boundary_dissipation(state: np.ndarray, sys: BlockSystem) -> float:
+    """Instantaneous expected energy decay rate: sum d |Lu|^2 w on Gamma1."""
+    ldot = _boundary_velocity(state, sys)
+    return float(np.sum(np.real(sys.ops.coeffs.d) * sys.ops.bnd_weights
+                        * np.real(np.conjugate(ldot) * ldot)))
 
 
 def traced_peak(run) -> int:

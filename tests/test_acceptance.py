@@ -15,10 +15,12 @@ import numpy as np
 
 import abclab as ab
 from abclab.blockops import reduced_generator
-from abclab.dynamics import boundary_dissipation, taylor_expm
+from abclab.dynamics import taylor_expm
 from abclab.model import check_assumptions
 from abclab.resolvent import dirichlet_operator, factorization_check
 from abclab.scenario import override_interval_cells, override_strip_nx
+
+from conftest import boundary_dissipation
 
 
 def report(name, value, tol, extra=""):

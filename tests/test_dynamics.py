@@ -16,12 +16,12 @@ import abclab as ab
 from abclab import dynamics
 from abclab.cli import main
 from abclab._linalg import NonzeroOperator, opnorm
-from abclab.dynamics import boundary_dissipation, energy_defined, taylor_expm
+from abclab.dynamics import energy_defined, taylor_expm
 from abclab.errors import ConfigurationError, ModelError, NumericalError
 from abclab.mesh import _interval_weights
 from abclab.model import stiffness_matrix
 
-from conftest import CONFIG_DIR, load, wave_system
+from conftest import CONFIG_DIR, boundary_dissipation, load, wave_system
 
 # output times of `abclab compare-robin`
 ROBIN_GRID = np.concatenate([np.geomspace(1e-3, 1e-1, 21), np.linspace(0.2, 1.0, 9)])

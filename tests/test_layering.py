@@ -62,7 +62,8 @@ def test_lower_layers_do_not_import_scenario_or_cli(name):
 
 
 MIRROR_INTERNALS = {"mirror_blocks", "mirror_lift", "_mirror_coords",
-                    "mode_blocks", "mode_lift", "_mode_eig", "_cosines"}
+                    "mode_blocks", "mode_lift", "_mode_eig", "_cosines",
+                    "_mode_unblock", "_mode_solve"}
 
 
 def _spelled(node) -> list[str]:

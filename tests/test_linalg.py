@@ -438,3 +438,50 @@ def test_unblock_is_the_column_major_dense_reconstruction(n_pairs, n_fixed):
     assert got.flags.f_contiguous and not got.flags.c_contiguous
     assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
     assert np.linalg.norm(got - mat) <= 1e-14 * np.linalg.norm(mat)
+
+
+def _mode_separable(seed, ncol, size, dtype=float):
+    """A matrix T blockdiag(B_0, ..., B_nx) T^-1 for random blocks B_k, with
+    T the cosine-mode basis of ``ncol`` columns of ``size`` rows; that
+    basis' (column, row) of each dof, the dofs in shuffled order; and the
+    (ncol, size, size) stack of the B_k."""
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(ncol * size)
+    modes = np.stack(np.divmod(np.arange(ncol * size), size))[:, order]
+    cos = np.cos(np.pi * np.outer(np.arange(ncol), np.arange(ncol)) / (ncol - 1))
+    basis = np.zeros((ncol * size, ncol * size))
+    for i, (col, row) in enumerate(modes.T):
+        basis[i, np.arange(ncol) * size + row] = cos[col]
+    blocks = rng.standard_normal((ncol, size, size)).astype(dtype)
+    if dtype is complex:
+        blocks += 1j * rng.standard_normal((ncol, size, size))
+    dense = np.zeros((ncol * size,) * 2, dtype=dtype)
+    for k in range(ncol):
+        dense[k * size:(k + 1) * size, k * size:(k + 1) * size] = blocks[k]
+    return basis @ dense @ np.linalg.inv(basis), modes, blocks
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("ncol,size", [(2, 3), (5, 4), (9, 1)])
+def test_mode_inverse_and_solve_match_the_full_ones(dtype, ncol, size):
+    mat, modes, blocks = _mode_separable(ncol * size, ncol, size, dtype)
+    n = mat.shape[0]
+    assert np.allclose(la.mode_blocks(mat, modes), blocks)
+    for sigma in (3.0, 1.5 - 2j):
+        inv = la.shifted_inverse(mat, sigma, "probe", modes=modes)
+        ref = np.linalg.inv(sigma * np.eye(n) - mat)
+        assert inv.dtype == ref.dtype and inv.flags.f_contiguous
+        assert np.linalg.norm(inv - ref) <= 1e-12 * np.linalg.norm(ref)
+    # the stored stack with sigma on the first rows of every column, solved
+    # against a thin right-hand side and a vector
+    shifted_rows = np.flatnonzero(modes[1] < max(size - 1, 1))
+    split = la.ShiftedModes(mat, modes, shifted_rows)
+    shift = mat.copy()
+    shift[shifted_rows, shifted_rows] += 2.5
+    rhs = np.random.default_rng(1).standard_normal((n, 3))
+    full = la.checked_solve(shift, rhs, "probe")
+    got = split.solve(2.5, rhs, "probe", np.inf, lambda: shift)
+    assert got.dtype == full.dtype and got.shape == full.shape
+    assert np.linalg.norm(got - full) <= 1e-12 * np.linalg.norm(full)
+    vec = split.solve(2.5, rhs[:, 0], "probe", np.inf, lambda: shift)
+    assert np.linalg.norm(vec - full[:, 0]) <= 1e-12 * np.linalg.norm(full[:, 0])

@@ -11,11 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import abclab as ab
+import abclab._linalg as la
 from abclab._linalg import rel_norm
-from abclab.checks import Run, select_checks
-from abclab.errors import AssumptionError, SpectralParameterError
+from abclab.checks import Run, run_checks, select_checks
+from abclab.errors import AssumptionError, NumericalError, SpectralParameterError
 from abclab.reporting import VerificationReport
-from abclab.resolvent import (BlockPieces, _boundary_row, _factored, block_dirichlet,
+from abclab.resolvent import (BlockPieces, _boundary_row, _factored, _r2, block_dirichlet,
                               dirichlet_operator, exclusion_radii, factorization_check,
                               identity_LD, pencil_via_blocks, resolvent_A0_block,
                               resolvent_Acal)
@@ -427,3 +428,133 @@ def test_identities_hold_at_random_admissible_points(abc1d, lam, mu):
     dense = np.linalg.solve(lam * np.eye(size, dtype=complex) - sys.Acal,
                             np.eye(size, dtype=complex))
     assert rel_norm(resolvent_Acal(sys, lam) - dense, dense) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# The routes of verify's dense oracles and bordered lifts
+# ---------------------------------------------------------------------------
+_MODE_STRIPS = [("timoshenko-strip", {}), ("timoshenko-strip-k0", {}),
+                ("timoshenko-strip", {"nx": 24, "ny": 24}),
+                ("timoshenko-strip", {"nx": 12, "ny": 20})]
+
+# a d that varies along Gamma1, written about the middle: no cosine modes,
+# but its samples are mirror images bit for bit
+_VARIABLE_D = "1 - 0.5*cos(6.283185307179586*(x - 0.5))"
+
+
+def _build(name, geometry=(), **coefficients):
+    cfg = load(name)
+    cfg = dataclasses.replace(cfg, geometry={**cfg.geometry, **dict(geometry)},
+                              coefficients={**cfg.coefficients, **coefficients})
+    return cfg, *ab.build_system(cfg)
+
+
+@pytest.mark.parametrize("name, geometry", _MODE_STRIPS, ids=["strip", "k0", "nx24", "nx12-ny20"])
+def test_mode_split_oracles_match_unsplit_linear_algebra(name, geometry):
+    # tolerance, stated before measuring: both routes are backward stable,
+    # so an inverse or a solve of S is off by at most about N eps cond_2(S)
+    # relative; cond_2 is bounded by holder_norm(S) holder_norm(S^-1) for
+    # the oracles and by lift_cond_bound for the lifts
+    _, mesh, sys = _build(name, geometry)
+    assert isinstance(sys.lift_split, la.ShiftedModes) and sys.ext_mirror is None
+    eps, lam = np.finfo(float).eps, 1 + 1j
+    uvx = np.arange(2 * sys.n + sys.n_b)
+    oracles = [(sys.Abb0, mu, la.shifted_inverse(sys.Abb0, mu, "probe",
+                                                 modes=la.restrict_modes(sys.modes, uvx)))
+               for mu in (lam, 0.6 + 1.7j)]
+    oracles += [(sys.Acal, lam, la.shifted_inverse(sys.Acal, lam, "probe", modes=sys.modes)),
+                (sys.A0, lam * lam, BlockPieces(sys, lam).R2)]
+    for mat, sigma, got in oracles:
+        shift = sigma * np.eye(len(mat)) - mat
+        ref = np.linalg.inv(shift)
+        tol = len(mat) * eps * la.holder_norm(shift) * la.holder_norm(ref)
+        assert np.linalg.norm(got - ref) <= tol * np.linalg.norm(ref)
+    n, size = sys.ops.A_max.shape
+    rhs = np.eye(size, sys.n_b, k=-n)
+    for mu in [complex(lam * lam) for lam in (0.8 + 0.9j, 1.5 + 0.3j, 0.35 + 0.13j)] + [4.0, 2.0 ** 10]:
+        got = sys.dirichlet_lift(mu)
+        ref = np.linalg.solve(np.concatenate([la.shifted(sys.ops.A_max, mu), sys.ops.R]), rhs)
+        assert got.dtype == ref.dtype
+        tol = size * eps * sys.lift_cond_bound(mu)
+        assert np.linalg.norm(got - ref) <= tol * np.linalg.norm(ref)
+
+
+def test_mode_split_refuses_as_the_unsplit_route_does(neutral_strip):
+    # mu on sigma(A0): every guard judges the full matrix, so R2 and the
+    # lift are refused with the same message on the cosine modes, on the
+    # mirror halves and unsplit
+    _, sys = neutral_strip
+    mu = sys.eig_A0[len(sys.eig_A0) // 2]
+    routes = (sys, dataclasses.replace(sys, modes=None),
+              dataclasses.replace(sys, modes=None, mirror=None, lift_split=None))
+    for solve in (lambda s: _r2(s, np.sqrt(complex(mu))), lambda s: s.dirichlet_lift(mu)):
+        messages = []
+        for route in routes:
+            with pytest.raises(NumericalError) as exc:
+                solve(route)
+            messages.append(str(exc.value))
+        assert len(set(messages)) == 1 and "condition estimate" in messages[0]
+
+
+def _recorded_lapack(monkeypatch):
+    """(name, matrix shape) of every dense inverse, solve, eigensolve and
+    condition number taken while the test runs."""
+    calls = []
+    for name in ("inv", "solve", "eig", "eigvals", "cond"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, *rest, _name=name, _real=real:
+                            calls.append((_name, np.shape(a))) or _real(a, *rest))
+    return calls
+
+
+def test_strip_verify_takes_no_dense_call_beyond_one_mode_block(neutral_cfg, neutral_strip,
+                                                                 monkeypatch):
+    # 17 columns of 36 dofs (u, v, x, y) at nx = ny = 16: every oracle, R2
+    # and every lift is solved a block of at most one column's size at a time
+    mesh, sys = neutral_strip
+    calls = _recorded_lapack(monkeypatch)
+    report = VerificationReport(metadata={})
+    run_checks(select_checks(neutral_cfg.flags, sys), mesh, sys, report)
+    assert report.passed
+    assert max(max(shape[-2:]) for _, shape in calls) <= 36
+    assert {name for name, shape in calls if len(shape) == 3} == {"inv", "solve"}
+
+
+@pytest.mark.parametrize("name, coefficients", [
+    ("timoshenko-strip-k0", {"d": _VARIABLE_D}), ("abc-1d", {}), ("special-case", {})],
+    ids=["variable-d-strip", "abc-1d", "special-case"])
+def test_mirror_systems_verify_by_the_two_halves(name, coefficients, monkeypatch):
+    cfg, mesh, sys = _build(name, **coefficients)
+    assert sys.modes is None and sys.ext_mirror is not None
+
+    def halves(perm):
+        idx = np.arange(perm.size)
+        return [(int(np.sum(perm >= idx)),) * 2, (int(np.sum(perm > idx)),) * 2]
+
+    calls = _recorded_lapack(monkeypatch)
+    report = VerificationReport(metadata={})
+    run_checks(select_checks(cfg.flags, sys), mesh, sys, report)
+    assert report.passed
+    inverted = {shape for name, shape in calls if name == "inv"}
+    solved = {shape for name, shape in calls if name == "solve"}
+    assert all(len(shape) == 2 for _, shape in calls)
+    # (lam - Acal)^-1, (lam - Abb0)^-1 and R2 by the halves of their
+    # mirrors, and the lifts by those of the extended one
+    for keep in (np.arange(sys.state_dim), np.arange(2 * sys.n + sys.n_b), np.arange(sys.n)):
+        assert set(halves(la.restrict_mirror(sys.mirror, keep))) <= inverted
+    assert set(halves(sys.ext_mirror)) <= solved
+    assert (sys.state_dim,) * 2 not in inverted
+
+
+def test_special_case_strip_display_takes_the_mode_blocks(monkeypatch):
+    # a strip without the neutral transform meets the special case: its
+    # display's dense inverse, R2 and lifts take blocks of one column's size
+    # (35 rows of (u, v, y) at ny = 16)
+    cfg = load("timoshenko-strip-k0")
+    cfg = dataclasses.replace(cfg, flags={**cfg.flags, "b1_mode": "minus_b4b2", "neutral": False})
+    _, sys = ab.build_system(cfg)
+    assert sys.modes is not None
+    calls = _recorded_lapack(monkeypatch)
+    rep = ab.special_case_spectrum(sys)
+    assert max(max(shape[-2:]) for _, shape in calls) <= 35
+    assert max(rep.extras["resolvent_display_residuals"].values()) < 1e-13
