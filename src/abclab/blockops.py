@@ -22,18 +22,20 @@ V = W^{-1/2} Q, V^-1 = Q^T W^{1/2}, and the modal pencil factors X1, X2, Y
 (see resolvent.pencil).  The one bordered Dirichlet solve is the R-lift
 [mu P_n - A_max; R] u_ext = [0; I] (BlockSystem.dirichlet_lift); the same
 modal data, with a few norms taken once at assembly, bound its condition
-number (BlockSystem.lift_cond_bound), so that guard needs no SVD.  On a
-strip whose coefficients are constant along x, the state splits by the
-cosine modes along x (BlockSystem.modes, ``cosine_modes``): the dense
-eigensolves and inverses take nx + 1 blocks of one column's size
-(``_linalg.mode_blocks``), and so does the bordered solve, whose blocks of
-[-A_max; R] are gathered once, at assembly (BlockSystem.lift_split, a
-``_linalg.ShiftedModes``).  Elsewhere, where the mirror x -> L - x leaves
-[-A_max; R] exactly unchanged, its even and odd half-size blocks are
-gathered instead (a ``_linalg.ShiftedSplit``); either way each lift adds
-its mu on the node diagonals of the stored blocks and solves them.  Other
-splits restrict BlockSystem.modes or BlockSystem.mirror to their dofs
-(``_linalg.restrict_modes``, ``_linalg.restrict_mirror``).
+number (BlockSystem.lift_cond_bound), so that guard needs no SVD.
+
+The state's exact split is chosen once, at assembly (BlockSystem.split):
+on a strip whose coefficients are constant along x, the cosine modes along
+x (a ``_linalg.ModeSplit`` of ``cosine_modes``), whose dense eigensolves and
+inverses take nx + 1 blocks of one column's size; else the mirror
+x -> L - x (a ``_linalg.MirrorSplit``) when Acal commutes with it bit for
+bit, two half-size blocks; else none.  The bordered solve splits the same
+way, its blocks of [-A_max; R] gathered once, at assembly
+(BlockSystem.lift_split, a ``_linalg.ShiftedSplit``): by the modes
+restricted to the extended dofs, else by the mirror where it leaves
+[-A_max; R] exactly unchanged.  Each lift adds its mu on the node diagonals
+of the stored blocks and solves them.  Every other split restricts
+BlockSystem.split to its dofs (``_linalg.restrict``).
 """
 
 from __future__ import annotations
@@ -42,8 +44,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import (ShiftedModes, ShiftedSplit, checked_solve, exact_mirror, holder_norm,
-                      restrict_modes, shifted)
+from ._linalg import (MirrorSplit, ModeSplit, ShiftedSplit, Split, checked_solve, holder_norm,
+                      shifted)
 from .errors import AssumptionError, ConfigurationError, DimensionError, NumericalError
 from .mesh import Mesh
 from .model import (SYMMETRY_TOL, ModelOperators, default_boundary_laplacian, freeze_arrays,
@@ -74,27 +76,17 @@ class BlockSystem:
     norm_A_max: float = field(repr=False)
     norm_R: float = field(repr=False)
     kappa_W: float = field(repr=False)       # cond(W^{1/2}) = sqrt(max W / min W)
-    # the mirror x -> L - x on the state, None unless Acal commutes with it
-    # bit for bit; and the blocks of the bordered Dirichlet matrix
-    # [mu P_n - A_max; R] on the extended dofs (nodes, then ghosts): by the
-    # cosine modes when ``modes`` is set, else by the mirror when
-    # [-A_max; R] commutes with it bit for bit, else None
-    mirror: np.ndarray | None = field(repr=False)
-    lift_split: ShiftedModes | ShiftedSplit | None = field(repr=False)
-    # (2, N): the grid column of each state dof and its row within the
-    # column's block, None unless the model separates by cosine modes along
-    # x (``cosine_modes``)
-    modes: np.ndarray | None = field(repr=False)
+    # the exact split of the state (u, v, x, y): its cosine modes along x
+    # when the model separates by them (``cosine_modes``), else the mirror
+    # x -> L - x when Acal commutes with it bit for bit, else None; and the
+    # blocks of the bordered Dirichlet matrix [mu P_n - A_max; R] on the
+    # extended dofs (nodes, then ghosts): by the modes, else by the mirror
+    # when [-A_max; R] commutes with it bit for bit, else None
+    split: Split | None = field(repr=False)
+    lift_split: ShiftedSplit | None = field(repr=False)
 
     def __post_init__(self):
-        freeze_arrays(self, ("A0", "E0", "E1", "S_A", "Acal", "eig_A0",
-                             "X1", "X2", "Y", "mirror", "modes"))
-
-    @property
-    def ext_mirror(self) -> np.ndarray | None:
-        """The mirror's permutation of the extended dofs when the bordered
-        Dirichlet solve splits by it, else None."""
-        return self.lift_split.perm if isinstance(self.lift_split, ShiftedSplit) else None
+        freeze_arrays(self, ("A0", "E0", "E1", "S_A", "Acal", "eig_A0", "X1", "X2", "Y"))
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -134,7 +126,7 @@ class BlockSystem:
     def A2cal(self) -> np.ndarray:
         return self.Acal - self.A1cal
 
-    def split(self, state: np.ndarray):
+    def unpack(self, state: np.ndarray):
         """Split a reduced state (or matrix of states) into (u, v, x, y)."""
         n, nb = self.n, self.n_b
         if state.shape[0] != self.state_dim:
@@ -172,12 +164,12 @@ class BlockSystem:
         The bordered solve is guarded by ``lift_cond_bound``.  When
         ``lift_split`` is set, mu is added on the node diagonals of its
         stored blocks and they are solved: the nx + 1 cosine-mode blocks of
-        one column's extended dofs on a strip with ``modes``, else the even
-        and odd halves, which are the blocks of the full matrix bit for bit,
-        so that lift is that of ``checked_solve(..., mirror=ext_mirror)``.
-        Either way the full matrix is formed only when the bound does not
-        clear the guard, which judges it, so every refusal is that of the
-        unsplit ``checked_solve``.
+        one column's extended dofs on a strip with modes, else the even and
+        odd halves, which are the blocks of the full matrix bit for bit, so
+        that lift is the mirror's solve of the full matrix.  Either way the
+        full matrix is formed only when the bound does not clear the guard,
+        which judges it, so every refusal is that of the unsplit
+        ``checked_solve``.
         """
         n, size = self.ops.A_max.shape
         rhs = np.eye(size, self.n_b, k=-n, dtype=np.result_type(self.ops.A_max, mu))
@@ -204,27 +196,27 @@ def _ghost_maps(ops: ModelOperators):
 
 
 def _splits(ops: ModelOperators, Acal: np.ndarray, modes: np.ndarray | None):
-    """The mirror's permutation of the state (u, v, x, y), gated on Acal, and
-    the blocks of [-A_max; R]: its rows are the nodes, then one per ghost
-    slot, and ghost slot i belongs to Gamma1 dof i, so the extended dofs are
-    the u dofs, then the x dofs, on rows and columns alike.  With ``modes``
-    they are its cosine-mode blocks (``modes`` restricted to u and x);
-    else, when that matrix commutes bit for bit with the mirror's
-    permutation [node, n + bnd] of the extended dofs, its two halves."""
+    """The split of the state (u, v, x, y) and the stored blocks of
+    [-A_max; R]: its rows are the nodes, then one per ghost slot, and ghost
+    slot i belongs to Gamma1 dof i, so the extended dofs are the u dofs,
+    then the x dofs, on rows and columns alike.  With ``modes`` both split
+    by the cosine modes (restricted to u and x for the extended dofs).
+    Else the mirror's permutation of the state is kept when Acal commutes
+    with it bit for bit, and its permutation [node, n + bnd] of the
+    extended dofs when [-A_max; R] does."""
     n, _, nb = ops.dims
     bordered = np.concatenate([-ops.A_max, ops.R])
-    split = None
     if modes is not None:
-        split = ShiftedModes(bordered, restrict_modes(modes, np.r_[0:n, 2 * n:2 * n + nb]),
-                             np.arange(n))
+        split = ModeSplit(modes)
+        ext = split.restrict(np.r_[0:n, 2 * n:2 * n + nb])
+        return split, ShiftedSplit(bordered, ext, np.arange(n))
     if ops.mirror is None:
-        return None, split
+        return None, None
     node, bnd = ops.mirror
-    state = np.concatenate([node, n + node, 2 * n + bnd, 2 * n + nb + bnd])
-    ext = np.concatenate([node, n + bnd])
-    if split is None and exact_mirror(ext, bordered) is not None:
-        split = ShiftedSplit(bordered, ext, np.arange(n))
-    return exact_mirror(state, Acal), split
+    state = MirrorSplit(np.concatenate([node, n + node, 2 * n + bnd, 2 * n + nb + bnd]))
+    ext = MirrorSplit(np.concatenate([node, n + bnd]))
+    return (state if state.commutes(Acal) else None,
+            ShiftedSplit(bordered, ext, np.arange(n)) if ext.commutes(bordered) else None)
 
 
 def cosine_modes(mesh: Mesh, ops: ModelOperators) -> np.ndarray | None:
@@ -237,7 +229,7 @@ def cosine_modes(mesh: Mesh, ops: ModelOperators) -> np.ndarray | None:
     bit for bit along x: every operator along x is then the same
     reflected-Neumann second difference (the interior stencil, the Gamma0
     reflection and the neutral M, ``default_boundary_laplacian``), which the
-    DCT-I vectors diagonalize (``_linalg.mode_blocks``).  The inputs decide,
+    DCT-I vectors diagonalize (``_linalg.ModeSplit``).  The inputs decide,
     never a tolerance, in O(N).
     """
     if mesh.kind != "strip" or not (ops.M is None
@@ -261,11 +253,12 @@ def assemble_block_generator(ops: ModelOperators,
 
     When B1, B2 and B4 are bitwise mirror-invariant, so is the exact boundary
     row B1 + B4 B2, and its computed value is averaged with its mirror image
-    (``mirror_symmetrized``).  The mirror's state permutation is stored when
-    Acal then commutes with it bit for bit, and the blocks of the bordered
-    Dirichlet matrix by its extended-dof permutation when that matrix does,
-    or by the cosine modes when ``modes`` is given (``_splits``).  ``modes``
-    is stored as it is given (``cosine_modes``).
+    (``mirror_symmetrized``).  The state's split is the cosine modes when
+    ``modes`` is given (``cosine_modes``), else the mirror's state
+    permutation when Acal then commutes with it bit for bit; the blocks of
+    the bordered Dirichlet matrix are stored by the modes, else by the
+    mirror's extended-dof permutation when that matrix commutes with it
+    (``_splits``).
     """
     n, _, nb = ops.dims
     E0, E1 = _ghost_maps(ops)
@@ -301,7 +294,7 @@ def assemble_block_generator(ops: ModelOperators,
     a, Q = np.linalg.eigh(0.5 * (H + H.T.conj()))
     V = Q / sq[:, None]
 
-    mirror, lift_split = _splits(ops, Acal, modes)
+    split, lift_split = _splits(ops, Acal, modes)
     return BlockSystem(
         ops=ops, A0=A0, E0=E0, E1=E1, S_A=S_A, Acal=Acal,
         eig_A0=a, spectral_scale=float(np.max(np.abs(a))) if a.size else 1.0,
@@ -310,7 +303,7 @@ def assemble_block_generator(ops: ModelOperators,
         norm_T=holder_norm(np.block([[np.eye(n), np.zeros((n, nb))], [E0, E1]])),
         norm_S_A=holder_norm(S_A), norm_A_max=holder_norm(ops.A_max),
         norm_R=holder_norm(ops.R), kappa_W=float(np.sqrt(np.max(W) / np.min(W))),
-        mirror=mirror, lift_split=lift_split, modes=modes,
+        split=split, lift_split=lift_split,
     )
 
 

@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._linalg import rel_norm, restrict_mirror, restrict_modes, shifted_inverse
+from ._linalg import rel_norm, restrict, shifted_inverse
 from .blockops import BlockSystem
 from .errors import ConfigurationError
 from .mesh import Mesh
@@ -64,13 +64,12 @@ def _resolvent_a0_formula(run, rep):
     sys, worst = run.sys, 0.0
     # Abb0 is Acal on (u, v, x), which the mirror maps onto itself and
     # every column holds
-    keep = np.arange(len(sys.Abb0))
-    mirror, modes = restrict_mirror(sys.mirror, keep), restrict_modes(sys.modes, keep)
+    split = restrict(sys.split, np.arange(len(sys.Abb0)))
     for lam, pieces in ((SHARED_LAM, run.pieces), (0.6 + 1.7j, None)):
         # dense first, and each pair dropped before the next: the dense
         # inverse, the formula (overwritten by the difference) and one
         # working array at most are live
-        dense = shifted_inverse(sys.Abb0, lam, "(lam - Abb0)", mirror=mirror, modes=modes)
+        dense = shifted_inverse(sys.Abb0, lam, "(lam - Abb0)", split)
         formula = resolvent_A0_block(sys, lam, pieces)
         formula -= dense
         worst = max(worst, rel_norm(formula, dense))
@@ -104,7 +103,7 @@ def _factorization(run, rep):
 
 def _resolvent_acal_formula(run, rep):
     sys, lam = run.sys, SHARED_LAM
-    dense = shifted_inverse(sys.Acal, lam, "(lam - Acal)", mirror=sys.mirror, modes=sys.modes)
+    dense = shifted_inverse(sys.Acal, lam, "(lam - Acal)", sys.split)
     formula = resolvent_Acal(sys, lam, run.pieces)
     formula -= dense
     rep.add("resolvent-acal-formula", rel_norm(formula, dense), 1e-8)

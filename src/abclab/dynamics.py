@@ -514,7 +514,7 @@ def energy(state: np.ndarray, sys: BlockSystem, mesh: Mesh) -> float | np.ndarra
     co = ops.coeffs
     rho0 = float(np.real(co.rho[0]))
     states = np.atleast_2d(state)
-    u, v, x, _ = (block.T for block in sys.split(states.T))
+    u, v, x, _ = (block.T for block in sys.unpack(states.T))
     ldot = _boundary_velocity(states, sys)
 
     def weighted(w, z):

@@ -20,7 +20,7 @@ from functools import reduce
 
 import numpy as np
 
-from ._linalg import restrict_mirror
+from ._linalg import MirrorSplit
 from .errors import ConfigurationError, DimensionError
 
 
@@ -217,15 +217,15 @@ def build_strip_mesh(nx: int, ny: int) -> Mesh:
 def mirror_images(mesh: Mesh, state_node_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """Positions of the mirror images under x -> L - x (node axis 0 reversed).
 
-    Returns (node_img, bnd_img): the mirror restricted (``restrict_mirror``)
+    Returns (node_img, bnd_img): the mirror restricted (``MirrorSplit.restrict``)
     to the state dofs (the mesh nodes listed in ``state_node_idx``) and to
     the Gamma1 dofs, as positions in those lists; None when some dof has no
     image in its own list.  Ghost slot i belongs to Gamma1 dof i, so
     ``bnd_img`` is also the ghost slots' image.
     """
     mirror = np.arange(mesh.n_nodes).reshape(mesh.grid_shape[::-1])[..., ::-1].ravel()
-    node_img, bnd_img = (restrict_mirror(mirror, nodes) for nodes in (state_node_idx, mesh.gamma1))
-    return None if node_img is None or bnd_img is None else (node_img, bnd_img)
+    node_img, bnd_img = map(MirrorSplit(mirror).restrict, (state_node_idx, mesh.gamma1))
+    return None if node_img is None or bnd_img is None else (node_img.perm, bnd_img.perm)
 
 
 def inner_product(mesh: Mesh, f: np.ndarray, g: np.ndarray,

@@ -34,13 +34,12 @@ constructions at one lam can share R2, the block lift and the
 PencilEvaluator through one BlockPieces, which forms each once.  Every
 lift here is the one bordered R-lift ``BlockSystem.dirichlet_lift``; no
 bordered solve runs against L, whose lift the neutral ladder forms as
-D (L D)^-1 (``model.check_assumptions``).  On a strip with cosine modes
-(``BlockSystem.modes``) the bordered solve and R2 (the modes restricted to
-u) each solve nx + 1 blocks of one column's size (``_linalg.ShiftedModes``
-and ``_linalg.shifted_inverse``); on another mirror-exact system they solve
-two half-size blocks (``BlockSystem.ext_mirror``, and
-``BlockSystem.mirror`` restricted to u).  Either way the guard judges the
-full matrix.
+D (L D)^-1 (``model.check_assumptions``).  The bordered solve and R2 take
+the system's split (``BlockSystem.lift_split``, and ``BlockSystem.split``
+restricted to u for ``_linalg.shifted_inverse``): nx + 1 blocks of one
+column's size on a strip with cosine modes, two half-size blocks on
+another mirror-exact system.  Either way the guard judges the full
+matrix.
 
 Admissibility is one rule: lam is refused within the zero radius r0 of zero
 ("near-zero", tested first) or when mu = lam^2 is within the exclusion
@@ -61,8 +60,8 @@ from functools import cached_property
 
 import numpy as np
 
-from ._linalg import (checked_solve, mixed_matmul, opnorm, rel_norm, restrict_mirror,
-                      restrict_modes, shifted, shifted_inverse)
+from ._linalg import (checked_solve, mixed_matmul, opnorm, rel_norm, restrict, shifted,
+                      shifted_inverse)
 from .blockops import BlockSystem
 from .errors import DimensionError, SpectralParameterError
 
@@ -221,10 +220,8 @@ def _modal_sum(evaluator: PencilEvaluator, w1: np.ndarray, w2: np.ndarray) -> np
 
 
 def _r2(sys: BlockSystem, lam: complex) -> np.ndarray:
-    u = np.arange(sys.n)
     return shifted_inverse(sys.A0, lam * lam, "(lam^2 - A0) resolvent",
-                           mirror=restrict_mirror(sys.mirror, u),
-                           modes=restrict_modes(sys.modes, u))
+                           restrict(sys.split, np.arange(sys.n)))
 
 
 def _a0_block_resolvent(sys: BlockSystem, lam: complex, R2: np.ndarray,
@@ -349,10 +346,10 @@ def resolvent_A0_block(sys: BlockSystem, lam: complex,
     """Explicit resolvent of the restricted 3x3 block generator.
 
     Rows: (lam R2, R2, 0 / A0 R2, lam R2, 0 / B2 R2, B2 R2 / lam, I / lam)
-    with R2 = (lam^2 - A0)^{-1}, from two half-size blocks when ``sys.mirror``
-    is set; A0 R2 is written as lam^2 R2 - I, equal in exact arithmetic, so
-    no dense product is formed.  R2 is read from ``pieces`` (those of
-    (sys, lam)) when given.
+    with R2 = (lam^2 - A0)^{-1}, by the blocks of ``sys.split`` restricted
+    to u when it is set; A0 R2 is written as lam^2 R2 - I, equal in exact
+    arithmetic, so no dense product is formed.  R2 is read from ``pieces``
+    (those of (sys, lam)) when given.
     """
     _check_admissible(sys, lam)
     return _a0_block_resolvent(sys, lam, _pieces(sys, lam, pieces).R2)

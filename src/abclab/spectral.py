@@ -13,10 +13,10 @@ four edges of a winding box, and the live seeds of one Newton iteration
 Essential-spectrum statements survive only as refinement
 trends in finite dimensions and are reported as such, never as point values.
 
-Every dense eigensolve here goes through ``_linalg`` and takes the largest
-exact split the system stores: the cosine modes along x of a strip whose
-coefficients are constant along x (``sys.modes``, nx + 1 small blocks), else
-the mirror x -> L - x (``sys.mirror``, two half-size blocks), else none.
+Every dense eigensolve here goes through ``_linalg`` and takes the one
+exact split the system stores (``sys.split``): the cosine modes along x of
+a strip whose coefficients are constant along x (nx + 1 small blocks), else
+the mirror x -> L - x (two half-size blocks), else none.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import (eig_residuals, eigvals, rel_norm, restrict_mirror, restrict_modes,
-                      shifted, shifted_inverse)
+from ._linalg import eig_residuals, eigvals, rel_norm, restrict, shifted, shifted_inverse
 from .blockops import BlockSystem, reduced_dofs, reduced_generator
 from .errors import AssumptionError, ConfigurationError, NumericalError, SpectralParameterError
 from .resolvent import (PencilEvaluator, _a0_block_resolvent, _r2, dirichlet_operator, pencil,
@@ -75,12 +74,12 @@ def canonical_order(vals: np.ndarray) -> np.ndarray:
 def direct_spectrum(evaluator: PencilEvaluator | BlockSystem) -> SpectrumReport:
     """Brute-force dense eigendecomposition of Acal with per-pair residuals.
 
-    A strip that separates by cosine modes (``sys.modes`` set: its
-    coefficients are equal bit for bit along x) is eigensolved through the
-    nx + 1 diagonal blocks of T^-1 Acal T, T the DCT-I vectors along x, in
-    one stacked eigensolve (``_linalg.mode_blocks``); any other
-    mirror-invariant Acal (``sys.mirror`` set) through its even and odd
-    blocks (``_linalg.eig``).  Both are exact similarities, and each
+    A strip that separates by cosine modes (``sys.split`` a
+    ``_linalg.ModeSplit``: its coefficients are equal bit for bit along x)
+    is eigensolved through the nx + 1 diagonal blocks of T^-1 Acal T, T the
+    DCT-I vectors along x, in one stacked eigensolve; any other
+    mirror-invariant Acal (a ``_linalg.MirrorSplit``) through its even and
+    odd blocks.  Both are exact similarities, and each
     residual ||Acal x - lam x|| / ||x|| is still taken against the full
     Acal, so the certification does not rest on the split.
     ``_linalg.eig_residuals`` does both and keeps no spare state-size array:
@@ -94,7 +93,7 @@ def direct_spectrum(evaluator: PencilEvaluator | BlockSystem) -> SpectrumReport:
     if isinstance(evaluator, BlockSystem):
         evaluator = PencilEvaluator(evaluator)
     sys = evaluator.sys
-    vals, resid = eig_residuals(sys.Acal, sys.mirror, sys.modes)
+    vals, resid = eig_residuals(sys.Acal, sys.split)
     order = canonical_order(vals)
     vals, resid = vals[order], resid[order]
     eig_b4 = np.linalg.eigvals(sys.ops.B4)
@@ -353,14 +352,13 @@ def special_case_spectrum(sys: BlockSystem, tol: float = 1e-6) -> SpectrumReport
 
     # validate the block-triangular resolvent display at three sample points
     red = reduced_generator(sys)
-    keep = reduced_dofs(sys)
-    red_mirror, red_modes = restrict_mirror(sys.mirror, keep), restrict_modes(sys.modes, keep)
+    red_split = restrict(sys.split, reduced_dofs(sys))
     n = sys.n
     residuals = {}
     for lam in (0.7 + 0.9j, 1.3 + 0.4j, 2.1 + 1.7j):
         # dense first, and each pair dropped before the next: past the dense
         # inverse's own peak, the pair and the reduced generator are live
-        dense = shifted_inverse(red, lam, "(lam - reduced)", mirror=red_mirror, modes=red_modes)
+        dense = shifted_inverse(red, lam, "(lam - reduced)", red_split)
         RB4 = shifted_inverse(ops.B4, lam, "(lam - B4)")
         Dn = dirichlet_operator(sys, lam * lam)[:n]
         # the (u, v) blocks are those of the restricted block resolvent
@@ -415,11 +413,10 @@ def essential_spectrum_proxy(systems, epsilon: float) -> dict:
     Interval models get the finite-boundary answer instead of counts; strip
     systems are always wave or divergence models (the only strip assembly).
     The eigenvalues come from ``_linalg.eigvals``, through an exact
-    similarity that keeps the spectrum: on a strip that separates by cosine
-    modes (``sys.modes`` set, as on both shipped strips) the reduced
-    generator's nx + 1 mode blocks, with ``sys.modes`` restricted to
-    (u, v, y) (``_linalg.restrict_modes``); else, on a mirror-exact strip,
-    its even and odd parts under ``sys.mirror`` restricted the same way.
+    similarity that keeps the spectrum: ``sys.split`` restricted to
+    (u, v, y) (``_linalg.restrict``), the reduced generator's nx + 1 mode
+    blocks on a strip that separates by cosine modes (both shipped strips),
+    else its even and odd parts on a mirror-exact strip.
     """
     rows = []
     ess_vals = None
@@ -436,9 +433,7 @@ def essential_spectrum_proxy(systems, epsilon: float) -> dict:
             raise ConfigurationError("essential-spectrum proxy requires B3 = 0 (k = 0)")
         rng = essential_range(np.real(np.diag(sys.ops.B4)), sys.ops.bnd_weights)
         ess_vals = [v for v, _ in rng]
-        keep = reduced_dofs(sys)
-        vals = eigvals(reduced_generator(sys), restrict_mirror(sys.mirror, keep),
-                       restrict_modes(sys.modes, keep))
+        vals = eigvals(reduced_generator(sys), restrict(sys.split, reduced_dofs(sys)))
         count = int(np.sum([
             np.min([abs(l - v) for v in ess_vals]) <= epsilon for l in vals]))
         rows.append({"nx": mesh.grid_shape[0] - 1, "n_b": sys.n_b, "count": count})
@@ -462,7 +457,7 @@ def compact_resolvent_diagnostic(systems) -> dict:
     the spectral radius grows like the stencil stiffness: the discrete
     signature of a compact resolvent / purely discrete spectrum.  Each
     refinement's eigenvalues come from ``_linalg.eigvals``: when Acal
-    commutes exactly with the mirror x -> L - x (``sys.mirror`` set, as on
+    commutes exactly with the mirror x -> L - x (``sys.split`` set, as on
     both shipped intervals), its even and odd parts, of about half the size
     each, are eigensolved instead of Acal; the similarity between them is
     exact, so only rounding differs.
@@ -473,7 +468,7 @@ def compact_resolvent_diagnostic(systems) -> dict:
     for mesh, sys in systems:
         if mesh.kind != "interval":
             raise ConfigurationError("compact-resolvent diagnostic expects 1D models")
-        vals = eigvals(sys.Acal, sys.mirror)
+        vals = eigvals(sys.Acal, sys.split)
         # rigid drift modes sit numerically at zero and carry no convergence
         # information; track them separately
         zero_tol = 1e-6 * max(1.0, float(np.max(np.abs(vals))))

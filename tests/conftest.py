@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 import abclab as ab
-import abclab._linalg as la
 from abclab.blockops import BlockSystem
 from abclab.dynamics import _boundary_velocity
 
@@ -22,12 +21,12 @@ def load(name: str) -> ab.ScenarioConfig:
     return ab.load_config(CONFIG_DIR / f"{name}.json")
 
 
-def hand_lift(sys, mu, bnd, mirror=None):
+def hand_lift(sys, mu, bnd, split=None):
     """The bordered Dirichlet solve [mu P_n - A_max; bnd] u_ext = [0; I] formed
     by hand, with the mu I temporary on the node block, and solved by one LU
-    of the full matrix, or with a ``mirror`` by ``checked_solve``'s split of
-    the full matrix: the reference for the split lift, for the lift from the
-    stored blocks and for the lift against L."""
+    of the full matrix, or with a ``split`` by the split's own solve of the
+    full matrix's blocks: the reference for the split lift, for the lift from
+    the stored blocks and for the lift against L."""
     a_max = sys.ops.A_max
     n, size = a_max.shape
     mat = np.zeros((size, size), dtype=np.result_type(a_max.dtype, type(mu)))
@@ -36,9 +35,9 @@ def hand_lift(sys, mu, bnd, mirror=None):
     mat[n:, :] = bnd
     rhs = np.zeros((size, bnd.shape[0]), dtype=mat.dtype)
     rhs[n:, :] = np.eye(bnd.shape[0])
-    if mirror is None:
+    if split is None:
         return np.linalg.solve(mat, rhs)
-    return la.checked_solve(mat, rhs, "hand lift", mirror=mirror)
+    return split._solve(split._gather(mat), rhs)
 
 
 def boundary_dissipation(state: np.ndarray, sys: BlockSystem) -> float:

@@ -256,10 +256,13 @@ def _variant(name, geometry=(), coefficients=(), neutral_m_zero=False):
 def test_strip_generator_is_mirror_exact(name, nx):
     # the neutral transform's dense solve and products round asymmetrically;
     # averaging B1..B4 and the boundary row with their mirror images makes
-    # J Acal J = Acal hold bit for bit
+    # J Acal J = Acal hold bit for bit.  The strips split by their cosine
+    # modes, so the mirror's gate is read from an assembly without them
     mesh, sys = ab.build_system(_variant(name, {"nx": nx, "ny": nx}))
-    J = sys.mirror
-    assert J is not None and not np.array_equal(J, np.arange(J.size))
+    split = ab.assemble_block_generator(sys.ops).split
+    assert isinstance(split, la.MirrorSplit)
+    J = split.perm
+    assert not np.array_equal(J, np.arange(J.size))
     assert np.array_equal(J[J], np.arange(J.size))
     assert sys.Acal[np.ix_(J, J)].tobytes() == sys.Acal.tobytes()
 
@@ -273,7 +276,7 @@ def test_mirror_gate_reads_the_inputs(variant):
     # averaged: the blocks are the plain products, and nothing splits
     cfg = _variant(*variant)
     mesh, sys = ab.build_system(cfg)
-    assert sys.mirror is None
+    assert sys.split is None
     ops, plain = sys.ops, ab.assemble_wave_operator(mesh, ab.sample_coefficients(cfg, mesh))
     S = np.linalg.solve(np.eye(ops.n_b) - ops.M, np.eye(ops.n_b))
     for name in ("B1", "B2", "B3", "B4"):
@@ -298,8 +301,9 @@ def _lift_case(name, nx):
 
 
 def _mirror_lift_case(name, nx):
-    """``_lift_case`` assembled without the cosine modes: the strips' lifts
-    then take the mirror halves, as an x-varying mirror-exact strip's do."""
+    """``_lift_case`` assembled without the cosine modes: the strips' split
+    and lifts then take the mirror halves, as an x-varying mirror-exact
+    strip's do."""
     mesh, sys = _lift_case(name, nx)
     return mesh, ab.assemble_block_generator(sys.ops)
 
@@ -307,10 +311,11 @@ def _mirror_lift_case(name, nx):
 @pytest.mark.parametrize("name,nx", _LIFT_CASES)
 def test_split_lifts_match_the_full_ones(name, nx):
     mesh, sys = _mirror_lift_case(name, nx)
-    J = sys.ext_mirror
-    assert J is not None and not np.array_equal(J, np.arange(J.size))
+    assert isinstance(sys.lift_split.split, la.MirrorSplit)
+    J = sys.lift_split.split.perm
+    assert not np.array_equal(J, np.arange(J.size))
     assert J.size == sys.ops.A_max.shape[1]
-    assert np.array_equal(J[:sys.n], la.restrict_mirror(sys.mirror, np.arange(sys.n)))
+    assert np.array_equal(J[:sys.n], sys.split.restrict(np.arange(sys.n)).perm)
     for mu in _LIFT_MUS:
         split = sys.dirichlet_lift(mu)
         full = hand_lift(sys, mu, sys.ops.R)
@@ -330,12 +335,12 @@ def test_stored_block_lifts_are_the_split_solve_bit_for_bit(name, nx):
     mesh, sys = _mirror_lift_case(name, nx)
     assert sys.lift_split is not None
     if nx == 9:
-        J, a_max = sys.ext_mirror[:sys.n], sys.ops.A_max
+        J, a_max = sys.lift_split.split.perm[:sys.n], sys.ops.A_max
         off_axis = np.flatnonzero(J != np.arange(sys.n))
         assert np.count_nonzero(a_max[off_axis, J[off_axis]]) > 0
     for mu in _LIFT_MUS + [complex(-3.7, 0.2), 2.0 ** 16]:
         got = sys.dirichlet_lift(mu)
-        ref = hand_lift(sys, mu, sys.ops.R, mirror=sys.ext_mirror)
+        ref = hand_lift(sys, mu, sys.ops.R, split=sys.lift_split.split)
         assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
 
@@ -349,7 +354,8 @@ def test_lift_next_to_the_restricted_spectrum_decides_as_the_full_solve(
     # mirror halves, which are the full matrix's blocks bit for bit
     _, modal = neutral_strip
     mirrored = ab.assemble_block_generator(modal.ops)
-    assert isinstance(modal.lift_split, la.ShiftedModes) and mirrored.ext_mirror is not None
+    assert isinstance(modal.lift_split.split, la.ModeSplit)
+    assert isinstance(mirrored.lift_split.split, la.MirrorSplit)
     a = modal.eig_A0
     mu = a[len(a) // 2] * (1 + rel)
     n, size = modal.ops.A_max.shape
@@ -366,18 +372,19 @@ def test_lift_next_to_the_restricted_spectrum_decides_as_the_full_solve(
     # a backward-stable solve of either route is off by about cond eps relative
     tol = 10 * cond(full) * np.finfo(float).eps
     monkeypatch.setattr(np.linalg, "cond", lambda mat: conds.append(mat.shape) or cond(mat))
-    for sys, mirror in ((mirrored, mirrored.ext_mirror), (modal, None)):
+    for sys in (mirrored, modal):
         ref = outcome(lambda: la.checked_solve(full, rhs, "bordered Dirichlet system",
-                                               cond_bound=sys.lift_cond_bound(mu),
-                                               mirror=mirror))
+                                               cond_bound=sys.lift_cond_bound(mu)))
         conds.clear()
         got = outcome(lambda: sys.dirichlet_lift(mu))
         assert conds == [full.shape] * svds
         assert isinstance(ref, str) == isinstance(got, str) == (rel == 1e-13)
         if isinstance(ref, str):
             assert got == ref and ref.startswith("bordered Dirichlet system: condition estimate")
-        elif mirror is not None:
-            assert got.tobytes() == ref.tobytes()
+        elif sys is mirrored:
+            # the mirror's own solve of the full matrix's halves
+            split = sys.lift_split.split
+            assert got.tobytes() == split._solve(split._gather(full), rhs).tobytes()
         else:
             assert np.linalg.norm(got - ref) <= tol * np.linalg.norm(ref)
 
@@ -413,24 +420,26 @@ def test_ladder_matches_hand_formed_flux_lifts(name, nx):
 @pytest.mark.parametrize("name,nx", _LIFT_CASES)
 def test_restricted_mirrors_are_the_hand_built_layouts(name, nx):
     # the layouts the restriction rule replaced: the u part for A0, the
-    # (u, v, x) part for Abb0, and (u, v, y) for the reduced generator
-    mesh, sys = _lift_case(name, nx)
-    J, (n, _, nb) = sys.mirror, sys.dims
-    assert np.array_equal(la.restrict_mirror(J, np.arange(n)), J[:n])
-    assert np.array_equal(la.restrict_mirror(J, np.arange(2 * n + nb)), J[:2 * n + nb])
-    assert np.array_equal(la.restrict_mirror(J, reduced_dofs(sys)),
+    # (u, v, x) part for Abb0, and (u, v, y) for the reduced generator; the
+    # strips' mirror is that of their assembly without the cosine modes
+    mesh, sys = _mirror_lift_case(name, nx)
+    split, (n, _, nb) = sys.split, sys.dims
+    J = split.perm
+    assert np.array_equal(split.restrict(np.arange(n)).perm, J[:n])
+    assert np.array_equal(split.restrict(np.arange(2 * n + nb)).perm, J[:2 * n + nb])
+    assert np.array_equal(split.restrict(reduced_dofs(sys)).perm,
                           np.concatenate([J[:2 * n], J[2 * n + nb:] - nb]))
     # a u dof off the mirror axis, kept with the v dof at its image, is not
     # mapped onto the kept set
     r = int(np.flatnonzero(J != np.arange(J.size))[0])
-    assert la.restrict_mirror(J, np.r_[r, n + J[r]]) is None
+    assert split.restrict(np.r_[r, n + J[r]]) is None
 
 
 def _old_ghost_images(mesh):
     """The ghost slots' mirror images as they were built before: the slot
     whose inward node is the image of the slot's own inward node."""
     mirror = np.arange(mesh.n_nodes).reshape(mesh.grid_shape[::-1])[..., ::-1].ravel()
-    return la.restrict_mirror(mirror, mesh.ghost_inward)
+    return la.MirrorSplit(mirror).restrict(mesh.ghost_inward).perm
 
 
 @pytest.mark.parametrize("name", ["abc-1d", "special-case", "timoshenko-strip",
@@ -442,7 +451,7 @@ def test_extended_mirror_from_gamma1_is_the_ghost_image_one(name, biharmonic_sys
     node, bnd = sys.ops.mirror
     ghost = _old_ghost_images(mesh)
     assert np.array_equal(ghost, bnd)
-    assert np.array_equal(sys.ext_mirror, np.concatenate([node, sys.n + ghost]))
+    assert np.array_equal(sys.lift_split.split.perm, np.concatenate([node, sys.n + ghost]))
 
 
 def test_lifts_without_a_mirror_are_the_unsplit_solve():
@@ -450,7 +459,7 @@ def test_lifts_without_a_mirror_are_the_unsplit_solve():
     # mirror is stored, and each lift is the one full LU, byte for byte
     mesh, sys = ab.build_system(_variant(
         "timoshenko-strip", coefficients={"rho": "1 + 1e-12*x", "m": "1 + 1e-12*x"}))
-    assert sys.ext_mirror is None and sys.lift_split is None
+    assert sys.split is None and sys.lift_split is None
     for mu in _LIFT_MUS:
         assert sys.dirichlet_lift(mu).tobytes() == hand_lift(sys, mu, sys.ops.R).tobytes()
 
@@ -460,7 +469,44 @@ def test_lifts_without_a_mirror_are_the_unsplit_solve():
 def test_assembly_reads_exact_blocks(name):
     mesh, sys = ab.build_system(load(name))
     n = sys.n
-    assert sys.mirror is not None
+    assert sys.split is not None
     # the kernel restriction collapses the flux row to B2 exactly
     assert np.max(np.abs(sys.Abb0[2 * n:, :n] - sys.ops.B2)) == 0.0
     assert sys.A0.tobytes() == sys.Acal[n:2 * n, :n].tobytes()
+
+
+# every config whose split the assembly picks, as (config, changes, kind):
+# the shipped four, the nx = ny = 24 rung, a d that varies along Gamma1
+# written about the middle (mirror images bit for bit, no modes) and a
+# divergence strip whose diffusion varies along x (neither)
+_SELECTIONS = [
+    ("abc-1d", {}, la.MirrorSplit),
+    ("special-case", {}, la.MirrorSplit),
+    ("timoshenko-strip", {}, la.ModeSplit),
+    ("timoshenko-strip-k0", {}, la.ModeSplit),
+    ("timoshenko-strip", {"geometry": {"nx": 24, "ny": 24}}, la.ModeSplit),
+    ("timoshenko-strip-k0",
+     {"coefficients": {"d": "1 - 0.5*cos(6.283185307179586*(x - 0.5))"}}, la.MirrorSplit),
+    ("timoshenko-strip", {"model": "divergence", "coefficients": {"a": "1 + 0.5*x"}}, None),
+]
+
+
+@pytest.mark.parametrize("name,changes,kind", _SELECTIONS,
+                         ids=["abc-1d", "special-case", "strip", "k0", "nx24", "variable-d",
+                              "divergence"])
+def test_each_config_selects_one_split_and_every_restriction_keeps_it(name, changes, kind):
+    cfg = load(name)
+    cfg = dataclasses.replace(cfg, **{
+        key: {**getattr(cfg, key), **value} if isinstance(value, dict) else value
+        for key, value in changes.items()})
+    mesh, sys = ab.build_system(cfg)
+    n, _, nb = sys.dims
+    if kind is None:
+        assert sys.split is None and sys.lift_split is None
+        return
+    assert type(sys.split) is kind and type(sys.lift_split.split) is kind
+    # the dofs the callers restrict to: (u, v, x) for Abb0, u for A0,
+    # (u, v, y) for the reduced generator, and the extended dofs (u, x)
+    for keep in (np.arange(2 * n + nb), np.arange(n), reduced_dofs(sys),
+                 np.r_[0:n, 2 * n:2 * n + nb]):
+        assert type(la.restrict(sys.split, keep)) is kind

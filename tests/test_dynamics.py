@@ -636,7 +636,7 @@ def dense_energy(states, sys, mesh):
     """The energy of each row of ``states`` by dense matrix products."""
     ops, co = sys.ops, sys.ops.coeffs
     rho0 = float(np.real(co.rho[0]))
-    u, v, x, y = sys.split(states.T)
+    u, v, x, y = sys.unpack(states.T)
 
     def sq(z):
         return np.real(np.conjugate(z) * z)

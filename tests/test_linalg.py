@@ -211,48 +211,60 @@ def _mirror_invariant(seed, n_pairs, n_fixed, dtype=complex):
     return half + half[np.ix_(perm, perm)], perm
 
 
+def _split_solve(mat, rhs, perm):
+    """``checked_solve(mat, rhs, "probe")`` by the mirror's blocks: the
+    stored-block solve of mat with no shift, guarded on mat by its exact
+    condition number."""
+    return la.ShiftedSplit(mat, la.MirrorSplit(perm), np.arange(0)).solve(
+        0.0, rhs, "probe", np.inf, lambda: mat)
+
+
 @pytest.mark.parametrize("n_pairs,n_fixed", [(5, 0), (4, 3), (1, 1), (0, 3)])
 def test_split_inverse_and_eigenvectors_match_the_full_ones(audit, n_pairs, n_fixed):
     mat, perm = _mirror_invariant(n_pairs + 7 * n_fixed, n_pairs, n_fixed)
-    assert la.exact_mirror(perm, mat) is perm
-    inv = la.checked_solve(mat, np.eye(perm.size, dtype=complex), "probe", mirror=perm)
+    split = la.MirrorSplit(perm)
+    assert split.commutes(mat)
+    # the split inverse of the shift 0 - (-mat), which is mat
+    inv = la.shifted_inverse(-mat, 0.0, "probe", split)
     ref = np.linalg.inv(mat)
     assert np.linalg.norm(inv - ref) <= 1e-12 * np.linalg.norm(ref)
     # the guard judged the full matrix with the Frobenius bound of the inverse
     (what, bound, cond, refused), = audit
     assert (what, refused) == ("probe", False)
     assert bound == pytest.approx(np.linalg.norm(mat) * np.linalg.norm(ref), rel=1e-12)
-    even, odd = la.mirror_blocks(mat, perm)
+    even, odd = split._gather(mat)
     assert (even.shape[0], odd.shape[0]) == (n_pairs + n_fixed, n_pairs)
     vals = np.concatenate([np.linalg.eigvals(even), np.linalg.eigvals(odd)])
-    vecs = la.mirror_lift(perm, np.linalg.eig(even)[1], np.linalg.eig(odd)[1])
+    vecs = split._lift(np.linalg.eig(even)[1], np.linalg.eig(odd)[1])
     assert np.linalg.norm(mat @ vecs - vecs * vals) <= 1e-12 * np.linalg.norm(mat)
-    # eig lifts the same vectors
-    vals, lifted = la.eig(mat, perm)
+    # the split's eigensolve lifts the same vectors
+    vals, lifted, _ = split._eig(mat, stack=False)
     assert lifted.tobytes() == vecs.tobytes()
     assert np.linalg.norm(mat @ lifted - lifted * vals) <= 1e-12 * np.linalg.norm(mat)
 
 
 def test_exact_mirror_refuses_when_only_the_last_matrix_breaks_it():
     mat, perm = _mirror_invariant(3, 4, 2)
-    assert la.exact_mirror(perm, mat, mat.real) is perm
+    split = la.MirrorSplit(perm)
+    assert split.commutes(mat, mat.real)
     r = int(np.flatnonzero(perm != np.arange(perm.size))[0])
     changed, dropped = mat.copy(), mat.copy()
     changed[r, r] += 1.0
     # a zero whose image is not zero is caught at the image
     dropped[r, r] = 0.0
     for broken in (changed, dropped):
-        assert la.exact_mirror(perm, mat, mat.real, broken) is None
+        assert not split.commutes(mat, mat.real, broken)
 
 
 def test_restrict_mirror_keeps_positions_in_the_kept_set():
     perm = np.array([4, 1, 3, 2, 0, 5])        # orbits {0, 4}, {2, 3}, fixed 1 and 5
-    assert la.restrict_mirror(perm, np.array([0, 1, 4])).tolist() == [2, 1, 0]
-    assert la.restrict_mirror(perm, np.array([2, 3, 5])).tolist() == [1, 0, 2]
-    assert la.restrict_mirror(perm, np.arange(6)).tolist() == perm.tolist()
+    split = la.MirrorSplit(perm)
+    assert split.restrict(np.array([0, 1, 4])).perm.tolist() == [2, 1, 0]
+    assert split.restrict(np.array([2, 3, 5])).perm.tolist() == [1, 0, 2]
+    assert split.restrict(np.arange(6)).perm.tolist() == perm.tolist()
     # 0 maps to 4, which is not kept
-    assert la.restrict_mirror(perm, np.array([0, 1])) is None
-    assert la.restrict_mirror(None, np.arange(6)) is None
+    assert split.restrict(np.array([0, 1])) is None
+    assert la.restrict(None, np.arange(6)) is None
 
 
 @pytest.mark.parametrize("split", [False, True])
@@ -264,7 +276,7 @@ def test_eig_maps_a_failed_eigensolve_to_numerical_error(split, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eig", fail)
     with pytest.raises(NumericalError, match="dense eigensolve failed"):
-        la.eig(mat, perm if split else None)
+        la.eig_residuals(mat, la.MirrorSplit(perm) if split else None)
 
 
 @settings(max_examples=100, deadline=None)
@@ -279,14 +291,16 @@ def test_split_solve_matches_the_full_solve(n_pairs, n_fixed, dtype, k, seed):
     mat, perm = _mirror_invariant(seed, n_pairs, n_fixed, dtype)
     mat += 4 * perm.size * np.eye(perm.size)
     rhs = _mirror_invariant(seed + 1, n_pairs, n_fixed, dtype)[0][:, :k]
-    got = la.checked_solve(mat, rhs, "probe", mirror=perm)
+    split = la.MirrorSplit(perm)
+    got = split._solve(split._gather(mat), rhs)
     ref = la.checked_solve(mat, rhs, "probe")
     assert got.shape == ref.shape and got.dtype == ref.dtype
     assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
     # a single vector splits the same way
-    vec = la.checked_solve(mat, rhs[:, 0], "probe", mirror=perm)
+    vec = split._solve(split._gather(mat), rhs[:, 0])
     assert np.linalg.norm(vec - ref[:, 0]) <= 1e-13 * np.linalg.norm(ref[:, 0])
-    inv, ref = la.checked_solve(mat, np.eye(perm.size), "probe", mirror=perm), np.linalg.inv(mat)
+    # the split inverse of the shift 0 - (-mat), which is mat
+    inv, ref = la.shifted_inverse(-mat, 0.0, "probe", split), np.linalg.inv(mat)
     assert np.linalg.norm(inv - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
@@ -299,9 +313,9 @@ def test_split_inverse_refuses_as_the_full_solve_does(audit):
 
         def messages(mat):
             out = []
-            for mirror in (perm, None):
+            for solve in (_split_solve, lambda mat, rhs, _: la.checked_solve(mat, rhs, "probe")):
                 with pytest.raises(NumericalError) as exc:
-                    la.checked_solve(mat, rhs, "probe", mirror=mirror)
+                    solve(mat, rhs, perm)
                 out.append(str(exc.value))
             return out
 
@@ -336,7 +350,7 @@ def test_shift_has_the_entries_of_sigma_i_minus_m():
 @pytest.mark.parametrize("sigma", [1.5, 0.3 + 1.1j])
 def test_shifted_inverse_is_the_inverse_of_the_shift(split, sigma):
     mat, perm = _mirror_invariant(11, 3, 2, dtype=float)
-    inv = la.shifted_inverse(mat, sigma, "probe", mirror=perm if split else None)
+    inv = la.shifted_inverse(mat, sigma, "probe", la.MirrorSplit(perm) if split else None)
     ref = np.linalg.inv(sigma * np.eye(perm.size) - mat)
     # a real sigma and a real matrix give a real inverse
     assert inv.dtype == (complex if isinstance(sigma, complex) else float)
@@ -369,14 +383,14 @@ def test_split_shifted_inverse_refuses_as_the_solve_of_the_shift_does(monkeypatc
     mat[:, r] = mat[:, perm[r]] = 0.0
     mat[r, r] = mat[perm[r], perm[r]] = odd_pivot
     mat = 2.0 * np.eye(perm.size) - mat        # so that 2 - mat is the matrix built above
-    assert la.exact_mirror(perm, mat) is perm
+    split = la.MirrorSplit(perm)
+    assert split.commutes(mat)
     formed = []
     shifted = la.shifted
     monkeypatch.setattr(la, "shifted", lambda *args: formed.append(1) or shifted(*args))
     messages = []
-    for solve in (lambda: la.shifted_inverse(mat, 2.0, "probe", mirror=perm),
-                  lambda: la.checked_solve(shifted(mat, 2.0), np.eye(perm.size), "probe",
-                                           mirror=perm)):
+    for solve in (lambda: la.shifted_inverse(mat, 2.0, "probe", split),
+                  lambda: _split_solve(shifted(mat, 2.0), np.eye(perm.size), perm)):
         with pytest.raises(NumericalError) as exc:
             solve()
         messages.append(str(exc.value))
@@ -389,7 +403,7 @@ def test_split_shifted_inverse_refuses_as_the_solve_of_the_shift_does(monkeypatc
         assert len(formed) == 1
     # a regular shift is formed once
     formed.clear()
-    la.shifted_inverse(mat, 2.0 + 1j, "probe", mirror=perm)
+    la.shifted_inverse(mat, 2.0 + 1j, "probe", split)
     assert len(formed) == 1
 
 
@@ -406,10 +420,11 @@ def test_inverse_is_the_solve_against_an_identity_bit_for_bit(n, dtype):
     assert np.linalg.inv(mat).tobytes() == np.linalg.solve(mat, eye).tobytes()
     assert la.checked_solve(mat, np.eye(n)).tobytes() == np.linalg.solve(mat, np.eye(n)).tobytes()
     mat, perm = _mirror_invariant(n, n // 2 - 2, 4, dtype)
-    solved = [np.linalg.solve(b, np.eye(len(b), dtype=b.dtype))
-              for b in la.mirror_blocks(mat, perm)]
-    split = la.checked_solve(mat, np.eye(perm.size), mirror=perm)
-    assert split.tobytes() == la._unblock(perm, *solved).tobytes()
+    split = la.MirrorSplit(perm)
+    solved = [np.linalg.solve(b, np.eye(len(b), dtype=b.dtype)) for b in split._gather(mat)]
+    # the split inverse of the shift 0 - (-mat), which is mat bit for bit
+    inv = la.shifted_inverse(-mat, 0.0, "probe", split)
+    assert inv.tobytes() == split._unblock(*solved).tobytes()
 
 
 @pytest.mark.parametrize("n_pairs,n_fixed", [(5, 0), (4, 3), (0, 3)])
@@ -419,8 +434,9 @@ def test_unblock_is_the_column_major_dense_reconstruction(n_pairs, n_fixed):
     # column-major (a C-ordered variant moved two verify values on every
     # shipped config)
     mat, perm = _mirror_invariant(n_pairs + 5, n_pairs, n_fixed)
-    even, odd = la.mirror_blocks(mat, perm)
-    # the basis of mirror_blocks, built by hand: e_r + e_Jr (e_r on a fixed
+    split = la.MirrorSplit(perm)
+    even, odd = split._gather(mat)
+    # the basis of the mirror's blocks, built by hand: e_r + e_Jr (e_r on a fixed
     # point) for each representative r = min(i, Ji) in increasing order, then
     # e_r - e_Jr for the representatives of the 2-orbits
     reps = [r for r in range(perm.size) if r <= perm[r]]
@@ -434,7 +450,7 @@ def test_unblock_is_the_column_major_dense_reconstruction(n_pairs, n_fixed):
     blocks[:len(reps), :len(reps)] = even
     blocks[len(reps):, len(reps):] = odd
     ref = basis @ blocks @ np.linalg.inv(basis)
-    got = la._unblock(perm, even, odd)
+    got = split._unblock(even, odd)
     assert got.flags.f_contiguous and not got.flags.c_contiguous
     assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
     assert np.linalg.norm(got - mat) <= 1e-14 * np.linalg.norm(mat)
@@ -465,23 +481,23 @@ def _mode_separable(seed, ncol, size, dtype=float):
 @pytest.mark.parametrize("ncol,size", [(2, 3), (5, 4), (9, 1)])
 def test_mode_inverse_and_solve_match_the_full_ones(dtype, ncol, size):
     mat, modes, blocks = _mode_separable(ncol * size, ncol, size, dtype)
-    n = mat.shape[0]
-    assert np.allclose(la.mode_blocks(mat, modes), blocks)
+    n, split = mat.shape[0], la.ModeSplit(modes)
+    assert np.allclose(split._gather(mat), blocks)
     for sigma in (3.0, 1.5 - 2j):
-        inv = la.shifted_inverse(mat, sigma, "probe", modes=modes)
+        inv = la.shifted_inverse(mat, sigma, "probe", split)
         ref = np.linalg.inv(sigma * np.eye(n) - mat)
         assert inv.dtype == ref.dtype and inv.flags.f_contiguous
         assert np.linalg.norm(inv - ref) <= 1e-12 * np.linalg.norm(ref)
     # the stored stack with sigma on the first rows of every column, solved
     # against a thin right-hand side and a vector
     shifted_rows = np.flatnonzero(modes[1] < max(size - 1, 1))
-    split = la.ShiftedModes(mat, modes, shifted_rows)
+    stored = la.ShiftedSplit(mat, split, shifted_rows)
     shift = mat.copy()
     shift[shifted_rows, shifted_rows] += 2.5
     rhs = np.random.default_rng(1).standard_normal((n, 3))
     full = la.checked_solve(shift, rhs, "probe")
-    got = split.solve(2.5, rhs, "probe", np.inf, lambda: shift)
+    got = stored.solve(2.5, rhs, "probe", np.inf, lambda: shift)
     assert got.dtype == full.dtype and got.shape == full.shape
     assert np.linalg.norm(got - full) <= 1e-12 * np.linalg.norm(full)
-    vec = split.solve(2.5, rhs[:, 0], "probe", np.inf, lambda: shift)
+    vec = stored.solve(2.5, rhs[:, 0], "probe", np.inf, lambda: shift)
     assert np.linalg.norm(vec - full[:, 0]) <= 1e-12 * np.linalg.norm(full[:, 0])

@@ -456,13 +456,12 @@ def test_mode_split_oracles_match_unsplit_linear_algebra(name, geometry):
     # relative; cond_2 is bounded by holder_norm(S) holder_norm(S^-1) for
     # the oracles and by lift_cond_bound for the lifts
     _, mesh, sys = _build(name, geometry)
-    assert isinstance(sys.lift_split, la.ShiftedModes) and sys.ext_mirror is None
+    assert isinstance(sys.split, la.ModeSplit) and isinstance(sys.lift_split.split, la.ModeSplit)
     eps, lam = np.finfo(float).eps, 1 + 1j
-    uvx = np.arange(2 * sys.n + sys.n_b)
-    oracles = [(sys.Abb0, mu, la.shifted_inverse(sys.Abb0, mu, "probe",
-                                                 modes=la.restrict_modes(sys.modes, uvx)))
+    uvx = la.restrict(sys.split, np.arange(2 * sys.n + sys.n_b))
+    oracles = [(sys.Abb0, mu, la.shifted_inverse(sys.Abb0, mu, "probe", uvx))
                for mu in (lam, 0.6 + 1.7j)]
-    oracles += [(sys.Acal, lam, la.shifted_inverse(sys.Acal, lam, "probe", modes=sys.modes)),
+    oracles += [(sys.Acal, lam, la.shifted_inverse(sys.Acal, lam, "probe", sys.split)),
                 (sys.A0, lam * lam, BlockPieces(sys, lam).R2)]
     for mat, sigma, got in oracles:
         shift = sigma * np.eye(len(mat)) - mat
@@ -485,8 +484,11 @@ def test_mode_split_refuses_as_the_unsplit_route_does(neutral_strip):
     # mirror halves and unsplit
     _, sys = neutral_strip
     mu = sys.eig_A0[len(sys.eig_A0) // 2]
-    routes = (sys, dataclasses.replace(sys, modes=None),
-              dataclasses.replace(sys, modes=None, mirror=None, lift_split=None))
+    # assembled without the cosine modes, R2 and the lift take the mirror
+    mirrored = ab.assemble_block_generator(sys.ops)
+    assert isinstance(mirrored.split, la.MirrorSplit)
+    assert isinstance(mirrored.lift_split.split, la.MirrorSplit)
+    routes = (sys, mirrored, dataclasses.replace(sys, split=None, lift_split=None))
     for solve in (lambda s: _r2(s, np.sqrt(complex(mu))), lambda s: s.dirichlet_lift(mu)):
         messages = []
         for route in routes:
@@ -525,7 +527,8 @@ def test_strip_verify_takes_no_dense_call_beyond_one_mode_block(neutral_cfg, neu
     ids=["variable-d-strip", "abc-1d", "special-case"])
 def test_mirror_systems_verify_by_the_two_halves(name, coefficients, monkeypatch):
     cfg, mesh, sys = _build(name, **coefficients)
-    assert sys.modes is None and sys.ext_mirror is not None
+    assert isinstance(sys.split, la.MirrorSplit)
+    assert isinstance(sys.lift_split.split, la.MirrorSplit)
 
     def halves(perm):
         idx = np.arange(perm.size)
@@ -541,8 +544,8 @@ def test_mirror_systems_verify_by_the_two_halves(name, coefficients, monkeypatch
     # (lam - Acal)^-1, (lam - Abb0)^-1 and R2 by the halves of their
     # mirrors, and the lifts by those of the extended one
     for keep in (np.arange(sys.state_dim), np.arange(2 * sys.n + sys.n_b), np.arange(sys.n)):
-        assert set(halves(la.restrict_mirror(sys.mirror, keep))) <= inverted
-    assert set(halves(sys.ext_mirror)) <= solved
+        assert set(halves(sys.split.restrict(keep).perm)) <= inverted
+    assert set(halves(sys.lift_split.split.perm)) <= solved
     assert (sys.state_dim,) * 2 not in inverted
 
 
@@ -553,7 +556,7 @@ def test_special_case_strip_display_takes_the_mode_blocks(monkeypatch):
     cfg = load("timoshenko-strip-k0")
     cfg = dataclasses.replace(cfg, flags={**cfg.flags, "b1_mode": "minus_b4b2", "neutral": False})
     _, sys = ab.build_system(cfg)
-    assert sys.modes is not None
+    assert isinstance(sys.split, la.ModeSplit)
     calls = _recorded_lapack(monkeypatch)
     rep = ab.special_case_spectrum(sys)
     assert max(max(shape[-2:]) for _, shape in calls) <= 35

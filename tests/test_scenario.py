@@ -299,7 +299,7 @@ def test_expression_initial_data_compatibility(abc1d_cfg):
         "f": "sin(3.141592653589793*x)^2", "g": "0", "h": "0", "j": "0"})
     mesh, sys = ab.build_system(cfg)
     state = ab.initial_state_from_config(cfg, mesh, sys)
-    u, v, x, y = sys.split(state)
+    u, v, x, y = sys.unpack(state)
     # y0 = j - B2 f
     assert np.allclose(y, -sys.ops.B2 @ u, atol=1e-12)
 
@@ -322,7 +322,7 @@ def test_biharmonic_scenario_end_to_end():
     }))
     mesh, sys = ab.build_system(cfg)
     state = ab.initial_state_from_config(cfg, mesh, sys)
-    u, v, x, y = sys.split(state)
+    u, v, x, y = sys.unpack(state)
     assert u.size == 15                      # endpoints pinned and removed
     assert np.allclose(y, -2.0 - sys.ops.B2 @ u, atol=1e-10)
 

@@ -350,7 +350,7 @@ def test_mirror_split_matches_full_eigensolve(name, request, monkeypatch):
 
     mesh, sys = ab.build_system(sc.override_interval_cells(request.getfixturevalue(name), 256))
     shapes, full_eigvals = _recorded_eigvals(monkeypatch)
-    split = la.eigvals(sys.Acal, sys.mirror)
+    split = la.eigvals(sys.Acal, sys.split)
     # (u, v, x, y) on 257 nodes and 2 ends: the even part keeps the middle node
     assert shapes == [(260, 260), (258, 258)]
     full = full_eigvals(sys.Acal)
@@ -365,7 +365,7 @@ def test_mirror_split_on_biharmonic_interval(biharmonic_sys, monkeypatch):
     # the state nodes are 1..31 of 0..32, so the mirror maps them onto themselves
     mesh, sys = biharmonic_sys
     shapes, full_eigvals = _recorded_eigvals(monkeypatch)
-    split = la.eigvals(sys.Acal, sys.mirror)
+    split = la.eigvals(sys.Acal, sys.split)
     assert shapes == [(34, 34), (32, 32)]
     full = full_eigvals(sys.Acal)
     assert _same_spectrum(split, full, 1e-10 * np.max(np.abs(full)))
@@ -384,7 +384,7 @@ def _one_sided_interval():
 def test_asymmetric_interval_keeps_the_full_eigensolve(build, monkeypatch):
     mesh, sys = build()
     shapes, full_eigvals = _recorded_eigvals(monkeypatch)
-    vals = la.eigvals(sys.Acal, sys.mirror)
+    vals = la.eigvals(sys.Acal, sys.split)
     assert shapes == [sys.Acal.shape]
     assert vals.tobytes() == full_eigvals(sys.Acal).tobytes()
 
@@ -392,10 +392,13 @@ def test_asymmetric_interval_keeps_the_full_eigensolve(build, monkeypatch):
 @pytest.mark.parametrize("reduced", [False, True], ids=["Acal", "reduced"])
 def test_shipped_strip_splits_the_eigensolve(reduced, monkeypatch):
     # the neutral strip's assembly is mirror-exact: nx = 16 puts 9 of the 17
-    # columns in the even part, so (u, v, x, y) splits into 324 + 288 dofs
+    # columns in the even part, so (u, v, x, y) splits into 324 + 288 dofs.
+    # It splits by its cosine modes; the mirror is that of its assembly
+    # without them
     mesh, sys = ab.build_system(ab.load_config(CONFIG_DIR / "timoshenko-strip-k0.json"))
-    mat, perm = ((reduced_generator(sys), la.restrict_mirror(sys.mirror, reduced_dofs(sys)))
-                 if reduced else (sys.Acal, sys.mirror))
+    mirror = ab.assemble_block_generator(sys.ops).split
+    mat, perm = ((reduced_generator(sys), mirror.restrict(reduced_dofs(sys)))
+                 if reduced else (sys.Acal, mirror))
     shapes, full_eigvals = _recorded_eigvals(monkeypatch)
     split = la.eigvals(mat, perm)
     assert shapes == ([(315, 315), (280, 280)] if reduced else [(324, 324), (288, 288)])
@@ -406,8 +409,9 @@ def test_shipped_strip_splits_the_eigensolve(reduced, monkeypatch):
 def test_mirror_split_on_exactly_symmetric_strip(monkeypatch):
     # nx = 8: 9 columns mirror about the middle one, (u, v, y) of 81, 81, 9 dofs
     mesh, sys = ab.build_system(strip_proxy_cfg())
+    mirror = ab.assemble_block_generator(sys.ops).split.restrict(reduced_dofs(sys))
     shapes, full_eigvals = _recorded_eigvals(monkeypatch)
-    split = la.eigvals(reduced_generator(sys), la.restrict_mirror(sys.mirror, reduced_dofs(sys)))
+    split = la.eigvals(reduced_generator(sys), mirror)
     assert shapes == [(95, 95), (76, 76)]
     full = full_eigvals(reduced_generator(sys))
     assert _same_spectrum(split, full, 1e-10 * np.max(np.abs(full)))
@@ -429,7 +433,7 @@ def test_split_direct_spectrum_agrees_with_the_full_eigensolve(name, monkeypatch
         assert len(shapes) == 1 and np.prod(shapes[0][:2]) == sys.state_dim
     else:
         assert len(shapes) == 2 and sum(rows for rows, _ in shapes) == sys.state_dim
-    full = ab.direct_spectrum(dataclasses.replace(sys, mirror=None, modes=None))
+    full = ab.direct_spectrum(dataclasses.replace(sys, split=None, lift_split=None))
     assert shapes[-1] == sys.Acal.shape
     norm = np.linalg.norm(sys.Acal, 2)
     resid = np.maximum(np.maximum(split.residuals, full.residuals),
@@ -461,7 +465,7 @@ def test_mode_split_matches_the_unsplit_eigensolve(name, geometry, monkeypatch):
     # both routes, and every other eigenvalue is matched both ways within tol
     mesh, sys = _strip(name, **geometry)
     nx, ny = mesh.grid_shape[0] - 1, mesh.grid_shape[1] - 1
-    assert sys.modes is not None
+    assert isinstance(sys.split, la.ModeSplit)
     shapes = _recorded_eig(monkeypatch)
     split = ab.direct_spectrum(sys)
     assert shapes == [(nx + 1, 2 * (ny + 1) + 2, 2 * (ny + 1) + 2)]
@@ -481,16 +485,16 @@ def test_mode_split_of_the_reduced_generator(monkeypatch):
     # rule restricts the modes to 17 blocks of 35 rows
     mesh, sys = _strip("timoshenko-strip-k0")
     keep = reduced_dofs(sys)
-    modes = la.restrict_modes(sys.modes, keep)
-    assert modes.shape == (2, keep.size) and set(modes[1]) == set(range(35))
+    modes = sys.split.restrict(keep)
+    assert modes.modes.shape == (2, keep.size) and set(modes.modes[1]) == set(range(35))
     shapes, full_eigvals = _recorded_eigvals(monkeypatch)
-    split = la.eigvals(reduced_generator(sys), modes=modes)
+    split = la.eigvals(reduced_generator(sys), modes)
     assert shapes == [(17, 35, 35)]
     full = full_eigvals(reduced_generator(sys))
     assert _same_spectrum(split, full, 1e-10 * np.max(np.abs(full)))
     # a subset that leaves a column without one of the rows the others keep
-    assert la.restrict_modes(sys.modes, keep[1:]) is None
-    assert la.restrict_modes(None, keep) is None
+    assert sys.split.restrict(keep[1:]) is None
+    assert la.restrict(None, keep) is None
 
 
 @pytest.mark.parametrize("d, shapes", [
@@ -504,7 +508,8 @@ def test_x_varying_strip_falls_back_to_the_mirror(d, shapes, monkeypatch):
     cfg = ab.load_config(CONFIG_DIR / "timoshenko-strip-k0.json")
     mesh, sys = ab.build_system(
         dataclasses.replace(cfg, coefficients={**cfg.coefficients, "d": d}))
-    assert sys.modes is None and (sys.mirror is not None) == (len(shapes) == 2)
+    assert isinstance(sys.split, la.MirrorSplit) == (len(shapes) == 2)
+    assert isinstance(sys.split, (la.MirrorSplit, type(None)))
     recorded = _recorded_eig(monkeypatch)
     rep = ab.direct_spectrum(sys)
     assert recorded == shapes
@@ -519,7 +524,7 @@ def test_y_varying_coefficient_keeps_the_modes(monkeypatch):
         "coefficients": {"a": "1 + 0.5*y", "rho": "1", "m": "1", "d": "1", "k": "1"},
         "flags": {"neutral": True}}))
     mesh, sys = ab.build_system(cfg)
-    assert sys.modes is not None
+    assert isinstance(sys.split, la.ModeSplit)
     shapes = _recorded_eig(monkeypatch)
     rep = ab.direct_spectrum(sys)
     assert shapes == [(9, 16, 16)]
@@ -529,10 +534,10 @@ def test_y_varying_coefficient_keeps_the_modes(monkeypatch):
                           1e-10 * np.max(np.abs(full)))
     # the same field varying along x does not
     cfg = dataclasses.replace(cfg, coefficients={**cfg.coefficients, "a": "1 + 0.5*x"})
-    assert ab.build_system(cfg)[1].modes is None
+    assert not isinstance(ab.build_system(cfg)[1].split, la.ModeSplit)
 
 
 @pytest.mark.parametrize("fixture", ["abc1d", "special", "biharmonic_sys", "divergence_sys"])
 def test_intervals_never_get_modes(fixture, request):
     mesh, sys = request.getfixturevalue(fixture)
-    assert sys.modes is None and cosine_modes(mesh, sys.ops) is None
+    assert not isinstance(sys.split, la.ModeSplit) and cosine_modes(mesh, sys.ops) is None
