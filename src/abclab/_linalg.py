@@ -1,7 +1,8 @@
 """Dense linear-algebra primitives shared by the operator modules.
 
 The one exception is ``NonzeroOperator``, which applies a dense matrix
-through its nonzeros for the matvecs of the exponential's action.
+through its nonzeros for the matvecs of the exponential's action and the
+eigenvector residuals.
 
 Everything here is desk scale: square systems of a few hundred unknowns,
 solved by LU with partial pivoting, with a condition refusal threshold
@@ -19,14 +20,19 @@ inverted and solved by blocks, through a split of its dofs.  A split
 computes its coordinates once, at construction, and offers one protocol:
 ``restrict(keep)``, the split on the dofs ``keep`` (of the same kind, or
 None when they break it; the module's ``restrict`` passes None through);
-the list of a matrix's blocks, matrices or stacks (``_gather``); their
-eigenpairs, the vectors lifted back (``_eig``); the matrix of given blocks,
-for the inverse (``_unblock``); the solve (``_solve``); and the blocks of
-one matrix kept for every shift of its diagonal (``_store``, ``_shift``).
+the list of a matrix's blocks, matrices or stacks (``_gather``); a vector
+or a stack of vectors in block coordinates and back (``_to_blocks``,
+``_from_blocks``); their eigenpairs, the vectors lifted back (``_eig``); the
+matrix of given blocks, for the inverse (``_unblock``); the solve
+(``_solve``, in the coordinates of the two maps); and the blocks of one
+matrix kept for every shift of its diagonal (``_store``, ``_shift``).
 ``eigvals``, ``eig_residuals`` and ``shifted_inverse`` take one ``split``,
 and ``ShiftedSplit`` keeps the stored blocks of any split; every split
-inverse and solve is guarded on the full matrix.  No module but this one
-touches the blocks.
+inverse and solve is guarded on the full matrix.  ``blocks_of``,
+``to_blocks`` and ``from_blocks`` hand out the blocks and the coordinate
+maps, for the uniform-grid flow of ``dynamics``, which steps the blocks'
+exponentials in block coordinates; unsplit, they are the identity.  No
+module but this one touches a split's internals.
 
 - ``MirrorSplit(perm)``: the even and odd vectors of an involutive
   permutation J that commutes exactly with the matrix (the mirror
@@ -55,9 +61,15 @@ COND_REFUSAL = 1e12
 _BOUND_MARGIN = 2.0
 
 # Rows per pass where a state-size array is rewritten in place (``_unstack``)
-# or filled from its blocks (the splits' ``_lift``): the temporaries stay a
-# few hundred kB at desk scale.
+# or filled from its blocks (the splits' ``_lift``, and the states of the
+# dense flow in ``dynamics``): the temporaries stay a few hundred kB at desk
+# scale.
 _ROWS = 64
+
+# Columns per pass of ``NonzeroOperator.matmat``: its gathered terms, nnz x 32
+# entries (0.8 MB on the nx = ny = 16 strip), stay in cache; at nx = ny = 32
+# the product takes 50 ms at 32 columns, 53 ms at 64 and 181 ms dense.
+_COLS = 32
 
 
 def opnorm(a: np.ndarray) -> float:
@@ -182,13 +194,28 @@ def _checked_eig(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _columns(vals: np.ndarray, vecs: np.ndarray,
-             stack: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(vals, X, the norm of each column of X) for eigenvectors X, X as the
-    real [Re X | Im X] array when ``stack`` and X is complex."""
+             real_form: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(vals, X, the norm of each column of X) for eigenvectors X, X in
+    ``_real_form`` when ``real_form``."""
     norms = np.linalg.norm(vecs, axis=0)
-    if stack and np.iscomplexobj(vecs):
-        vecs = np.concatenate([vecs.real, vecs.imag], axis=1)
-    return vals, vecs, norms
+    return vals, _real_form(vals, vecs) if real_form else vecs, norms
+
+
+def _real_form(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """LAPACK's real form of the eigenvectors of a real matrix, or of a stack
+    of them (the vectors in the columns of each).
+
+    LAPACK lists a conjugate pair at columns (j, j + 1), the eigenvalue with
+    the positive imaginary part first, and numpy's vectors of the pair are
+    exactly a + ib and a - ib: the real form holds a at column j and b at
+    column j + 1, and a real eigenvalue's vector as it is.  Its N real
+    columns hold all that the N complex ones do.
+    """
+    if not np.iscomplexobj(vecs):
+        return vecs
+    out = vecs.real.copy()
+    np.copyto(out[..., 1:], vecs.imag[..., :-1], where=(vals.imag > 0)[..., None, :-1])
+    return out
 
 
 class MirrorSplit:
@@ -270,13 +297,13 @@ class MirrorSplit:
         np.add.at(odd, (odd_of[r], odd_of[c]), vals[keep] * sign[c])
         return [even, odd]
 
-    def _eig(self, mat: np.ndarray, stack: bool):
+    def _eig(self, mat: np.ndarray, real_form: bool):
         """``_columns`` of the eigenpairs of the two blocks, the vectors
         lifted by ``_lift``; the norms are those of the lifted vectors."""
         (val_e, vec_e), (val_o, vec_o) = map(_checked_eig, self._gather(mat))
         vecs = self._lift(vec_e, vec_o)
         del vec_e, vec_o
-        return _columns(np.concatenate([val_e, val_o]), vecs, stack)
+        return _columns(np.concatenate([val_e, val_o]), vecs, real_form)
 
     def _lift(self, even_vecs: np.ndarray, odd_vecs: np.ndarray) -> np.ndarray:
         """State vectors of columns in the even and odd coordinates:
@@ -323,21 +350,26 @@ class MirrorSplit:
             xt[self.perm[pairs]] -= odd_t
         return xt.T
 
-    def _solve(self, blocks: list[np.ndarray], rhs: np.ndarray) -> np.ndarray:
-        """``mat^-1 rhs`` from the list ``[even, odd]`` of its blocks.
-
-        The even and odd parts (rhs +- J rhs)/2 of ``rhs``, read at the
-        representatives r, are w_e = (rhs[r] + rhs[Jr])/2 (exactly rhs[r] on
-        a fixed point) and, on the 2-orbits, w_o = (rhs[r] - rhs[Jr])/2.  The
-        block solutions y_e, y_o lift back as
-        x[i] = y_e[even_of[i]] + sign[i] y_o[odd_of[i]].
-        """
-        even, odd = blocks
+    def _to_blocks(self, x: np.ndarray) -> list[np.ndarray]:
+        """The even and odd coordinates [w_e, w_o] of a vector or a stack
+        ``x`` (dofs on the first axis): the even and odd parts (x +- J x)/2,
+        read at the representatives r, are w_e = (x[r] + x[Jr])/2 (exactly
+        x[r] on a fixed point) and, on the 2-orbits, w_o = (x[r] - x[Jr])/2."""
         reps, pairs, perm = self.reps, self.pairs, self.perm
-        y_even = np.linalg.solve(even, 0.5 * (rhs[reps] + rhs[perm[reps]]))
-        y_odd = np.linalg.solve(odd, 0.5 * (rhs[pairs] - rhs[perm[pairs]]))
-        return (y_even[self.even_of]
-                + self.sign.reshape((-1,) + (1,) * (rhs.ndim - 1)) * self._odd_rows(y_odd))
+        return [0.5 * (x[reps] + x[perm[reps]]), 0.5 * (x[pairs] - x[perm[pairs]])]
+
+    def _from_blocks(self, parts: list[np.ndarray]) -> np.ndarray:
+        """The vector or stack x of even and odd coordinates [y_e, y_o]:
+        x[i] = y_e[even_of[i]] + sign[i] y_o[odd_of[i]]."""
+        even, odd = parts
+        return (even[self.even_of]
+                + self.sign.reshape((-1,) + (1,) * (even.ndim - 1)) * self._odd_rows(odd))
+
+    def _solve(self, blocks: list[np.ndarray], rhs: np.ndarray) -> np.ndarray:
+        """``mat^-1 rhs`` from the list ``[even, odd]`` of its blocks, one
+        solve per block in the coordinates of ``_to_blocks``."""
+        return self._from_blocks([np.linalg.solve(block, part)
+                                  for block, part in zip(blocks, self._to_blocks(rhs))])
 
     def _store(self, base: np.ndarray, shifted: np.ndarray):
         """Per block, read-only: the block of ``base`` without its diagonal on
@@ -408,53 +440,47 @@ class ModeSplit:
         (``blockops.cosine_modes``), the DCT-I vectors diagonalize it
         exactly and T^-1 mat T is block-diagonal up to rounding; the
         couplings between modes are not formed.  Each block is one
-        ``np.bincount`` over the nonzeros of mat, so no temporary near mat's
-        size is formed.
+        ``np.bincount`` over the nonzeros of mat, mode by mode, so every
+        temporary is of the nonzeros' size.
         """
         col, row = self.modes
         ncol, size = self._cos.shape[0], self._size
         rows, cols = np.divmod(np.flatnonzero(mat != 0), mat.shape[1])
         vals = mat[rows, cols]
-        # entry (k, row[r], row[c]) gathers T^-1[k, col[r]] mat[r, c] T[col[c], k]
-        weights = self._cos_inv[:, col[rows]] * self._cos[col[cols]].T
-        cell = (np.arange(ncol)[:, None] * size + row[rows]) * size + row[cols]
-
-        def gather(part):
-            return np.bincount(cell.ravel(), (weights * part).ravel(), ncol * size * size)
-
-        blocks = (gather(vals.real) + 1j * gather(vals.imag) if np.iscomplexobj(vals)
-                  else gather(vals))
+        cell = row[rows] * size + row[cols]
+        blocks = np.empty((ncol, size * size), dtype=vals.dtype)
+        for k in range(ncol):
+            # entry (k, row[r], row[c]) gathers T^-1[k, col[r]] mat[r, c] T[col[c], k]
+            weights = self._cos_inv[k, col[rows]] * self._cos[col[cols], k]
+            blocks[k] = np.bincount(cell, weights * vals.real, size * size)
+            if np.iscomplexobj(vals):
+                blocks[k] += 1j * np.bincount(cell, weights * vals.imag, size * size)
         return [blocks.reshape(ncol, size, size)]
 
-    def _eig(self, mat: np.ndarray, stack: bool):
+    def _eig(self, mat: np.ndarray, real_form: bool):
         """``_columns`` of the eigenpairs of the blocks, by one stacked
-        eigensolve, the vectors lifted straight into their final array by
-        ``_lift``.  The norm of each lifted vector is read off the blocks:
-        sum_j cos(pi k j / nx)^2 ||w||^2 over the columns j, since every
-        column holds the block's every row."""
+        eigensolve, the vectors (in ``_real_form`` when ``real_form``) lifted
+        straight into their final array by ``_lift``.  The norm of each
+        lifted vector is read off the blocks: sum_j cos(pi k j / nx)^2 ||w||^2
+        over the columns j, since every column holds the block's every row."""
         vals, vecs = _checked_eig(*self._gather(mat))
         norms = np.linalg.norm(self._cos, axis=0)[:, None] * np.linalg.norm(vecs, axis=1)
-        parts = (vecs.real, vecs.imag) if stack and np.iscomplexobj(vecs) else (vecs,)
-        return vals.ravel(), self._lift(*parts), norms.ravel()
+        return (vals.ravel(), self._lift(_real_form(vals, vecs) if real_form else vecs),
+                norms.ravel())
 
-    def _lift(self, *parts: np.ndarray) -> np.ndarray:
-        """The state vectors of block eigenvectors, side by side, one set per
-        (nx + 1, b, b) stack in ``parts``: column k b + p of a set holds
-        x[i] = cos(pi k col[i] / nx) parts[k, row[i], p].
-
-        Given the real and imaginary parts of complex vectors, this is the
-        real [Re X | Im X] array.  The rows are filled _ROWS at a time, so no
-        temporary near the output's size is formed.
+    def _lift(self, vecs: np.ndarray) -> np.ndarray:
+        """The state vectors of the block eigenvectors ``vecs``, a
+        (nx + 1, b, b) stack, side by side: column k b + p holds
+        x[i] = cos(pi k col[i] / nx) vecs[k, row[i], p].  The rows are filled
+        _ROWS at a time, so no temporary near the output's size is formed.
         """
         col, row = self.modes
-        width = parts[0].shape[0] * parts[0].shape[2]
-        out = np.empty((col.size, len(parts) * width), dtype=np.result_type(*parts))
+        width = vecs.shape[0] * vecs.shape[2]
+        out = np.empty((col.size, width), dtype=vecs.dtype)
         for lo in range(0, col.size, _ROWS):
             rows = slice(lo, lo + _ROWS)
-            scale = self._cos[col[rows]][:, :, None]
-            for i, part in enumerate(parts):
-                out[rows, i * width:(i + 1) * width] = (
-                    scale * part[:, row[rows]].transpose(1, 0, 2)).reshape(-1, width)
+            out[rows] = (self._cos[col[rows]][:, :, None]
+                         * vecs[:, row[rows]].transpose(1, 0, 2)).reshape(-1, width)
         return out
 
     def _unblock(self, inv: np.ndarray) -> np.ndarray:
@@ -478,20 +504,33 @@ class ModeSplit:
                 ncol, size, -1)[col, row]
         return out
 
-    def _solve(self, blocks: list[np.ndarray], rhs: np.ndarray) -> np.ndarray:
-        """``mat^-1 rhs`` from the list [stack] of its blocks: the rows of ``rhs``
-        are gathered into the (nx + 1, b, m) stack by column and row, T^-1 is
-        applied along the columns by one product, the blocks are solved by
-        one stacked ``np.linalg.solve``, and T is applied back by one
-        product."""
+    def _to_blocks(self, x: np.ndarray) -> list[np.ndarray]:
+        """The mode coordinates [T^-1 x] of a vector or a stack ``x`` (dofs on
+        the first axis), as the (nx + 1, b) + x.shape[1:] stack: the rows of x
+        gathered by column and row, then T^-1 applied along the columns by
+        one product."""
         col, row = self.modes
+        gathered = np.empty(self._cos.shape[:1] + (self._size,) + x.shape[1:], dtype=x.dtype)
+        gathered[col, row] = x
+        return [mixed_matmul(self._cos_inv, gathered.reshape(gathered.shape[0], -1))
+                .reshape(gathered.shape)]
+
+    def _from_blocks(self, parts: list[np.ndarray]) -> np.ndarray:
+        """The vector or stack T w of mode coordinates [w]: T applied along
+        the columns by one product, then the rows read back by column and
+        row."""
+        col, row = self.modes
+        stack, = parts
+        return mixed_matmul(self._cos, stack.reshape(stack.shape[0], -1)).reshape(
+            stack.shape)[col, row]
+
+    def _solve(self, blocks: list[np.ndarray], rhs: np.ndarray) -> np.ndarray:
+        """``mat^-1 rhs`` from the list [stack] of its blocks: one stacked
+        ``np.linalg.solve`` in the coordinates of ``_to_blocks``."""
         stack, = blocks
-        ncol, size = stack.shape[:2]
-        gathered = np.empty((ncol, size) + rhs.shape[1:], dtype=rhs.dtype)
-        gathered[col, row] = rhs
-        coeffs = mixed_matmul(self._cos_inv, gathered.reshape(ncol, -1)).reshape(ncol, size, -1)
-        solved = np.linalg.solve(stack, coeffs)
-        return mixed_matmul(self._cos, solved.reshape(ncol, -1)).reshape(gathered.shape)[col, row]
+        coeffs, = self._to_blocks(rhs)
+        solved = np.linalg.solve(stack, coeffs.reshape(coeffs.shape[:2] + (-1,)))
+        return self._from_blocks([solved.reshape(coeffs.shape)])
 
     def _store(self, base: np.ndarray, shifted: np.ndarray):
         """Read-only: the stack of ``base``, and the rows of the dofs
@@ -520,6 +559,23 @@ def restrict(split: Split | None, keep: np.ndarray) -> Split | None:
     return None if split is None else split.restrict(keep)
 
 
+def blocks_of(mat: np.ndarray, split: Split | None) -> list[np.ndarray]:
+    """The blocks of ``mat`` by ``split`` (``_gather``); [mat] unsplit."""
+    return [mat] if split is None else split._gather(mat)
+
+
+def to_blocks(x: np.ndarray, split: Split | None) -> list[np.ndarray]:
+    """A vector or a stack (dofs on the first axis) in the block coordinates
+    of ``split`` (``_to_blocks``); [x] unsplit."""
+    return [x] if split is None else split._to_blocks(x)
+
+
+def from_blocks(parts: list[np.ndarray], split: Split | None) -> np.ndarray:
+    """The vector or stack of the block coordinates ``parts`` of ``split``
+    (``_from_blocks``); the one part unsplit."""
+    return parts[0] if split is None else split._from_blocks(parts)
+
+
 def eigvals(mat: np.ndarray, split: Split | None = None) -> np.ndarray:
     """Eigenvalues of ``mat``, in no order; with a ``split``, those of its
     blocks (a stack's in one stacked eigensolve): a mirror's two half-size
@@ -533,25 +589,45 @@ def eig_residuals(mat: np.ndarray, split: Split | None = None) -> tuple[np.ndarr
     """The eigenpairs of ``mat``, split by ``split`` when given, and the
     residual ||mat x - lam x|| / ||x|| of each, taken against the full mat.
 
-    mat X is ``mixed_matmul``'s product; for a real mat and complex X, X is
-    stacked as [Re X | Im X] (by ``_columns``, or lifted straight into that
-    array by a mode split), and the product and X are both ``_unstack``-ed
-    from real arrays in place, so that past the eigensolve no more than
-    three N^2 complex arrays are live at once: X or the residuals, with the
-    two temporaries of their norms, or X's parts and the product.
+    For a real mat, X is taken in ``_real_form`` (by ``_columns``, or lifted
+    straight into it by a mode split): its N real columns hold every
+    eigenvector, so mat X is one real N x N product, half the columns of
+    [Re X | Im X].  It is taken through mat's nonzeros
+    (``NonzeroOperator.matmat``), in a fixed order that does not depend on
+    the BLAS thread count, and in less time than the dense product on the
+    strips (a generator holds about five nonzeros per row).  For the pair
+    a +- ib of lam = alpha +- i beta the residual's real and imaginary
+    parts are
+
+        (mat a - alpha a + beta b) +- i (mat b - alpha b - beta a),
+
+    formed in place in the product's columns of a and b, _ROWS rows at a
+    time, and both members of the pair get the one norm, the hypot of those
+    two columns' norms.  Past the eigensolve two N^2 real arrays are live:
+    X and the product.  Every step past the eigensolve is a fixed-order sum,
+    so the residuals depend on the thread count only through X.
     """
-    stack = not np.iscomplexobj(mat)
-    vals, vecs, vec_norms = (_columns(*_checked_eig(mat), stack) if split is None
-                             else split._eig(mat, stack))
-    if vecs.shape[1] > vals.size:       # [Re X | Im X]
-        mv = _unstack(mat @ vecs)
-        vecs = _unstack(vecs)
-    else:
+    real = not np.iscomplexobj(mat)
+    vals, vecs, vec_norms = (_columns(*_checked_eig(mat), real) if split is None
+                             else split._eig(mat, real))
+    if not real:
         mv = mixed_matmul(mat, vecs)
-    vecs *= vals[None, :]
-    mv -= vecs
+        vecs *= vals[None, :]
+        mv -= vecs
+        return vals, np.linalg.norm(mv, axis=0) / vec_norms
+    mv = NonzeroOperator(mat).matmat(vecs)
+    first = np.flatnonzero(vals.imag > 0)
+    beta = np.zeros(vals.size)          # beta at the first column of each pair
+    beta[first] = vals.imag[first]
+    for lo in range(0, mv.shape[0], _ROWS):
+        rows = slice(lo, lo + _ROWS)
+        mv[rows] -= vecs[rows] * vals.real
+        mv[rows, :-1] += vecs[rows, 1:] * beta[:-1]
+        mv[rows, 1:] -= vecs[rows, :-1] * beta[:-1]
     del vecs
-    return vals, np.linalg.norm(mv, axis=0) / vec_norms
+    norms = np.linalg.norm(mv, axis=0)
+    norms[first] = norms[first + 1] = np.hypot(norms[first], norms[first + 1])
+    return vals, norms / vec_norms
 
 
 class ShiftedSplit:
@@ -630,9 +706,10 @@ class NonzeroOperator:
     of each row contiguous, so ``mat @ b`` is one ``np.add.reduceat`` over
     row segments.  An empty row would share its segment start with the next
     row and return that row's first product, so each empty row stores one
-    explicit zero.  The two products are the ones the exponential needs,
-    ``mat @ b`` and ``w @ |mat|``; each output entry is summed in a fixed
-    order, so results do not depend on the BLAS thread count.
+    explicit zero.  The products are the two the exponential needs,
+    ``mat @ b`` and ``w @ |mat|``, and ``mat @ B`` for the residuals of
+    ``eig_residuals``; each output entry is summed in a fixed order, so
+    results do not depend on the BLAS thread count.
     """
 
     def __init__(self, mat: np.ndarray):
@@ -647,6 +724,20 @@ class NonzeroOperator:
     def matvec(self, b: np.ndarray) -> np.ndarray:
         """mat @ b for a vector b, real or complex."""
         return np.add.reduceat(self.vals * b[self.cols], self._starts)
+
+    def matmat(self, b: np.ndarray) -> np.ndarray:
+        """mat @ b for a real (N, m) array b, _COLS columns of b at a time:
+        each pass gathers the rows of b that the nonzeros read, a temporary
+        of nnz x _COLS entries that stays in cache, scales it in place and
+        sums each row's segment in the fixed order of ``matvec``."""
+        out = np.empty((self.shape[0], b.shape[1]), dtype=np.result_type(self.vals, b))
+        vals = self.vals[:, None]
+        for lo in range(0, b.shape[1], _COLS):
+            cols = slice(lo, lo + _COLS)
+            terms = b[self.cols, cols]
+            terms *= vals
+            out[:, cols] = np.add.reduceat(terms, self._starts, axis=0)
+        return out
 
     def abs_rmatvec(self, w: np.ndarray, mags: np.ndarray | None = None) -> np.ndarray:
         """w @ |mat| for a real vector w, or w @ M for the matrix M that holds

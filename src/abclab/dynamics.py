@@ -11,14 +11,23 @@ O(nnz) instead of O(N^2), and no sum depends on the BLAS thread count.
 
 A uniform grid (two or more positive gaps, all equal to a relative 1e-10)
 takes a dense route instead when a cost rule in multiply-adds, computed from
-the inputs alone (``_dense_pays``), says it is cheaper: one propagator P for
-the common gap, a scaling-and-squaring Taylor exponential of degree 16
-(``taylor_expm``), applied by matvecs; with at least as many steps as states,
-every block of eight states after the first is one product with P^8.  Numpy
-call overhead makes an action matvec cost about as much as 2^18 dense
-multiply-adds, so on the simulate grid (1000 steps) the shipped intervals
-and the strip up to nx = ny = 12 stay dense, and the strip from nx = ny = 16
-takes the action.
+the inputs alone (``_dense_route``), says it is cheaper: one propagator P
+for the common gap, a scaling-and-squaring Taylor exponential of degree 16
+(``taylor_expm``), applied by matvecs; with at least as many steps as
+states, every block of eight states after the first is one product with
+P^8.  When the system splits exactly (``BlockSystem.split``), the route may
+step the split's blocks instead: one propagator per block, the states
+stepped in block coordinates and lifted back in buffers of a few dozen rows
+(``_dense_flow``).  On an x-constant strip the generator is block-diagonal
+in the cosine modes along x (Strang, SIAM Review 41, 1999), so the strip's
+simulate grid (1000 steps) takes nx + 1 exponentials of 2(ny + 1) + 2
+states (17 of 36 at nx = ny = 16) instead of the action's 2750 matvecs.
+Numpy call overhead makes an action matvec cost about as much as 2^18 dense
+multiply-adds and a small product about 2^17, so on that grid every
+x-constant strip steps its modes, abc-1d its two mirror blocks, special-case
+its whole generator (two blocks of about 35 states cost more calls than
+they save), and the strips that vary along x, split by the mirror or not at
+all, take the action.
 
 Both routes are scaled from the same certified upper bounds on
 ||B^p||_1^(1/p), read off the row vector 1^T |B|^p (``_power_alphas``), for
@@ -54,7 +63,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import NonzeroOperator, shifted
+from ._linalg import (_ROWS, NonzeroOperator, Split, blocks_of, from_blocks, shifted,
+                      to_blocks)
 from .blockops import BlockSystem
 from .errors import ConfigurationError, ModelError, NumericalError
 from .mesh import Mesh, cell_weights
@@ -373,26 +383,104 @@ def _blocks(t: np.ndarray, lo: int, reach: float) -> np.ndarray:
 # 12-15 us (numpy 2.4.6, scipy-openblas 0.3.31, 2-core x86-64 host).  Numpy
 # call overhead, not arithmetic, sets this cost below a few thousand states.
 _MATVEC_COST = 2 ** 18
+# The call overhead of one product of the dense route on small blocks, in the
+# same multiply-adds: special-case's generator stepped as its two mirror
+# blocks takes 2.3 us more per eight steps than stepped whole (0.77 against
+# 0.48 ms over 1000 steps), about 2^17 multiply-adds of a one-thread dgemm
+# at 6e10 a second (512^3, same software on the same host).
+_CALL_COST = 2 ** 17
 
 
-def _dense_pays(op: NonzeroOperator, alphas: np.ndarray, positive: np.ndarray,
-                matvecs: float) -> bool:
-    """Whether a uniform grid's dense route takes fewer multiply-adds than the action.
+def _dense_cost(blocks: list[np.ndarray], k: int, q: int) -> float:
+    """Multiply-adds of the dense route over ``blocks`` (matrices or stacks)
+    for K steps.
 
-    ``positive`` holds the grid's K equal positive gaps.  The dense route
-    costs (6 + q + 3 [K >= N]) N^3 + K N^2: the six products of the Taylor
-    polynomial of the mean gap, its q squarings (``_squarings``), the three
-    squarings for (P^T)^8 when blocked, and N^2 per step.  The action costs
-    its planned ``matvecs`` times nnz + _MATVEC_COST.  Both counts come from
-    the inputs alone.
+    Per b x b block: the six products of its Taylor polynomial, q squarings
+    (those of the whole matrix's bound stand in for each block's), three
+    more for (P^T)^8 when blocked (K at least the largest b), and b^2 per
+    step.  Per state, the lift reads one block coordinate per block for each
+    of the N entries (one copy unsplit, two for a mirror, nx + 1 for the
+    modes).  Per _BLOCK steps, one product call per block array (a stack
+    counts once), at _CALL_COST each.
     """
-    n, k = op.shape[0], positive.size
-    q = _squarings(alphas, positive.mean())
-    dense = (6 + q + 3 * (k >= n)) * float(n) ** 3 + k * float(n) ** 2
-    return dense <= matvecs * (op.vals.size + _MATVEC_COST)
+    blocked = k >= max(blk.shape[-1] for blk in blocks)
+    n = sum(blk.size // blk.shape[-1] for blk in blocks)
+    cost = 0.0
+    for blk in blocks:
+        b = float(blk.shape[-1])
+        count = blk.size // blk.shape[-1] ** 2
+        cost += count * ((6 + q + 3 * blocked) * b ** 3 + k * b ** 2 + k * n)
+    return cost + math.ceil(k / _BLOCK) * len(blocks) * _CALL_COST
 
 
-def _flow(mat: np.ndarray, s: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
+def _dense_route(mat: np.ndarray, split: Split | None, op: NonzeroOperator,
+                 alphas: np.ndarray, positive: np.ndarray, matvecs: float):
+    """The cheapest dense route of a uniform grid, as (split, blocks), or
+    None when the action takes fewer multiply-adds.
+
+    ``positive`` holds the grid's K equal positive gaps.  The candidates are
+    mat unsplit, (None, [mat]), and with a ``split`` its blocks
+    (``_linalg.blocks_of``); each costs ``_dense_cost`` at the squarings q of
+    mat's bound at the mean gap (``_squarings``), and a tie keeps mat
+    unsplit.  The action costs its planned ``matvecs`` times
+    nnz + _MATVEC_COST.  Every count comes from the inputs alone.
+    """
+    k, q = positive.size, _squarings(alphas, positive.mean())
+    routes = [(None, [mat])] + ([] if split is None else [(split, blocks_of(mat, split))])
+    costs = [_dense_cost(blocks, k, q) for _, blocks in routes]
+    best = int(np.argmin(costs))
+    return routes[best] if costs[best] <= matvecs * (op.vals.size + _MATVEC_COST) else None
+
+
+def _dense_flow(split: Split | None, blocks: list[np.ndarray], s: np.ndarray,
+                gap: float, out: np.ndarray) -> None:
+    """Fill ``out``, one row per step of ``gap``, with the states of s stepped
+    by the exponentials of ``blocks`` in the coordinates of ``split``.
+
+    One propagator per block of size b, ``taylor_expm`` of gap times the
+    block (a stack takes one call per block).  s goes to block coordinates
+    once (``_linalg.to_blocks``; unsplit, they are the state).  With at least
+    as many steps K as the largest b, only the first _BLOCK steps are matvecs:
+    every later group of _BLOCK rows of a block's coordinates is the group
+    before it times (P^T)^_BLOCK, formed by three squarings; otherwise every
+    step is a matvec.  The rows are stepped into buffers of _ROWS rows per
+    block and each buffer is lifted into ``out`` as soon as it is full
+    (``_linalg.from_blocks``; unsplit, copied), so no trajectory in block
+    coordinates is kept.
+    """
+    props = [np.stack([taylor_expm(b * gap) for b in blk]) if blk.ndim == 3
+             else taylor_expm(blk * gap) for blk in blocks]
+    coords = to_blocks(s, split)
+    blocked = out.shape[0] >= max(p.shape[-1] for p in props)
+    if blocked:
+        steps = []
+        for p in props:
+            step = np.swapaxes(p, -1, -2)
+            for _ in range(3):
+                step = step @ step
+            steps.append(step.astype(out.dtype, copy=False))
+    bufs = [np.empty(p.shape[:-2] + (_ROWS, p.shape[-1]), dtype=out.dtype) for p in props]
+    prev = None
+    for lo in range(0, out.shape[0], _ROWS):
+        hi = min(lo + _ROWS, out.shape[0])
+        rows = [buf[..., :hi - lo, :] for buf in bufs]
+        for j in range(0, hi - lo, _BLOCK):
+            m = min(_BLOCK, hi - lo - j)
+            if blocked and prev is not None:
+                for row, before, step in zip(rows, prev, steps):
+                    np.matmul(before[..., :m, :], step, out=row[..., j:j + m, :])
+            else:
+                for r in range(j, j + m):
+                    coords = [p @ c if p.ndim == 2 else (p @ c[..., None])[..., 0]
+                              for p, c in zip(props, coords)]
+                    for row, c in zip(rows, coords):
+                        row[..., r, :] = c
+            prev = [row[..., j:j + m, :] for row in rows]
+        out[lo:hi] = from_blocks([np.swapaxes(row, -1, -2) for row in rows], split).T
+
+
+def _flow(mat: np.ndarray, s: np.ndarray, t_grid: np.ndarray,
+          split: Split | None = None) -> np.ndarray:
     """States e^{t mat} s at each t of an increasing grid, starting from t = 0.
 
     Grid points at or before t = 0 return s itself.  The positive times are
@@ -403,14 +491,12 @@ def _flow(mat: np.ndarray, s: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
     diagonal D, and the plans of all blocks are computed once per grid; the
     backward error of each step is bounded in the balanced norm
     ||D^-1 . D||_1.  A uniform grid (two or more positive gaps, equal to a
-    relative 1e-10) takes the dense route instead when ``_dense_pays``: one
-    exponential P of the mean gap, applied by matvecs.  When that grid has
-    at least as many positive steps K as the state dimension N, only the
-    first _BLOCK steps are matvecs: every later block of _BLOCK rows is the
-    block _BLOCK rows before it times (P^T)^_BLOCK, formed by three
-    squarings.  Raises NumericalError before any step when the action's
-    plans need more than ACTION_MATVEC_MAX matvecs in all (an infinite
-    alpha_p among them), and when a state of either route overflows.
+    relative 1e-10) takes a dense route instead when ``_dense_route`` finds
+    one cheaper: mat unsplit, or the blocks of ``split``, an exact split of
+    mat, each stepped by the exponential of the mean gap (``_dense_flow``).
+    Raises NumericalError before any step when the action's plans need more
+    than ACTION_MATVEC_MAX matvecs in all (an infinite alpha_p among them),
+    and when a state of either route overflows.
     """
     t = np.maximum(t_grid, 0.0)
     gaps = np.diff(t, prepend=0.0)
@@ -428,22 +514,10 @@ def _flow(mat: np.ndarray, s: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
         degrees, matvecs = _action_plan(np.diff(t[ends - 1], prepend=0.0), alphas)
         states = np.empty((t.size, s.size), dtype=s.dtype)
         states[:i0] = s
-        if (positive.size >= 2 and _uniform(positive)
-                and _dense_pays(op, alphas, positive, np.sum(matvecs))):
-            P = taylor_expm(mat * positive.mean())
-            blocked = positive.size >= s.size
-            for i in range(i0, min(i0 + _BLOCK, t.size) if blocked else t.size):
-                s = P @ s
-                states[i] = s
-            if blocked and t.size > i0 + _BLOCK:
-                # (P^T)^8 by three squarings: row k + 8 of states is row k times it
-                step = P.T
-                for _ in range(3):
-                    step = step @ step
-                step = step.astype(states.dtype, copy=False)
-                for i in range(i0 + _BLOCK, t.size, _BLOCK):
-                    hi = min(i + _BLOCK, t.size)
-                    np.matmul(states[i - _BLOCK:hi - _BLOCK], step, out=states[i:hi])
+        route = (_dense_route(mat, split, op, alphas, positive, np.sum(matvecs))
+                 if positive.size >= 2 and _uniform(positive) else None)
+        if route is not None:
+            _dense_flow(*route, s, positive.mean(), states[i0:])
             if not np.all(np.isfinite(states)):
                 raise NumericalError("dense flow of the matrix exponential overflowed")
             return states
@@ -566,7 +640,8 @@ def simulate(sys: BlockSystem, u0: np.ndarray, t_grid, method: str = "exact",
 
     ``exact`` steps between output times with the exponential (its action
     in blocks of output times, or one dense step on a uniform grid where
-    that costs less; see ``_flow``);
+    that costs less, by the blocks of ``sys.split`` where those cost less
+    still; see ``_flow``);
     ``rk4`` steps classically with fixed substeps below the
     stability bound (a warning is emitted when the requested grid is coarser
     than the bound).  Energies are attached whenever the model's energy
@@ -575,7 +650,7 @@ def simulate(sys: BlockSystem, u0: np.ndarray, t_grid, method: str = "exact",
     """
     t_grid, s = _start(sys, u0, t_grid)
     if method == "exact":
-        states = _flow(sys.Acal, s, t_grid)
+        states = _flow(sys.Acal, s, t_grid, sys.split)
     elif method == "rk4":
         if mesh is None:
             raise ConfigurationError("rk4 needs the mesh for its stability bound")

@@ -83,9 +83,9 @@ def direct_spectrum(evaluator: PencilEvaluator | BlockSystem) -> SpectrumReport:
     residual ||Acal x - lam x|| / ||x|| is still taken against the full
     Acal, so the certification does not rest on the split.
     ``_linalg.eig_residuals`` does both and keeps no spare state-size array:
-    the peak is about 2.2 N^2 complex entries on the strip (N the state
-    dimension), on either split.  Rows come
-    in ``canonical_order``.  Eigenvalues the evaluator refuses are
+    the peak is about 1.6 N^2 complex entries on the x-constant strip and
+    2.0 on a mirror-split strip (N the state dimension; tracemalloc).  Rows
+    come in ``canonical_order``.  Eigenvalues the evaluator refuses are
     classified by the failed test (``zero-mode`` or ``a0-branch``), so
     ``pencil-root`` and ``b4-branch`` rows are exactly its admissible ones; a
     bare system gets the default radii.

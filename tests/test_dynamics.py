@@ -15,7 +15,7 @@ from hypothesis.extra.numpy import arrays
 import abclab as ab
 from abclab import dynamics
 from abclab.cli import main
-from abclab._linalg import NonzeroOperator, opnorm
+from abclab._linalg import MirrorSplit, ModeSplit, NonzeroOperator, blocks_of, opnorm
 from abclab.dynamics import energy_defined, taylor_expm
 from abclab.errors import ConfigurationError, ModelError, NumericalError
 from abclab.mesh import _interval_weights
@@ -25,6 +25,8 @@ from conftest import CONFIG_DIR, boundary_dissipation, load, wave_system
 
 # output times of `abclab compare-robin`
 ROBIN_GRID = np.concatenate([np.geomspace(1e-3, 1e-1, 21), np.linspace(0.2, 1.0, 9)])
+# output times of `abclab simulate --t-final 10 --dt 0.01`
+CLI_SIMULATE_GRID = np.linspace(0.0, 10.0, 1001)
 
 
 def smooth_cfg(base, n_cells=32, d="1"):
@@ -80,9 +82,10 @@ def test_taylor_expm_calls_per_grid(monkeypatch, abc1d, special, neutral_strip, 
     calls = []
     real = dynamics.taylor_expm
     monkeypatch.setattr(dynamics, "taylor_expm", lambda mat: calls.append(1) or real(mat))
-    # the grid of `abclab simulate --t-final 10 --dt 0.01`: the intervals take
-    # the dense route, the strip the action
-    for (_, sys), expm_calls in ((abc1d, 1), (special, 1), (neutral_strip, 0)):
+    # the grid of `abclab simulate --t-final 10 --dt 0.01`: abc-1d steps its
+    # two mirror blocks, special-case its whole generator and the strip its
+    # nx + 1 = 17 cosine-mode blocks, one exponential each
+    for (_, sys), expm_calls in ((abc1d, 2), (special, 1), (neutral_strip, 17)):
         calls.clear()
         ab.simulate(sys, np.ones(sys.state_dim), np.linspace(0, 10, 1001))
         assert len(calls) == expm_calls
@@ -96,28 +99,121 @@ class _RouteChosen(Exception):
     pass
 
 
-def uniform_route(mat, t_grid):
-    """The route _flow picks for a uniform grid, stopped before any stepping."""
-    real = dynamics._dense_pays
+_ROUTE_NAMES = {type(None): "dense", MirrorSplit: "mirror", ModeSplit: "modes"}
+
+
+def uniform_route(mat, t_grid, split=None):
+    """The route _flow picks for a uniform grid, stopped before any stepping:
+    "action", "dense" (mat unsplit), or the split whose blocks it steps."""
+    real = dynamics._dense_route
 
     def spy(*args):
-        raise _RouteChosen("dense" if real(*args) else "action")
+        route = real(*args)
+        raise _RouteChosen("action" if route is None else _ROUTE_NAMES[type(route[0])])
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dynamics, "_dense_pays", spy)
+        patch.setattr(dynamics, "_dense_route", spy)
         with pytest.raises(_RouteChosen) as chosen:
-            dynamics._flow(mat, np.ones(mat.shape[0]), t_grid)
+            dynamics._flow(mat, np.ones(mat.shape[0]), t_grid, split)
     return str(chosen.value)
 
 
 @pytest.mark.parametrize("system, route", [
     ("abc1d", "dense"), ("special", "dense"), (8, "dense"), (16, "action"), (24, "action")])
 def test_uniform_route_by_cost_rule(request, neutral_cfg, system, route):
-    # the shipped intervals and the strip ladder on the simulate grid at
-    # T = 10, dt = 0.01; nx = 16 is the shipped strip
+    # without a split (as for a generator the system does not split): the
+    # shipped intervals and the strip ladder on the simulate grid at T = 10,
+    # dt = 0.01; nx = 16 is the shipped strip
     _, sys = (strip_system(neutral_cfg, system) if isinstance(system, int)
               else request.getfixturevalue(system))
     assert uniform_route(sys.Acal, np.linspace(0, 10, 1001)) == route
+
+
+# the configs the split routes are pinned on, by id: the shipped four, the
+# nx = ny = 24 rung, a d that varies along Gamma1 written about the middle
+# (mirror images bit for bit, no modes) and a divergence strip whose
+# diffusion varies along x (no split)
+_ROUTE_CONFIGS = {
+    "abc-1d": ("abc-1d", {}),
+    "special-case": ("special-case", {}),
+    "strip": ("timoshenko-strip", {}),
+    "k0": ("timoshenko-strip-k0", {}),
+    "nx24": ("timoshenko-strip", {"geometry": {"nx": 24, "ny": 24}}),
+    "variable-d": ("timoshenko-strip-k0",
+                   {"coefficients": {"d": "1 - 0.5*cos(6.283185307179586*(x - 0.5))"}}),
+    "divergence": ("timoshenko-strip", {"model": "divergence", "coefficients": {"a": "1 + 0.5*x"}}),
+}
+
+
+@pytest.fixture(scope="module")
+def route_systems():
+    """Builds each config of _ROUTE_CONFIGS once per module, on first use."""
+    built = {}
+
+    def get(name):
+        if name not in built:
+            base, changes = _ROUTE_CONFIGS[name]
+            cfg = load(base)
+            cfg = dataclasses.replace(cfg, **{
+                key: {**getattr(cfg, key), **value} if isinstance(value, dict) else value
+                for key, value in changes.items()})
+            built[name] = (cfg, *ab.build_system(cfg))
+        return built[name]
+
+    return get
+
+
+@pytest.mark.parametrize("name, route", [
+    ("abc-1d", "mirror"), ("special-case", "dense"), ("strip", "modes"), ("k0", "modes"),
+    ("nx24", "modes"), ("variable-d", "action"), ("divergence", "action")])
+def test_split_route_by_cost_rule(route_systems, name, route):
+    # the simulate grid at T = 10, dt = 0.01 with the system's split: every
+    # x-constant strip steps its cosine modes; abc-1d's two mirror blocks
+    # beat its whole generator, special-case's (70 states) do not, and the
+    # variable-d strip's two blocks of 324 and 288 do not beat the action
+    _, _, sys = route_systems(name)
+    assert uniform_route(sys.Acal, CLI_SIMULATE_GRID, sys.split) == route
+
+
+def forced_flow(mat, s, t_grid, split, route):
+    """_flow with its uniform-grid route forced: "action", "dense" (unsplit)
+    or "split" (the blocks of ``split``)."""
+    chosen = {"action": None, "dense": (None, [mat]),
+              "split": (split, blocks_of(mat, split) if split is not None else None)}[route]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "_dense_route", lambda *args: chosen)
+        return dynamics._flow(mat, s, t_grid, split)
+
+
+@pytest.mark.parametrize("name", list(_ROUTE_CONFIGS))
+def test_routes_agree_on_the_simulate_grid(route_systems, name):
+    # Stated before measuring: every route's states lie within 2e-11
+    # (relative, per state) of the action's, twice the 1e-14 k bound at
+    # k = 1000 steps that the action meets against scipy's expm
+    # (test_blocked_strip_flow_against_scipy); each route carries about that
+    # rounding.  simulate's states are, bit for bit, those of the route it
+    # pins (test_split_route_by_cost_rule)
+    _, _, sys = route_systems(name)
+    s0 = np.random.default_rng(7).standard_normal(sys.state_dim)
+    ref = forced_flow(sys.Acal, s0, CLI_SIMULATE_GRID, sys.split, "action")
+    routes = ("dense",) + (("split",) if sys.split is not None else ())
+    for route in routes:
+        states = forced_flow(sys.Acal, s0, CLI_SIMULATE_GRID, sys.split, route)
+        assert np.max(_relative_errors(states, ref)) <= 2e-11, route
+    chosen = uniform_route(sys.Acal, CLI_SIMULATE_GRID, sys.split)
+    pinned = forced_flow(sys.Acal, s0, CLI_SIMULATE_GRID, sys.split,
+                         {"mirror": "split", "modes": "split"}.get(chosen, chosen))
+    assert ab.simulate(sys, s0, CLI_SIMULATE_GRID).states.tobytes() == pinned.tobytes()
+
+
+@pytest.mark.parametrize("name", ["strip", "k0", "nx24", "variable-d"])
+def test_strip_energy_is_nonincreasing_on_the_simulate_grid(route_systems, name):
+    # the config's initial state over `simulate --t-final 10 --dt 0.01`, the
+    # bound of test_neutral_energy_monotone
+    cfg, mesh, sys = route_systems(name)
+    u0 = ab.initial_state_from_config(cfg, mesh, sys)
+    E = ab.simulate(sys, u0, CLI_SIMULATE_GRID, mesh=mesh).energies
+    assert np.all(np.diff(E) <= 1e-8 * E[0])
 
 
 def test_theta_table_matches_published_values():
